@@ -73,9 +73,17 @@ def fermat_quotient_mod(n: int, a: int, m: int) -> Residue:
     if m < 1:
         raise PreconditionError(f"modulus must be >= 1, got {m}")
     _require_coprime(a, n)
-    phi = euler_phi(factorize(n))
-    residue = pow(a, phi, n * m)
-    return Residue((residue - 1) % (n * m) // n, m)
+    return Residue(_quotient_mod(n, a, m, euler_phi(factorize(n))), m)
+
+
+def _quotient_mod(n: int, a: int, m: int, phi: int) -> int:
+    """fermat_quotient_mod's value, given phi = phi(n) and gcd(a, n) = 1.
+
+    For callers that already hold phi(n), so that one factorization serves
+    several quotients.
+    """
+    nm = n * m
+    return (pow(a, phi, nm) - 1) % nm // n
 
 
 def lemma1_check(
@@ -120,8 +128,9 @@ def lemma3_check(n: int, a: int) -> CongruenceReport:
     if g != 1:
         raise NotCoprimeError(f"gcd({n}, 6*{a}) = {g}; need gcd(n, 6a) = 1")
     nsq = n * n
-    lhs = fermat_quotient_mod(nsq, a, nsq)
-    q = fermat_quotient_mod(n, a, nsq).rep
+    phi = euler_phi(factorize(n))
+    lhs = Residue(_quotient_mod(nsq, a, nsq, n * phi), nsq)  # phi(n^2) = n phi(n)
+    q = _quotient_mod(n, a, nsq, phi)
     half_n = mod_inv(2, nsq).rep * n % nsq
     rhs = (q - half_n * (q * q % nsq)) % nsq
     return CongruenceReport(
@@ -151,12 +160,14 @@ def lemma4_check(n: int, a: int, p: int) -> CongruenceReport:
     alpha = factored.exponent_of(p)
     q = factored.cofactor(p)
     modulus = p ** (2 * alpha)
-    qn = fermat_quotient_mod(n, a, modulus).rep
+    phi_n = euler_phi(factored)
+    qn = _quotient_mod(n, a, modulus, phi_n)
     lhs = (2 * qn - n % modulus * (qn * qn % modulus)) % modulus
     prime_power = p**alpha
-    qp = fermat_quotient_mod(prime_power, a, modulus).rep
+    phi_p = prime_power // p * (p - 1)
+    qp = _quotient_mod(prime_power, a, modulus, phi_p)
     local = (2 * qp - prime_power % modulus * (qp * qp % modulus)) % modulus
-    phi_q = euler_phi(factorize(q))
+    phi_q = phi_n // phi_p  # phi is multiplicative and gcd(p^alpha, q) = 1
     rhs = phi_q * mod_inv(q, modulus).rep % modulus * local % modulus
     return CongruenceReport(
         identity=IdentityId.LEMMA_4,

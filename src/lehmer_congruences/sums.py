@@ -3,10 +3,12 @@
 The left-hand side of every congruence here is a sum of inverses over a
 filtered range of r: either the half-range harmonic sum of 1/r, or a sum of
 1/(n - d*r) for d in {3, 4, 6}.  SumSpec pins one such sum down (bound,
-filter, modulus).  modular_sum is the production path, one extended-gcd
-inverse per term accumulated mod the target; exact_sum forms the very same
-terms as an exact rational and is kept deliberately independent, so the two
-can audit each other.
+filter, modulus).  modular_sum is the production path: a sieve mask picks
+the kept r block by block, the running sum is held as one fraction mod the
+target, and a single modular inverse finishes it.  exact_sum forms the very
+same terms through SumSpec.denominators() as an exact rational and is kept
+deliberately independent (gcd filter, no mask, no modular inverse), so the
+two can audit each other.
 
 The right-hand sides are polynomials in Fermat quotients q_n(2), q_n(3);
 each has a modular evaluation and an exact-rational twin.
@@ -17,18 +19,19 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, compress
 from math import gcd, prod
 
-from .arith import Residue, _inv, factorize, is_prime
+from .arith import Residue, euler_phi, factorize, is_prime
 from .errors import (
     EvenModulusError,
     InvalidDenominatorError,
     NotCoprimeError,
+    NotInvertibleError,
     PreconditionError,
     PrimeDivisibilityError,
 )
-from .quotients import fermat_quotient, fermat_quotient_mod
+from .quotients import _quotient_mod, fermat_quotient, fermat_quotient_mod
 
 __all__ = [
     "HALF",
@@ -85,32 +88,72 @@ class SumSpec:
                 yield r if half else n - d * r
 
 
-def modular_sum(spec: SumSpec) -> Residue:
-    """Sum of the inverses of the spec's terms, reduced after every step."""
-    n, m = spec.n, spec.modulus
-    acc = 0
-    if spec.d == HALF:
-        if spec.exclude_prime is None:
-            for r in range(1, (n - 1) // 2 + 1):
-                if gcd(r, n) == 1:
-                    acc = (acc + _inv(r, m)) % m
-        else:
-            p = spec.exclude_prime
-            for r in range(1, (n - 1) // 2 + 1):
-                if r % p:
-                    acc = (acc + _inv(r, m)) % m
+# r values per mask block: the mask's memory stays flat in n
+_MASK_BLOCK = 1 << 14
+
+
+def _kept_terms(spec: SumSpec) -> Iterator[int]:
+    """denominators() again, filtered by a sieve mask instead of a gcd per r.
+
+    Each block of r gets a bytearray with the multiples of every excluded
+    prime cleared (the primes of n, or exclude_prime alone) and compress
+    walks the survivors; the terms and their order are those of
+    denominators().
+    """
+    bound = spec.bound()
+    if bound < 1:  # empty sum; n may be below 1, where factorize refuses
+        return iter(())
+    if spec.exclude_prime is None:
+        primes = [p for p, _ in factorize(spec.n).factors]
     else:
-        d = spec.d
-        if spec.exclude_prime is None:
-            for r in range(1, n // d + 1):
-                if gcd(r, n) == 1:
-                    acc = (acc + _inv(n - d * r, m)) % m
-        else:
-            p = spec.exclude_prime
-            for r in range(1, n // d + 1):
-                if r % p:
-                    acc = (acc + _inv(n - d * r, m)) % m
-    return Residue(acc, m)
+        primes = [spec.exclude_prime]
+    return chain.from_iterable(_term_blocks(spec, bound, primes))
+
+
+def _term_blocks(
+    spec: SumSpec, bound: int, primes: list[int]
+) -> Iterator[Iterator[int]]:
+    n, d = spec.n, spec.d
+    for lo in range(1, bound + 1, _MASK_BLOCK):
+        hi = min(lo + _MASK_BLOCK, bound + 1)
+        mask = bytearray(b"\x01") * (hi - lo)
+        for p in primes:
+            start = -lo % p
+            mask[start::p] = bytes(len(range(start, hi - lo, p)))
+        terms = range(lo, hi) if d == HALF else range(n - d * lo, n - d * hi, -d)
+        yield compress(terms, mask)
+
+
+def _inverse_sum(spec: SumSpec) -> tuple[int, int | None]:
+    """(sum of the terms' inverses mod m, None), or (0, first non-unit term).
+
+    Montgomery's simultaneous inversion: the running sum is one fraction
+    num/den mod m, so a single inverse of den replaces one per term.  den
+    is a unit exactly when every term is, so only a failed sum rescans the
+    terms for the one to blame.
+    """
+    m = spec.modulus
+    num, den = 0, 1
+    for t in _kept_terms(spec):
+        num = (num * t + den) % m
+        den = den * t % m
+    if gcd(den, m) == 1:
+        return num * pow(den, -1, m) % m, None
+    return 0, next(t for t in _kept_terms(spec) if gcd(t, m) != 1)
+
+
+def modular_sum(spec: SumSpec) -> Residue:
+    """Sum of the inverses of the spec's terms mod the spec's modulus.
+
+    Raises NotInvertibleError naming the first term that is not a unit.
+    """
+    value, culprit = _inverse_sum(spec)
+    if culprit is not None:
+        g = gcd(culprit, spec.modulus)
+        raise NotInvertibleError(
+            f"gcd({culprit}, {spec.modulus}) = {g}; {culprit} is not a unit"
+        )
+    return Residue(value, spec.modulus)
 
 
 def exact_sum(spec: SumSpec) -> Fraction:
@@ -128,13 +171,11 @@ def modular_sum_lenient(spec: SumSpec) -> tuple[Residue | None, str | None]:
     modulus are expected and must surface as an auditable skip.
     """
     m = spec.modulus
-    acc = 0
-    for term in spec.denominators():
-        g = gcd(term, m)
-        if g != 1:
-            return None, f"term {term} shares the factor {g} with modulus {m}"
-        acc = (acc + _inv(term, m)) % m
-    return Residue(acc, m), None
+    value, culprit = _inverse_sum(spec)
+    if culprit is not None:
+        g = gcd(culprit, m)
+        return None, f"term {culprit} shares the factor {g} with modulus {m}"
+    return Residue(value, m), None
 
 
 def _check_d(d: int) -> None:
@@ -239,21 +280,24 @@ def theorem_rhs(n: int, d: int) -> Residue:
     if g != 1:
         raise NotCoprimeError(f"gcd({n}, 6) = {g}; need gcd(n, 6) = 1")
     nsq = n * n
+    phi = euler_phi(factorize(n))  # shared by q_n(2) and q_n(3)
     if d == 3:
-        q3 = fermat_quotient_mod(n, 3, nsq).rep
-        value = (_inv(2, nsq) * q3 - _inv(4, nsq) * n % nsq * (q3 * q3 % nsq)) % nsq
-    elif d == 4:
-        q2 = fermat_quotient_mod(n, 2, nsq).rep
+        q3 = _quotient_mod(n, 3, nsq, phi)
         value = (
-            3 * _inv(4, nsq) * q2 - 3 * _inv(8, nsq) * n % nsq * (q2 * q2 % nsq)
+            pow(2, -1, nsq) * q3 - pow(4, -1, nsq) * n % nsq * (q3 * q3 % nsq)
+        ) % nsq
+    elif d == 4:
+        q2 = _quotient_mod(n, 2, nsq, phi)
+        value = (
+            3 * pow(4, -1, nsq) * q2 - 3 * pow(8, -1, nsq) * n % nsq * (q2 * q2 % nsq)
         ) % nsq
     else:
-        q2 = fermat_quotient_mod(n, 2, nsq).rep
-        q3 = fermat_quotient_mod(n, 3, nsq).rep
+        q2 = _quotient_mod(n, 2, nsq, phi)
+        q3 = _quotient_mod(n, 3, nsq, phi)
         inner = (
-            _inv(6, nsq) * (q2 * q2 % nsq) + _inv(8, nsq) * (q3 * q3 % nsq)
+            pow(6, -1, nsq) * (q2 * q2 % nsq) + pow(8, -1, nsq) * (q3 * q3 % nsq)
         ) % nsq
-        value = (_inv(3, nsq) * q2 + _inv(4, nsq) * q3 - n * inner) % nsq
+        value = (pow(3, -1, nsq) * q2 + pow(4, -1, nsq) * q3 - n * inner) % nsq
     return Residue(value, nsq)
 
 
@@ -301,16 +345,17 @@ def lemma2_rhs(p: int, alpha: int, d: int) -> Residue:
     if p < 5 or not is_prime(p):
         raise PreconditionError(f"p must be a prime >= 5, got {p}")
     m = p ** (2 * alpha)
+    phi = m // p * (p - 1)  # phi(p^{2 alpha}), no factorization needed
     if d == 3:
-        q3 = fermat_quotient_mod(m, 3, m).rep
-        value = _inv(2, m) * q3 % m
+        q3 = _quotient_mod(m, 3, m, phi)
+        value = pow(2, -1, m) * q3 % m
     elif d == 4:
-        q2 = fermat_quotient_mod(m, 2, m).rep
-        value = 3 * _inv(4, m) * q2 % m
+        q2 = _quotient_mod(m, 2, m, phi)
+        value = 3 * pow(4, -1, m) * q2 % m
     else:
-        q2 = fermat_quotient_mod(m, 2, m).rep
-        q3 = fermat_quotient_mod(m, 3, m).rep
-        value = (_inv(3, m) * q2 + _inv(4, m) * q3) % m
+        q2 = _quotient_mod(m, 2, m, phi)
+        q3 = _quotient_mod(m, 3, m, phi)
+        value = (pow(3, -1, m) * q2 + pow(4, -1, m) * q3) % m
     return Residue(value, m)
 
 
@@ -350,7 +395,7 @@ def moebius_decomposition_sides(n: int, p: int, d: int) -> tuple[Residue, Residu
         for combo in combinations(primes, size):
             s = prod(combo)
             inner = modular_sum(SumSpec(n // s, d, p, modulus)).rep
-            total += sign * (_inv(s, modulus) * inner % modulus)
+            total += sign * (pow(s, -1, modulus) * inner % modulus)
     return lhs, Residue(total % modulus, modulus)
 
 

@@ -14,6 +14,7 @@ from lehmer_congruences.errors import (
     PreconditionError,
     PrimeDivisibilityError,
 )
+from lehmer_congruences import quotients
 from lehmer_congruences.quotients import (
     QuotientValue,
     fermat_quotient,
@@ -155,6 +156,32 @@ def test_lemma3_pinned_and_sweep():
         lemma3_check(9, 2)  # 3 divides n
     with pytest.raises(NotCoprimeError):
         lemma3_check(25, 5)  # shared factor with a
+
+
+def test_lemma3_large_prime_within_rho_budget():
+    # Factorizing n^2 from scratch exhausted Brent's rho budget on P^2 here;
+    # phi(n^2) = n phi(n) needs only the factorization of n itself.
+    n = 1000000000039  # prime, so phi(n) = n - 1
+    nsq = n * n
+    expected = (pow(2, n * (n - 1), nsq * nsq) - 1) % (nsq * nsq) // nsq
+    report = lemma3_check(n, 2)  # raised FactorizationLimitExceeded before
+    assert report.holds
+    assert report.lhs.rep == report.rhs.rep == expected
+
+
+def test_lemma_checks_factorize_n_once(monkeypatch):
+    calls = []
+
+    def counting(n, **kwargs):
+        calls.append(n)
+        return factorize(n, **kwargs)
+
+    monkeypatch.setattr(quotients, "factorize", counting)
+    assert lemma3_check(5 * 7 * 11, 2).holds
+    assert calls == [385]
+    calls.clear()
+    assert lemma4_check(5**2 * 7 * 11, 2, 5).holds
+    assert calls == [1925]
 
 
 def test_lemma4_pinned():

@@ -3,19 +3,24 @@
 import random
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lehmer_congruences import sums
 from lehmer_congruences.bernoulli import rational_mod
 from lehmer_congruences.errors import (
     EvenModulusError,
     InvalidDenominatorError,
     NotCoprimeError,
+    NotInvertibleError,
     PreconditionError,
     PrimeDivisibilityError,
 )
 from lehmer_congruences.quotients import fermat_quotient_mod
-from lehmer_congruences.arith import factorize, mod_inv
+from lehmer_congruences.arith import Residue, factorize, mod_inv
 from lehmer_congruences.sums import (
     HALF,
     SumSpec,
@@ -42,6 +47,119 @@ def brute_sum(spec: SumSpec) -> int:
     for term in spec.denominators():
         total += pow(term, -1, spec.modulus)
     return total % spec.modulus
+
+
+def reference_modular_sum(spec: SumSpec) -> Residue:
+    # the per-term loop modular_sum used before the running fraction: one
+    # extended-gcd inverse per kept r, filtered by gcd(r, n) or r % p
+    n, m = spec.n, spec.modulus
+    acc = 0
+    if spec.d == HALF:
+        if spec.exclude_prime is None:
+            for r in range(1, (n - 1) // 2 + 1):
+                if gcd(r, n) == 1:
+                    acc = (acc + mod_inv(r, m).rep) % m
+        else:
+            p = spec.exclude_prime
+            for r in range(1, (n - 1) // 2 + 1):
+                if r % p:
+                    acc = (acc + mod_inv(r, m).rep) % m
+    else:
+        d = spec.d
+        if spec.exclude_prime is None:
+            for r in range(1, n // d + 1):
+                if gcd(r, n) == 1:
+                    acc = (acc + mod_inv(n - d * r, m).rep) % m
+        else:
+            p = spec.exclude_prime
+            for r in range(1, n // d + 1):
+                if r % p:
+                    acc = (acc + mod_inv(n - d * r, m).rep) % m
+    return Residue(acc, m)
+
+
+def reference_lenient(spec: SumSpec) -> tuple[Residue | None, str | None]:
+    # modular_sum_lenient before the running fraction
+    m = spec.modulus
+    acc = 0
+    for term in spec.denominators():
+        g = gcd(term, m)
+        if g != 1:
+            return None, f"term {term} shares the factor {g} with modulus {m}"
+        acc = (acc + mod_inv(term, m).rep) % m
+    return Residue(acc, m), None
+
+
+def outcome(fn, spec: SumSpec) -> int | str:
+    try:
+        return fn(spec).rep
+    except NotInvertibleError as exc:
+        return str(exc)
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# small blocks put block edges inside small sums; the real size is covered too
+BLOCKS = st.sampled_from([1, 2, 3, 7, 64, sums._MASK_BLOCK])
+
+
+@st.composite
+def specs(draw) -> SumSpec:
+    """Theorem, lemma2, unit and arbitrary moduli over every d."""
+    d = draw(st.sampled_from([HALF, 3, 4, 6]))
+    n = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(["n^2", "p^2alpha", "one", "any"]))
+    if kind == "p^2alpha":
+        factors = factorize(n).factors
+        if factors:
+            p, alpha = draw(st.sampled_from(factors))
+            return SumSpec(n, d, p, p ** (2 * alpha))
+    if kind == "one":
+        return SumSpec(n, d, None, 1)
+    if kind == "any":
+        return SumSpec(n, d, None, draw(st.integers(1, 10**6)))
+    return SumSpec(n, d, None, n * n)
+
+
+@PROPERTY
+@given(specs(), BLOCKS)
+def test_modular_sum_matches_reference_loop(spec, block):
+    with patch.object(sums, "_MASK_BLOCK", block):
+        result = outcome(modular_sum, spec)
+        assert result == outcome(reference_modular_sum, spec), spec
+        assert modular_sum_lenient(spec) == reference_lenient(spec), spec
+    terms = list(spec.denominators())
+    if isinstance(result, int) and 0 not in terms:
+        assert rational_mod(exact_sum(spec), spec.modulus).rep == result, spec
+
+
+@PROPERTY
+@given(st.integers(1, 2000), st.sampled_from([HALF, 3, 4, 6]), BLOCKS)
+def test_mask_keeps_exactly_the_coprime_r(n, d, block):
+    spec = SumSpec(n, d, None, n * n)
+    with patch.object(sums, "_MASK_BLOCK", block):
+        kept = list(sums._kept_terms(spec))
+    rs = kept if d == HALF else [(n - t) // d for t in kept]
+    assert rs == [r for r in range(1, spec.bound() + 1) if gcd(r, n) == 1]
+
+
+@pytest.mark.parametrize("d", [HALF, 3, 4, 6])
+def test_modular_sum_across_the_real_block_edge(d):
+    # bounds block - 1, block and block + 1 with the block size unpatched
+    block = sums._MASK_BLOCK
+    for bound in (block - 1, block, block + 1):
+        n = 2 * bound + 1 if d == HALF else d * bound + 1
+        for spec in (SumSpec(n, d, None, n * n), SumSpec(n, d, 5, 25)):
+            assert spec.bound() == bound
+            expected = outcome(reference_modular_sum, spec)
+            assert outcome(modular_sum, spec) == expected, (spec, bound)
+
+
+def test_modular_sum_names_the_first_non_unit_term():
+    # n = 9, d = 3 keeps r = 1, 2: terms 6 and 3, both sharing 3 with 81
+    message = r"^gcd\(6, 81\) = 3; 6 is not a unit$"
+    with pytest.raises(NotInvertibleError, match=message):
+        modular_sum(SumSpec(9, 3, None, 81))
+    assert modular_sum(SumSpec(9, 3, None, 1)) == Residue(0, 1)
 
 
 def test_sumspec_terms():
