@@ -1,9 +1,15 @@
 """Exact Bernoulli numbers and polynomials, plus p-adic congruence tests.
 
-Convention: B_1 = -1/2, i.e. the generating function t/(e^t - 1).  The
-defining recurrence is then sum_{k=0}^{m} C(m+1, k) B_k = 0 for m >= 1,
-which is also how the cache fills its table.  Everything here is an exact
-fractions.Fraction; no float appears anywhere.
+Convention: B_1 = -1/2, i.e. the generating function t/(e^t - 1), so the
+defining recurrence is sum_{k=0}^{m} C(m+1, k) B_k = 0 for m >= 1.  The
+cache does not run that recurrence: it fills its table from Seidel's
+boustrophedon triangle (L. Seidel, 1877), whose rows are built by integer
+additions alone and end in the zigzag numbers E_n; for even m = 2k >= 2,
+
+    B_m = (-1)^(k-1) m E_{m-1} / (4^k (4^k - 1)).
+
+Everything here is an exact fractions.Fraction or int; no float appears
+anywhere.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import os
 import threading
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd, inf
 
 from .arith import Residue, is_prime, mod_inv
@@ -57,6 +64,9 @@ def default_cap() -> int:
 class BernoulliCache:
     """Growable memo table of B_0 .. B_max_index.
 
+    The table is filled from Seidel's boustrophedon triangle; the cache
+    keeps the last row it built, so a later extension (also one in a worker
+    process that unpickled the cache) continues where this one stopped.
     Extension happens under a lock and is append-only, so concurrent
     readers never observe a partially computed entry.  The cap is read from
     the environment at construction time unless given explicitly.
@@ -69,6 +79,7 @@ class BernoulliCache:
                 f"max_index must be >= 0, got {self.max_index}"
             )
         self._table: list[Fraction] = [Fraction(1)]
+        self._row: list[int] = [1]  # row n of the triangle ends in E_n
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -91,22 +102,24 @@ class BernoulliCache:
     def _extend_to(self, m: int) -> None:
         table = self._table
         for j in range(len(table), m + 1):
-            if j % 2 and j > 1:
-                table.append(Fraction(0))  # odd Bernoulli numbers vanish
+            if j % 2:
+                # B_1 = -1/2; the other odd Bernoulli numbers vanish
+                table.append(Fraction(-1, 2) if j == 1 else Fraction(0))
                 continue
-            acc = Fraction(0)
-            for k in range(j):
-                if k % 2 and k > 1:
-                    continue
-                acc += comb(j + 1, k) * table[k]
-            table.append(-acc / (j + 1))
+            row = self._row
+            while len(row) < j:  # row j - 1 has j entries and ends in E_{j-1}
+                row = list(accumulate(reversed(row), initial=0))
+                self._row = row
+            k = j // 2
+            value = Fraction(j * row[-1], 4**k * (4**k - 1))
+            table.append(value if k % 2 else -value)
 
     # The lock is not picklable; workers rebuild their own.
-    def __getstate__(self) -> tuple[int, list[Fraction]]:
-        return (self.max_index, self._table)
+    def __getstate__(self) -> tuple[int, list[Fraction], list[int]]:
+        return (self.max_index, self._table, self._row)
 
-    def __setstate__(self, state: tuple[int, list[Fraction]]) -> None:
-        self.max_index, self._table = state
+    def __setstate__(self, state: tuple[int, list[Fraction], list[int]]) -> None:
+        self.max_index, self._table, self._row = state
         self._lock = threading.Lock()
 
 

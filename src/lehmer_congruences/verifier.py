@@ -12,7 +12,6 @@ rational first, reduced only when its denominator is a unit.
 from __future__ import annotations
 
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from math import ceil, gcd
 
 from .arith import Residue, crt_combine, factorize, is_prime
@@ -37,6 +36,7 @@ from .report import CongruenceReport, IdentityId
 from .sums import (
     HALF,
     SumSpec,
+    _prime_valuation,
     exact_sum,
     half_harmonic,
     half_rhs,
@@ -78,14 +78,6 @@ def _need(value: int | None, name: str, identity: IdentityId) -> int:
     if value is None:
         raise PreconditionError(f"{name} is required for {identity.value}")
     return value
-
-
-def _prime_valuation(n: int, p: int) -> int:
-    alpha = 0
-    while n % p == 0:
-        n //= p
-        alpha += 1
-    return alpha
 
 
 def _modular_report(
@@ -375,6 +367,9 @@ def scan(
     if n_to < n_from:
         return []
     if workers > 1:
+        # imported here so that a serial run does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         count = n_to - n_from + 1
         chunk = max(1, ceil(count / (workers * 4)))
         spans = [

@@ -12,8 +12,6 @@ import time
 from fractions import Fraction
 from math import gcd
 
-import pytest
-
 from lehmer_congruences.arith import factorize, is_prime
 from lehmer_congruences.bernoulli import (
     bernoulli_number,
@@ -124,7 +122,6 @@ def test_criterion_04_totient_bernoulli_link():
     )
 
 
-@pytest.mark.long
 def test_criterion_04_deep_prime_power():
     report = verify(IdentityId.LEMMA_1, p=5, alpha=2)
     ok = (
@@ -134,7 +131,7 @@ def test_criterion_04_deep_prime_power():
     )
     _line(
         ok,
-        "criterion 4 (long): totient/Bernoulli congruence at p=5, alpha=2 "
+        "criterion 4: totient/Bernoulli congruence at p=5, alpha=2 "
         f"(index 500): valuation {report.valuation} >= 4",
     )
 

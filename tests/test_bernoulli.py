@@ -1,11 +1,15 @@
 """Bernoulli numbers, polynomials, power sums and p-adic helpers."""
 
+import functools
+import pickle
 import random
 import threading
 from fractions import Fraction
-from math import comb, inf
+from math import comb, inf, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lehmer_congruences.bernoulli import (
     BernoulliCache,
@@ -58,6 +62,42 @@ def test_defining_recurrence():
     for m in range(1, 61):
         total = sum(comb(m + 1, k) * bernoulli_number(k) for k in range(m + 1))
         assert total == 0, m
+
+
+@functools.cache
+def reference_table(m):
+    """B_0 .. B_m by the defining recurrence over Fractions: the O(m^2)
+    reference that the boustrophedon table is checked against."""
+    table = [Fraction(1)]
+    for j in range(1, m + 1):
+        if j % 2 and j > 1:
+            table.append(Fraction(0))
+            continue
+        acc = Fraction(0)
+        for k in range(j):
+            if k % 2 and k > 1:
+                continue
+            acc += comb(j + 1, k) * table[k]
+        table.append(-acc / (j + 1))
+    return table
+
+
+def test_table_matches_reference_recurrence():
+    cache = BernoulliCache(max_index=400)
+    assert [cache.get(m) for m in range(401)] == reference_table(400)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 300), st.integers(0, 300))
+def test_unpickled_cache_keeps_extending(i, j):
+    # a cache pickled to a --workers chunk goes on extending from its state
+    i, j = sorted((i, j))
+    cache = BernoulliCache(max_index=300)
+    cache.get(i)
+    clone = pickle.loads(pickle.dumps(cache))
+    assert clone.get(j) == BernoulliCache(max_index=300).get(j)
+    assert len(clone) == j + 1
+    assert [clone.get(m) for m in range(j + 1)] == reference_table(400)[: j + 1]
 
 
 def test_cache_cap_enforced():
@@ -148,14 +188,14 @@ def test_von_staudt_clausen():
     assert von_staudt_clausen(2) == (1, [2, 3])
     assert von_staudt_clausen(4) == (1, [2, 3, 5])
     assert von_staudt_clausen(12) == (1, [2, 3, 5, 7, 13])
-    for m in range(2, 61, 2):
-        integer, primes = von_staudt_clausen(m)
-        value = bernoulli_number(m)
+    # the denominators come from the divisors of m alone, so this audits the
+    # table independently of how it was filled
+    cache = BernoulliCache(max_index=600)
+    for m in range(2, 601, 2):
+        integer, primes = von_staudt_clausen(m, cache)
+        value = cache.get(m)
         assert value + sum(Fraction(1, p) for p in primes) == integer
-        product = 1
-        for p in primes:
-            product *= p
-        assert value.denominator == product, m
+        assert value.denominator == prod(primes), m
     with pytest.raises(PreconditionError):
         von_staudt_clausen(3)
 

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lehmer_congruences
 from lehmer_congruences import verifier
 from lehmer_congruences.arith import Residue
 from lehmer_congruences.cli import (
@@ -274,3 +279,22 @@ def test_serialize_reports_batch():
     assert len(doc.splitlines()) == len(reports)
     with pytest.raises(Exception):
         serialize_reports(reports, "xml")
+
+
+def test_import_loads_no_process_pool():
+    # serial runs, --help included, should not pay for multiprocessing
+    src = str(Path(lehmer_congruences.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, lehmer_congruences.cli; "
+        "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.split() == ["False", "False"]

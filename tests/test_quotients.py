@@ -131,7 +131,6 @@ def test_lemma1_cap_propagates():
         lemma1_check(5, 0)
 
 
-@pytest.mark.long
 def test_lemma1_depth_two_at_5():
     # needs B_500: index phi(5^4) = 500
     cache = BernoulliCache(max_index=500)
