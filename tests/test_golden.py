@@ -3,12 +3,15 @@
 golden/cli_json.json holds, for every identity, the exact stdout and exit
 code of a `scan --format json` over a small range, plus the counterexample
 searches of acceptance criterion 8 and one (thm6 in the class 3 mod 6)
-whose every left side has a term sharing a factor with the modulus.  Any
+whose every left side has a term sharing a factor with the modulus.  It
+also holds one `verify --format json` per identity code, plain and with
+--exact-oracle, and two verify calls that fail a precondition.  Any
 change to the arithmetic that alters a single printed digit shows up here.
 
-The file was written by the implementation that did one extended-gcd
-inversion per term; regenerate it only from a revision whose output is
-trusted:
+The scan and counterexample cases were written by the implementation that
+did one extended-gcd inversion per term, the verify cases by the one that
+still dispatched each identity through its own branch; regenerate the file
+only from a revision whose output is trusted:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -29,6 +32,33 @@ GOLDEN = Path(__file__).with_name("golden") / "cli_json.json"
 def _scan(identity: str, n_to: int, *extra: str) -> list[str]:
     return ["scan", "--identity", identity, "--from", "1", "--to", str(n_to),
             *extra, "--format", "json"]
+
+
+def _verify(identity: str, *args: str) -> list[str]:
+    return ["verify", "--identity", identity, *args, "--format", "json"]
+
+
+# one verify per identity code (and the generic lemma2 code, and lemma1 at
+# depth two), each run plainly and again with --exact-oracle
+VERIFY_CASES = [
+    _verify("lehmer-half", "--n", "13"),
+    _verify("cai", "--n", "15"),
+    _verify("lehmer-p3", "--n", "11"),
+    _verify("lehmer-p4", "--n", "13"),
+    _verify("lehmer-p6", "--n", "17"),
+    _verify("thm3", "--n", "35"),
+    _verify("thm4", "--n", "49", "--d", "4"),
+    _verify("thm6", "--n", "55"),
+    _verify("lemma1", "--p", "7"),
+    _verify("lemma1", "--p", "5", "--alpha", "2"),
+    _verify("lemma2", "--d", "3", "--n", "55", "--p", "11"),
+    _verify("lemma2-d3", "--n", "35", "--p", "5"),
+    _verify("lemma2-d4", "--n", "175", "--p", "5"),
+    _verify("lemma2-d6", "--n", "77", "--p", "7"),
+    _verify("lemma3", "--n", "25", "--a", "7"),
+    _verify("lemma4", "--n", "35", "--a", "2", "--p", "7"),
+    _verify("moebius", "--n", "55", "--d", "6", "--p", "5"),
+]
 
 
 CASES = [
@@ -58,6 +88,11 @@ CASES = [
      "--format", "json"],
     ["counterexample", "--identity", "thm6", "--class", "3", "--to", "60",
      "--format", "json"],
+    *VERIFY_CASES,
+    *(argv + ["--exact-oracle"] for argv in VERIFY_CASES),
+    # precondition failures: exit 2 and nothing on stdout
+    _verify("lehmer-half", "--n", "9"),
+    _verify("thm6", "--n", "12"),
 ]
 
 
