@@ -67,6 +67,7 @@ class BernoulliCache:
     The table is filled from Seidel's boustrophedon triangle; the cache
     keeps the last row it built, so a later extension (also one in a worker
     process that unpickled the cache) continues where this one stopped.
+    Once the table reaches max_index the row is released.
     Extension happens under a lock and is append-only, so concurrent
     readers never observe a partially computed entry.  The cap is read from
     the environment at construction time unless given explicitly.
@@ -113,6 +114,8 @@ class BernoulliCache:
             k = j // 2
             value = Fraction(j * row[-1], 4**k * (4**k - 1))
             table.append(value if k % 2 else -value)
+        if len(table) > self.max_index:
+            self._row = []  # the table is full and never needs another row
 
     # The lock is not picklable; workers rebuild their own.
     def __getstate__(self) -> tuple[int, list[Fraction], list[int]]:

@@ -32,7 +32,7 @@ from .errors import (
 from .quotients import fermat_quotient
 from .report import CongruenceReport, IdentityId
 from .sums import HALF, half_harmonic, lehmer_sum, lemma2_sum
-from .verifier import counterexample_search, scan, verify
+from .verifier import IDENTITIES, counterexample_search, scan, verify
 
 __all__ = [
     "build_parser",
@@ -53,18 +53,6 @@ _CSV_COLUMNS = ("identity",) + _PARAM_COLUMNS + (
     "valuation",
     "required",
 )
-
-_EMBEDDED_D = {
-    "lehmer-p3": 3,
-    "lehmer-p4": 4,
-    "lehmer-p6": 6,
-    "thm3": 3,
-    "thm4": 4,
-    "thm6": 6,
-    "lemma2-d3": 3,
-    "lemma2-d4": 4,
-    "lemma2-d6": 6,
-}
 
 _IDENTITY_HELP = """\
 identity codes:
@@ -198,7 +186,7 @@ def _resolve_identity(code: str, d: int | None) -> IdentityId:
         raise PreconditionError(
             f"unknown identity {code!r}; see --help for the code table"
         ) from None
-    embedded = _EMBEDDED_D.get(code)
+    embedded = IDENTITIES[identity].d
     if embedded is not None and d is not None and d != embedded:
         raise PreconditionError(f"--d {d} conflicts with identity {code}")
     return identity
@@ -299,13 +287,12 @@ def _emit_residue(value: Residue, fmt: str) -> None:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify":
         identity = _resolve_identity(args.identity, args.d)
-        d_param = args.d if identity is IdentityId.MOEBIUS_DECOMP else None
         report = verify(
             identity,
             n=args.n,
             a=args.a,
             p=args.p,
-            d=d_param,
+            d=args.d,
             alpha=args.alpha,
             cache=_make_cache(args),
             exact_oracle=args.exact_oracle,
@@ -314,14 +301,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report.holds else 1
     if args.command == "scan":
         identity = _resolve_identity(args.identity, args.d)
-        d_param = args.d if identity is IdentityId.MOEBIUS_DECOMP else None
         reports = scan(
             identity,
             args.n_from,
             args.n_to,
             a=args.a,
             p=args.p,
-            d=d_param,
+            d=args.d,
             alpha=args.alpha,
             workers=args.workers,
             cache=_make_cache(args),

@@ -1,9 +1,13 @@
 """Identity catalog and orchestration: verify, scan, search, reassembly.
 
-verify runs one congruence check and returns a CongruenceReport.  scan maps
-it over a range of n, keeping admissible n only (by a per-identity default
-predicate, or a caller-supplied one) and converting in-range precondition
-failures into skip reports so the output stays auditable.  The
+IDENTITIES holds one IdentitySpec per IdentityId: the parameters its check
+reads, scan's default admissibility filter, the modulus a skip report
+carries, the modular check, the exact-rational sides for the oracle, and
+the embedded d.  verify and scan read the table and branch on no identity;
+its entries look the layer functions up in this module when they run, so a
+wrapper set here (a tracer, a test double) sees every call.  scan keeps the
+admissible values of the scanned variable and turns in-range precondition
+failures into skip reports, so the output stays auditable.  The
 counterexample search deliberately relaxes the hypotheses: left-hand terms
 are inverted one by one, and the right-hand side is evaluated as an exact
 rational first, reduced only when its denominator is a unit.
@@ -12,6 +16,8 @@ rational first, reduced only when its denominator is a unit.
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import dataclass, field
+from fractions import Fraction
 from math import ceil, gcd
 
 from .arith import Residue, crt_combine, factorize, is_prime
@@ -54,34 +60,44 @@ from .sums import (
 
 __all__ = [
     "CongruenceReport",
+    "IDENTITIES",
     "IdentityId",
+    "IdentitySpec",
     "counterexample_search",
     "crt_reassembly_check",
     "scan",
     "verify",
 ]
 
-_THEOREM_D = {IdentityId.THM_3: 3, IdentityId.THM_4: 4, IdentityId.THM_6: 6}
-_PRIME_D = {
-    IdentityId.LEHMER_P3: 3,
-    IdentityId.LEHMER_P4: 4,
-    IdentityId.LEHMER_P6: 6,
-}
-_LEMMA2_D = {
-    IdentityId.LEMMA_2_D3: 3,
-    IdentityId.LEMMA_2_D4: 4,
-    IdentityId.LEMMA_2_D6: 6,
-}
+Params = dict[str, int]
 
 
-def _need(value: int | None, name: str, identity: IdentityId) -> int:
-    if value is None:
-        raise PreconditionError(f"{name} is required for {identity.value}")
-    return value
+@dataclass(frozen=True)
+class IdentitySpec:
+    """What verify, scan and the oracle need to know about one identity.
+
+    required names the parameters the check reads, in the order a missing
+    one is reported, and defaults the optional ones with their values; d is
+    the denominator the identity embeds (None when it takes none, or takes
+    it as a parameter) and var the parameter a scan walks.  admissible is
+    scan's default filter for a value of var, modulus gives the modulus a
+    skipped check reports, check runs the modular route, and exact returns
+    the exact rationals of both sides given the report's params and modulus
+    (None when check already compares exact values).
+    """
+
+    required: tuple[str, ...]
+    admissible: Callable[[int, Params], bool]
+    modulus: Callable[[Params], int | None]
+    check: Callable[[IdentityId, Params, BernoulliCache | None], CongruenceReport]
+    exact: Callable[[Params, int], tuple[Fraction, Fraction]] | None
+    d: int | None = None
+    var: str = "n"
+    defaults: Params = field(default_factory=dict)
 
 
 def _modular_report(
-    identity: IdentityId, params: dict[str, int], lhs: Residue, rhs: Residue
+    identity: IdentityId, params: Params, lhs: Residue, rhs: Residue
 ) -> CongruenceReport:
     if lhs.modulus != rhs.modulus:
         raise ArithmeticError("left and right sides use different moduli")
@@ -93,6 +109,145 @@ def _modular_report(
         rhs=rhs,
         holds=lhs.rep == rhs.rep,
     )
+
+
+def _square(q: Params) -> int:
+    return q["n"] * q["n"]
+
+
+def _local_modulus(q: Params) -> int | None:
+    """p^{2 v_p(n)}, or None when p does not divide n."""
+    n, p = q["n"], q["p"]
+    return p ** (2 * _prime_valuation(n, p)) if p > 1 and n % p == 0 else None
+
+
+def _localized(n: int, q: Params) -> bool:
+    return n > 1 and n % q["p"] == 0 and gcd(n, 6) == 1
+
+
+def _half(prime: bool) -> IdentitySpec:
+    """The half-range harmonic sum at an odd prime, or at any odd n."""
+
+    def check(identity: IdentityId, q: Params, cache) -> CongruenceReport:
+        n = q["n"]
+        if prime and not admissible(n, q):
+            raise PreconditionError(f"n = {n} is not an odd prime")
+        return _modular_report(identity, q, half_harmonic(n), half_rhs(n))
+
+    def admissible(n: int, q: Params) -> bool:
+        return n >= 3 and n % 2 == 1 and (not prime or is_prime(n))
+
+    return IdentitySpec(
+        ("n",), admissible, _square, check,
+        lambda q, m: (
+            exact_sum(SumSpec(q["n"], HALF, None, m)), half_rhs_exact(q["n"])
+        ),
+    )
+
+
+def _d_sum(d: int, prime: bool) -> IdentitySpec:
+    """The d-sum at a prime p >= 5, or at any n with gcd(n, 6) = 1."""
+
+    def check(identity: IdentityId, q: Params, cache) -> CongruenceReport:
+        n = q["n"]
+        if prime and not admissible(n, q):
+            raise PreconditionError(f"n = {n} is not a prime >= 5")
+        rhs = theorem_rhs(n, d)  # enforces gcd(n, 6) = 1 up front
+        return _modular_report(identity, q, lehmer_sum(n, d), rhs)
+
+    def admissible(n: int, q: Params) -> bool:
+        return n >= 5 and is_prime(n) if prime else n > 1 and gcd(n, 6) == 1
+
+    return IdentitySpec(
+        ("n",), admissible, _square, check,
+        lambda q, m: (
+            exact_sum(SumSpec(q["n"], d, None, m)), theorem_rhs_exact(q["n"], d)
+        ),
+        d=d,
+    )
+
+
+def _lemma2(d: int) -> IdentitySpec:
+    """The d-sum localized at p^{2 alpha}, alpha = v_p(n)."""
+
+    def check(identity: IdentityId, q: Params, cache) -> CongruenceReport:
+        n, p = q["n"], q["p"]
+        lhs = lemma2_sum(n, p, d)
+        q = {**q, "alpha": _prime_valuation(n, p)}
+        return _modular_report(identity, q, lhs, lemma2_rhs(p, q["alpha"], d))
+
+    def exact(q: Params, m: int) -> tuple[Fraction, Fraction]:
+        n, p = q["n"], q["p"]
+        return exact_sum(SumSpec(n, d, p, m)), lemma2_rhs_exact(p, q["alpha"], d)
+
+    return IdentitySpec(("n", "p"), _localized, _local_modulus, check, exact, d=d)
+
+
+def _moebius(identity: IdentityId, q: Params, cache) -> CongruenceReport:
+    n, p = q["n"], q["p"]
+    lhs, rhs = moebius_decomposition_sides(n, p, q["d"])
+    return _modular_report(identity, {**q, "alpha": _prime_valuation(n, p)}, lhs, rhs)
+
+
+IDENTITIES: dict[IdentityId, IdentitySpec] = {
+    IdentityId.LEHMER_HALF: _half(prime=True),
+    IdentityId.CAI_HALF: _half(prime=False),
+    IdentityId.LEHMER_P3: _d_sum(3, prime=True),
+    IdentityId.LEHMER_P4: _d_sum(4, prime=True),
+    IdentityId.LEHMER_P6: _d_sum(6, prime=True),
+    IdentityId.THM_3: _d_sum(3, prime=False),
+    IdentityId.THM_4: _d_sum(4, prime=False),
+    IdentityId.THM_6: _d_sum(6, prime=False),
+    IdentityId.LEMMA_1: IdentitySpec(
+        ("p",),
+        lambda n, q: is_prime(n),
+        lambda q: q["p"] ** (2 * q["alpha"]),
+        lambda identity, q, cache: lemma1_check(q["p"], q["alpha"], cache),
+        None,  # the p-adic comparison is already exact
+        var="p",
+        defaults={"alpha": 1},
+    ),
+    IdentityId.LEMMA_2_D3: _lemma2(3),
+    IdentityId.LEMMA_2_D4: _lemma2(4),
+    IdentityId.LEMMA_2_D6: _lemma2(6),
+    IdentityId.LEMMA_3: IdentitySpec(
+        ("n", "a"),
+        lambda n, q: n > 1 and gcd(n, 6 * q["a"]) == 1,
+        _square,
+        lambda identity, q, cache: lemma3_check(q["n"], q["a"]),
+        lambda q, m: lemma3_exact_sides(q["n"], q["a"]),
+    ),
+    IdentityId.LEMMA_4: IdentitySpec(
+        ("n", "a", "p"),
+        lambda n, q: n > 1 and n % q["p"] == 0 and gcd(q["a"], n) == 1,
+        _local_modulus,
+        lambda identity, q, cache: lemma4_check(q["n"], q["a"], q["p"]),
+        lambda q, m: lemma4_exact_sides(q["n"], q["a"], q["p"]),
+    ),
+    IdentityId.MOEBIUS_DECOMP: IdentitySpec(
+        ("n", "p", "d"),
+        _localized,
+        _local_modulus,
+        _moebius,
+        lambda q, m: moebius_decomposition_sides_exact(q["n"], q["p"], q["d"]),
+    ),
+}
+
+
+def _params(identity: IdentityId, given: dict[str, int | None]) -> Params:
+    """The parameters identity reads, taken from given; raises if one is missing."""
+    spec = IDENTITIES[identity]
+    params: Params = {}
+    for name in spec.required:
+        if given.get(name) is None:
+            raise PreconditionError(f"{name} is required for {identity.value}")
+        params[name] = given[name]
+    for name, default in spec.defaults.items():
+        value = given.get(name)
+        params[name] = default if value is None else value
+    if spec.d is not None:
+        params["d"] = spec.d
+    return params
 
 
 def verify(
@@ -111,189 +266,41 @@ def verify(
     Which keyword parameters are required depends on the identity; the
     lemma2 variants and the theorem/prime identities carry their d in the
     identity itself, while the Moebius decomposition takes d explicitly.
-    With exact_oracle=True both sides are recomputed over the exact
-    rationals and any disagreement with the modular route raises
-    OracleDivergence.
+    Parameters the identity does not read are ignored, and lemma1 takes its
+    prime as n when p is not given.  With exact_oracle=True both sides are
+    recomputed over the exact rationals and any disagreement with the
+    modular route raises OracleDivergence.
     """
-    if identity is IdentityId.LEHMER_HALF:
-        nn = _need(n, "n", identity)
-        if nn < 3 or nn % 2 == 0 or not is_prime(nn):
-            raise PreconditionError(f"n = {nn} is not an odd prime")
-        report = _modular_report(identity, {"n": nn}, half_harmonic(nn), half_rhs(nn))
-    elif identity is IdentityId.CAI_HALF:
-        nn = _need(n, "n", identity)
-        report = _modular_report(identity, {"n": nn}, half_harmonic(nn), half_rhs(nn))
-    elif identity in _PRIME_D:
-        nn = _need(n, "n", identity)
-        dd = _PRIME_D[identity]
-        if nn < 5 or not is_prime(nn):
-            raise PreconditionError(f"n = {nn} is not a prime >= 5")
-        report = _modular_report(
-            identity, {"n": nn, "d": dd}, lehmer_sum(nn, dd), theorem_rhs(nn, dd)
-        )
-    elif identity in _THEOREM_D:
-        nn = _need(n, "n", identity)
-        dd = _THEOREM_D[identity]
-        rhs = theorem_rhs(nn, dd)  # enforces gcd(n, 6) = 1 up front
-        report = _modular_report(
-            identity, {"n": nn, "d": dd}, lehmer_sum(nn, dd), rhs
-        )
-    elif identity is IdentityId.LEMMA_1:
-        pp = p if p is not None else _need(n, "p", identity)
-        report = lemma1_check(pp, 1 if alpha is None else alpha, cache)
-    elif identity in _LEMMA2_D:
-        nn = _need(n, "n", identity)
-        pp = _need(p, "p", identity)
-        dd = _LEMMA2_D[identity]
-        lhs = lemma2_sum(nn, pp, dd)
-        aa = _prime_valuation(nn, pp)
-        report = _modular_report(
-            identity,
-            {"n": nn, "p": pp, "d": dd, "alpha": aa},
-            lhs,
-            lemma2_rhs(pp, aa, dd),
-        )
-    elif identity is IdentityId.LEMMA_3:
-        nn = _need(n, "n", identity)
-        report = lemma3_check(nn, _need(a, "a", identity))
-    elif identity is IdentityId.LEMMA_4:
-        nn = _need(n, "n", identity)
-        report = lemma4_check(nn, _need(a, "a", identity), _need(p, "p", identity))
-    elif identity is IdentityId.MOEBIUS_DECOMP:
-        nn = _need(n, "n", identity)
-        pp = _need(p, "p", identity)
-        dd = _need(d, "d", identity)
-        lhs, rhs = moebius_decomposition_sides(nn, pp, dd)
-        report = _modular_report(
-            identity,
-            {"n": nn, "p": pp, "d": dd, "alpha": _prime_valuation(nn, pp)},
-            lhs,
-            rhs,
-        )
-    else:  # pragma: no cover - the enum is closed
-        raise PreconditionError(f"unhandled identity {identity}")
+    spec = IDENTITIES[identity]
+    given = {"n": n, "a": a, "p": p, "d": d, "alpha": alpha}
+    if given[spec.var] is None:
+        given[spec.var] = n
+    report = spec.check(identity, _params(identity, given), cache)
     if exact_oracle:
         _exact_recheck(report)
     return report
 
 
 def _exact_recheck(report: CongruenceReport) -> None:
-    """Recompute both report sides over the rationals; raise on divergence.
-
-    lemma1 already compares p-adically on exact values, so it has nothing
-    separate to recheck.
-    """
-    identity = report.identity
-    if identity is IdentityId.LEMMA_1:
+    """Recompute both report sides over the rationals; raise on divergence."""
+    exact = IDENTITIES[report.identity].exact
+    if exact is None:
         return
-    params = report.params
     m = report.modulus
-    if identity in (IdentityId.LEHMER_HALF, IdentityId.CAI_HALF):
-        n = params["n"]
-        lhs = rational_mod(exact_sum(SumSpec(n, HALF, None, m)), m)
-        rhs = rational_mod(half_rhs_exact(n), m)
-    elif identity in _PRIME_D or identity in _THEOREM_D:
-        n, d = params["n"], params["d"]
-        lhs = rational_mod(exact_sum(SumSpec(n, d, None, m)), m)
-        rhs = rational_mod(theorem_rhs_exact(n, d), m)
-    elif identity in _LEMMA2_D:
-        n, p, d = params["n"], params["p"], params["d"]
-        alpha = params["alpha"]
-        lhs = rational_mod(exact_sum(SumSpec(n, d, p, m)), m)
-        rhs = rational_mod(lemma2_rhs_exact(p, alpha, d), m)
-    elif identity is IdentityId.LEMMA_3:
-        exact_lhs, exact_rhs = lemma3_exact_sides(params["n"], params["a"])
-        lhs = rational_mod(exact_lhs, m)
-        rhs = rational_mod(exact_rhs, m)
-    elif identity is IdentityId.LEMMA_4:
-        exact_lhs, exact_rhs = lemma4_exact_sides(
-            params["n"], params["a"], params["p"]
-        )
-        lhs = rational_mod(exact_lhs, m)
-        rhs = rational_mod(exact_rhs, m)
-    else:  # Moebius decomposition
-        exact_lhs, exact_rhs = moebius_decomposition_sides_exact(
-            params["n"], params["p"], params["d"]
-        )
-        lhs = rational_mod(exact_lhs, m)
-        rhs = rational_mod(exact_rhs, m)
+    lhs, rhs = (rational_mod(side, m) for side in exact(report.params, m))
     if lhs.rep != report.lhs.rep or rhs.rep != report.rhs.rep:
         raise OracleDivergence(
-            f"{identity.value} at {params}: modular route gave "
+            f"{report.identity.value} at {report.params}: modular route gave "
             f"lhs={report.lhs.rep}, rhs={report.rhs.rep}, exact route gave "
             f"lhs={lhs.rep}, rhs={rhs.rep} (mod {m})"
         )
 
 
-def _default_predicate(
-    identity: IdentityId, a: int | None, p: int | None
-) -> Callable[[int], bool]:
-    """The admissibility filter scan applies when none is supplied."""
-    if identity is IdentityId.LEHMER_HALF:
-        return lambda n: n >= 3 and n % 2 == 1 and is_prime(n)
-    if identity is IdentityId.CAI_HALF:
-        return lambda n: n >= 3 and n % 2 == 1
-    if identity in _PRIME_D:
-        return lambda n: n >= 5 and is_prime(n)
-    if identity in _THEOREM_D:
-        return lambda n: n > 1 and gcd(n, 6) == 1
-    if identity is IdentityId.LEMMA_1:
-        return lambda n: is_prime(n)
-    if identity in _LEMMA2_D or identity is IdentityId.MOEBIUS_DECOMP:
-        if p is None:
-            raise PreconditionError(f"p is required to scan {identity.value}")
-        return lambda n: n > 1 and n % p == 0 and gcd(n, 6) == 1
-    if identity is IdentityId.LEMMA_3:
-        base = 2 if a is None else a
-        return lambda n: n > 1 and gcd(n, 6 * base) == 1
-    if identity is IdentityId.LEMMA_4:
-        if p is None:
-            raise PreconditionError(f"p is required to scan {identity.value}")
-        base = 2 if a is None else a
-        return lambda n: n > 1 and n % p == 0 and gcd(base, n) == 1
-    raise PreconditionError(f"unhandled identity {identity}")  # pragma: no cover
-
-
-def _skip_report(
-    identity: IdentityId,
-    n: int,
-    a: int | None,
-    p: int | None,
-    alpha: int | None,
-    reason: str,
-) -> CongruenceReport:
-    if identity is IdentityId.LEMMA_1:
-        # the scanned variable is the prime itself
-        params: dict[str, int] = {"p": n, "alpha": 1 if alpha is None else alpha}
-    else:
-        params = {"n": n}
-        if a is not None:
-            params["a"] = a
-        if p is not None:
-            params["p"] = p
-        if identity in _THEOREM_D:
-            params["d"] = _THEOREM_D[identity]
-        elif identity in _PRIME_D:
-            params["d"] = _PRIME_D[identity]
-        elif identity in _LEMMA2_D:
-            params["d"] = _LEMMA2_D[identity]
-        if alpha is not None:
-            params["alpha"] = alpha
-    modulus: int | None = None
-    if identity is IdentityId.LEMMA_1:
-        modulus = n ** (2 * (1 if alpha is None else alpha))
-    elif identity in _LEMMA2_D or identity is IdentityId.MOEBIUS_DECOMP:
-        if p is not None and n % p == 0:
-            modulus = p ** (2 * _prime_valuation(n, p))
-    elif identity is IdentityId.LEMMA_4:
-        if p is not None and n % p == 0:
-            modulus = p ** (2 * _prime_valuation(n, p))
-    else:
-        modulus = n * n
+def _skip_report(identity: IdentityId, params: Params, reason: str) -> CongruenceReport:
     return CongruenceReport(
         identity=identity,
         params=params,
-        modulus=modulus,
+        modulus=IDENTITIES[identity].modulus(params),
         lhs=None,
         rhs=None,
         holds=None,
@@ -305,34 +312,21 @@ def _scan_serial(
     identity: IdentityId,
     n_from: int,
     n_to: int,
-    a: int | None,
-    p: int | None,
-    d: int | None,
-    alpha: int | None,
+    params: Params,
     predicate: Callable[[int], bool] | None,
     cache: BernoulliCache | None,
     exact_oracle: bool,
 ) -> list[CongruenceReport]:
-    keep = predicate if predicate is not None else _default_predicate(identity, a, p)
+    spec = IDENTITIES[identity]
     out: list[CongruenceReport] = []
     for n in range(n_from, n_to + 1):
-        if not keep(n):
+        if not (spec.admissible(n, params) if predicate is None else predicate(n)):
             continue
+        row = {**params, spec.var: n}
         try:
-            out.append(
-                verify(
-                    identity,
-                    n=n,
-                    a=a,
-                    p=p,
-                    d=d,
-                    alpha=alpha,
-                    cache=cache,
-                    exact_oracle=exact_oracle,
-                )
-            )
+            out.append(verify(identity, **row, cache=cache, exact_oracle=exact_oracle))
         except (PreconditionError, IndexCapExceeded, FactorizationLimitExceeded) as exc:
-            out.append(_skip_report(identity, n, a, p, alpha, str(exc)))
+            out.append(_skip_report(identity, row, str(exc)))
     return out
 
 
@@ -354,16 +348,23 @@ def scan(
     cache: BernoulliCache | None = None,
     exact_oracle: bool = False,
 ) -> list[CongruenceReport]:
-    """One report per retained n in [n_from, n_to], in ascending n.
+    """One report per retained value in [n_from, n_to], in ascending order.
 
-    n is retained when the predicate accepts it (default: the identity's
-    admissibility filter).  A retained n whose check still cannot run, for
-    instance under a permissive custom predicate or a tight Bernoulli cap,
-    produces a report with skipped_reason instead of disappearing.  With
-    workers > 1 the range is split across processes; the merged result is
-    identical to the single-process one, and the predicate (if given) must
-    be picklable.
+    The scanned value is n, or p for lemma1 (a p given for lemma1 is
+    ignored); every other parameter the identity requires must be given,
+    else PreconditionError is raised before any check runs.  A value is
+    retained when the predicate accepts it (default: the identity's
+    admissibility filter).  A retained value whose check still cannot run,
+    for instance under a permissive custom predicate or a tight Bernoulli
+    cap, produces a report with skipped_reason instead of disappearing.
+    With workers > 1 the range is split across processes; the merged result
+    is identical to the single-process one, and the predicate (if given)
+    must be picklable.
     """
+    spec = IDENTITIES[identity]
+    # the scanned variable takes each value in turn; n_from stands in for it
+    given = {"a": a, "p": p, "d": d, "alpha": alpha}
+    params = _params(identity, {**given, spec.var: n_from})
     if n_to < n_from:
         return []
     if workers > 1:
@@ -372,19 +373,15 @@ def scan(
 
         count = n_to - n_from + 1
         chunk = max(1, ceil(count / (workers * 4)))
-        spans = [
-            (lo, min(lo + chunk - 1, n_to)) for lo in range(n_from, n_to + 1, chunk)
-        ]
         jobs = [
-            (identity, lo, hi, a, p, d, alpha, predicate, cache, exact_oracle)
-            for lo, hi in spans
+            (identity, lo, min(lo + chunk - 1, n_to), params, predicate, cache,
+             exact_oracle)
+            for lo in range(n_from, n_to + 1, chunk)
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_scan_chunk, jobs))
         return [report for part in parts for report in part]
-    return _scan_serial(
-        identity, n_from, n_to, a, p, d, alpha, predicate, cache, exact_oracle
-    )
+    return _scan_serial(identity, n_from, n_to, params, predicate, cache, exact_oracle)
 
 
 def counterexample_search(
@@ -404,11 +401,11 @@ def counterexample_search(
     trail of reports, ending with the first failure; raises
     NoCounterexampleInRange when the bound is exhausted.
     """
-    if identity not in _THEOREM_D:
+    if identity not in (IdentityId.THM_3, IdentityId.THM_4, IdentityId.THM_6):
         raise PreconditionError(
             "counterexample search covers thm3, thm4 and thm6 only"
         )
-    d = _THEOREM_D[identity]
+    d = IDENTITIES[identity].d
     if isinstance(class_filter, int):
         residue = class_filter % 6
         keep: Callable[[int], bool] = lambda n: n % 6 == residue
@@ -422,30 +419,19 @@ def counterexample_search(
         params = {"n": n, "d": d}
         lhs, reason = modular_sum_lenient(SumSpec(n, d, None, nsq))
         if lhs is None:
-            trail.append(_skip_report(identity, n, None, None, None, reason))
+            trail.append(_skip_report(identity, params, reason))
             continue
         try:
             rhs_value = theorem_rhs_exact(n, d)
         except NotCoprimeError as exc:
-            trail.append(_skip_report(identity, n, None, None, None, str(exc)))
+            trail.append(_skip_report(identity, params, str(exc)))
             continue
         try:
             rhs = rational_mod(rhs_value, nsq)
         except NotInvertibleError as exc:
-            trail.append(
-                _skip_report(
-                    identity, n, None, None, None, f"right side: {exc}"
-                )
-            )
+            trail.append(_skip_report(identity, params, f"right side: {exc}"))
             continue
-        report = CongruenceReport(
-            identity=identity,
-            params=params,
-            modulus=nsq,
-            lhs=lhs,
-            rhs=rhs,
-            holds=lhs.rep == rhs.rep,
-        )
+        report = _modular_report(identity, params, lhs, rhs)
         trail.append(report)
         if not report.holds:
             return trail
@@ -464,10 +450,9 @@ def crt_reassembly_check(
     combination must vanish mod n^2 exactly when the direct comparison
     holds.  For prime n this degenerates to the single congruence.
     """
-    identity = {3: IdentityId.THM_3, 4: IdentityId.THM_4, 6: IdentityId.THM_6}.get(d)
-    if identity is None:
+    if d not in (3, 4, 6):
         raise PreconditionError(f"d must be 3, 4 or 6, got {d}")
-    report = verify(identity, n=n, cache=cache)
+    report = verify(IdentityId(f"thm{d}"), n=n, cache=cache)
     diff = (report.lhs.rep - report.rhs.rep) % report.modulus
     parts = [
         Residue(diff % p ** (2 * alpha), p ** (2 * alpha))

@@ -100,6 +100,17 @@ def test_unpickled_cache_keeps_extending(i, j):
     assert [clone.get(m) for m in range(j + 1)] == reference_table(400)[: j + 1]
 
 
+def test_full_table_releases_the_row():
+    # at the cap the table cannot grow, so the triangle row is dropped
+    cache = BernoulliCache(max_index=120)
+    cache.get(60)
+    assert cache._row
+    cache.get(120)
+    assert cache._row == []
+    clone = pickle.loads(pickle.dumps(cache))
+    assert [clone.get(m) for m in range(121)] == reference_table(120)
+
+
 def test_cache_cap_enforced():
     cache = BernoulliCache(max_index=10)
     assert cache.get(10) == Fraction(5, 66)

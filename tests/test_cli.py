@@ -181,6 +181,18 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--identity", "lemma3", "--from", "5", "--to", "20"),
+    ("--identity", "lemma4", "--from", "5", "--to", "30", "--p", "5"),
+    ("--identity", "moebius", "--from", "5", "--to", "30", "--p", "5"),
+], ids=lambda argv: argv[1])
+def test_scan_missing_parameter_is_usage_error(capsys, argv):
+    # checked once before the scan starts, not reported on every row
+    code, out, err = run_cli(capsys, "scan", *argv, "--format", "json")
+    assert (code, out) == (2, "")
+    assert "is required" in err
+
+
 def test_verify_failure_exit_1(capsys):
     # lemma1 at p = 2 is a faithful holds=false, not an error
     code, out, _ = run_cli(
@@ -251,6 +263,16 @@ def test_exact_oracle_flag(capsys):
     )
     assert code == 0
     assert json.loads(out)["holds"] is True
+
+
+def test_exact_oracle_divergence_exit_1(capsys, monkeypatch):
+    real = verifier.theorem_rhs_exact
+    monkeypatch.setattr(verifier, "theorem_rhs_exact", lambda n, d: real(n, d) + 1)
+    code, out, err = run_cli(
+        capsys, "verify", "--identity", "thm3", "--n", "35", "--exact-oracle"
+    )
+    assert (code, out) == (1, "")
+    assert "oracle divergence: thm3" in err
 
 
 def test_env_cap_respected(capsys, monkeypatch):

@@ -2,13 +2,18 @@
 
 import pytest
 
+from lehmer_congruences import verifier
+from lehmer_congruences.arith import Residue
 from lehmer_congruences.bernoulli import BernoulliCache
 from lehmer_congruences.errors import (
+    CongruenceError,
     NoCounterexampleInRange,
+    OracleDivergence,
     PreconditionError,
 )
 from lehmer_congruences.report import CongruenceReport, IdentityId
 from lehmer_congruences.verifier import (
+    IDENTITIES,
     counterexample_search,
     crt_reassembly_check,
     scan,
@@ -50,30 +55,59 @@ def test_verify_preconditions_name_the_predicate():
         verify(IdentityId.MOEBIUS_DECOMP, n=35, p=5)
 
 
+# one admissible parameter set per identity
+ADMISSIBLE = {
+    IdentityId.LEHMER_HALF: dict(n=5),
+    IdentityId.CAI_HALF: dict(n=9),
+    IdentityId.LEHMER_P3: dict(n=7),
+    IdentityId.LEHMER_P4: dict(n=7),
+    IdentityId.LEHMER_P6: dict(n=7),
+    IdentityId.THM_3: dict(n=25),
+    IdentityId.THM_4: dict(n=25),
+    IdentityId.THM_6: dict(n=25),
+    IdentityId.LEMMA_1: dict(p=7),
+    IdentityId.LEMMA_2_D3: dict(n=35, p=5),
+    IdentityId.LEMMA_2_D4: dict(n=35, p=7),
+    IdentityId.LEMMA_2_D6: dict(n=25, p=5),
+    IdentityId.LEMMA_3: dict(n=7, a=2),
+    IdentityId.LEMMA_4: dict(n=55, a=3, p=11),
+    IdentityId.MOEBIUS_DECOMP: dict(n=35, p=5, d=4),
+}
+
+
 def test_verify_every_identity_dispatches():
-    # one admissible parameter set per identity: the catalog is closed
-    calls = {
-        IdentityId.LEHMER_HALF: dict(n=5),
-        IdentityId.CAI_HALF: dict(n=9),
-        IdentityId.LEHMER_P3: dict(n=7),
-        IdentityId.LEHMER_P4: dict(n=7),
-        IdentityId.LEHMER_P6: dict(n=7),
-        IdentityId.THM_3: dict(n=25),
-        IdentityId.THM_4: dict(n=25),
-        IdentityId.THM_6: dict(n=25),
-        IdentityId.LEMMA_1: dict(p=7),
-        IdentityId.LEMMA_2_D3: dict(n=35, p=5),
-        IdentityId.LEMMA_2_D4: dict(n=35, p=7),
-        IdentityId.LEMMA_2_D6: dict(n=25, p=5),
-        IdentityId.LEMMA_3: dict(n=7, a=2),
-        IdentityId.LEMMA_4: dict(n=55, a=3, p=11),
-        IdentityId.MOEBIUS_DECOMP: dict(n=35, p=5, d=4),
-    }
-    assert set(calls) == set(ALL_IDENTITIES)
-    for identity, kwargs in calls.items():
+    # the catalog is closed
+    assert set(ADMISSIBLE) == set(ALL_IDENTITIES)
+    for identity, kwargs in ADMISSIBLE.items():
         report = verify(identity, **kwargs)
         assert report.holds, identity
         assert report.identity is identity
+
+
+@pytest.mark.parametrize("identity", ALL_IDENTITIES, ids=lambda i: i.value)
+def test_registry_names_every_required_parameter(identity):
+    assert set(IDENTITIES) == set(ALL_IDENTITIES)
+    spec = IDENTITIES[identity]
+    kwargs = ADMISSIBLE[identity]
+    assert set(spec.required) <= set(kwargs)
+    for name in spec.required:
+        rest = {k: v for k, v in kwargs.items() if k != name}
+        with pytest.raises(PreconditionError, match=f"{name} is required"):
+            verify(identity, **rest)
+        if name == spec.var:
+            continue  # scan supplies the scanned variable itself
+        fixed = {k: v for k, v in rest.items() if k != spec.var}
+        with pytest.raises(PreconditionError, match=f"{name} is required"):
+            scan(identity, 1, 60, **fixed)
+
+
+def test_registry_embeds_d_where_the_identity_fixes_it():
+    embedded = {i: spec.d for i, spec in IDENTITIES.items() if spec.d is not None}
+    assert embedded == {
+        IdentityId.LEHMER_P3: 3, IdentityId.LEHMER_P4: 4, IdentityId.LEHMER_P6: 6,
+        IdentityId.THM_3: 3, IdentityId.THM_4: 4, IdentityId.THM_6: 6,
+        IdentityId.LEMMA_2_D3: 3, IdentityId.LEMMA_2_D4: 4, IdentityId.LEMMA_2_D6: 6,
+    }
 
 
 def test_verify_exact_oracle_spotchecks():
@@ -90,6 +124,21 @@ def test_verify_exact_oracle_spotchecks():
     ):
         report = verify(identity, exact_oracle=True, **kwargs)
         assert report.holds, identity
+
+
+def test_exact_oracle_divergence_raises(monkeypatch):
+    # an exact route that reduces to a different residue must be caught
+    real = verifier.rational_mod
+    monkeypatch.setattr(
+        verifier, "rational_mod", lambda x, m: Residue((real(x, m).rep + 1) % m, m)
+    )
+    for identity, kwargs in ADMISSIBLE.items():
+        if IDENTITIES[identity].exact is None:  # lemma1 compares exact values
+            assert verify(identity, exact_oracle=True, **kwargs).holds
+            continue
+        with pytest.raises(OracleDivergence, match=identity.value) as info:
+            verify(identity, exact_oracle=True, **kwargs)
+        assert isinstance(info.value, CongruenceError)
 
 
 def test_scan_theorem_range():
@@ -122,6 +171,38 @@ def test_scan_lemma2_needs_p():
     assert all(r.holds for r in reports)
     with pytest.raises(PreconditionError, match="p is required"):
         scan(IdentityId.LEMMA_2_D3, 2, 100)
+
+
+def test_scan_missing_parameter_raises_before_any_check():
+    # a missing a is a usage error, even over a range no check would run on
+    with pytest.raises(PreconditionError, match="a is required for lemma3"):
+        scan(IdentityId.LEMMA_3, 5, 20)
+    with pytest.raises(PreconditionError, match="a is required for lemma4"):
+        scan(IdentityId.LEMMA_4, 30, 5, p=5)
+    with pytest.raises(PreconditionError, match="d is required for moebius"):
+        scan(IdentityId.MOEBIUS_DECOMP, 5, 30, p=5, workers=2)
+
+
+def test_scan_lemma1_walks_p():
+    # the scanned value is the prime, whatever fixed p is passed
+    reports = scan(IdentityId.LEMMA_1, 3, 13, p=5)
+    assert [r.params["p"] for r in reports] == [3, 5, 7, 11, 13]
+    assert verify(IdentityId.LEMMA_1, n=7) == verify(IdentityId.LEMMA_1, p=7)
+
+
+def test_scan_skip_rows_carry_the_identity_params():
+    # p = 1 passes the divisibility filter; the check rejects it and the
+    # skip row has no p-adic modulus to report
+    reports = scan(IdentityId.LEMMA_2_D3, 5, 12, p=1)
+    assert [r.params for r in reports] == [
+        {"n": n, "p": 1, "d": 3} for n in (5, 7, 11)
+    ]
+    assert all(r.modulus is None and "prime" in r.skipped_reason for r in reports)
+    # a permissive predicate: 5 does not divide 7, so there is no modulus
+    (report,) = scan(IdentityId.MOEBIUS_DECOMP, 7, 7, p=5, d=3, predicate=bool)
+    assert report.params == {"n": 7, "p": 5, "d": 3} and report.modulus is None
+    (report,) = scan(IdentityId.LEMMA_4, 10, 10, a=2, p=5, predicate=bool)
+    assert report.params == {"n": 10, "a": 2, "p": 5} and report.modulus == 25
 
 
 def test_scan_skip_reports_under_cap():
