@@ -5,12 +5,16 @@ code of a `scan --format json` over a small range, plus the counterexample
 searches of acceptance criterion 8 and one (thm6 in the class 3 mod 6)
 whose every left side has a term sharing a factor with the modulus.  It
 also holds one `verify --format json` per identity code, plain and with
---exact-oracle, and two verify calls that fail a precondition.  Any
-change to the arithmetic that alters a single printed digit shows up here.
+--exact-oracle, two verify calls that fail a precondition, and the raw
+value commands bernoulli, fq and sum in json, csv and text.  Any change
+to the arithmetic or the encoding that alters a single printed character
+shows up here.
 
 The scan and counterexample cases were written by the implementation that
 did one extended-gcd inversion per term, the verify cases by the one that
-still dispatched each identity through its own branch; regenerate the file
+still dispatched each identity through its own branch, the raw value
+cases by the one that still printed each command's record by hand and
+wrote every right-hand side out per d; regenerate the file
 only from a revision whose output is trusted:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -61,6 +65,14 @@ VERIFY_CASES = [
 ]
 
 
+RAW_CASES = [
+    ["bernoulli", "--m", "20"],
+    ["fq", "--n", "25", "--a", "2"],
+    ["sum", "--n", "35", "--d", "3", "--p", "5"],
+    ["sum", "--n", "5", "--d", "half"],
+]
+
+
 CASES = [
     _scan("lehmer-half", 400),
     _scan("cai", 300),
@@ -93,6 +105,8 @@ CASES = [
     # precondition failures: exit 2 and nothing on stdout
     _verify("lehmer-half", "--n", "9"),
     _verify("thm6", "--n", "12"),
+    # the raw value commands, in every format
+    *([*argv, "--format", fmt] for argv in RAW_CASES for fmt in ("json", "csv", "text")),
 ]
 
 

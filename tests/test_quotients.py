@@ -5,9 +5,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lehmer_congruences.arith import euler_phi, factorize, mod_inv
-from lehmer_congruences.bernoulli import BernoulliCache, bernoulli_number
+from lehmer_congruences.bernoulli import BernoulliCache, bernoulli_number, rational_mod
 from lehmer_congruences.errors import (
     IndexCapExceeded,
     NotCoprimeError,
@@ -21,8 +23,12 @@ from lehmer_congruences.quotients import (
     fermat_quotient_mod,
     lemma1_check,
     lemma3_check,
+    lemma3_exact_sides,
     lemma4_check,
+    lemma4_exact_sides,
 )
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def test_fermat_quotient_values():
@@ -217,3 +223,23 @@ def test_lemma4_preconditions():
         lemma4_check(35, 7, 5)
     with pytest.raises(PreconditionError):
         lemma4_check(35, 2, 4)
+
+
+def _exact_matches(report, sides) -> None:
+    lhs, rhs = (rational_mod(side, report.modulus) for side in sides)
+    assert (report.lhs, report.rhs) == (lhs, rhs), report.params
+
+
+@PROPERTY
+@given(st.integers(2, 300), st.integers(-12, 12))
+def test_lemma3_check_matches_its_exact_sides(n, a):
+    assume(gcd(n, 6 * a) == 1)
+    _exact_matches(lemma3_check(n, a), lemma3_exact_sides(n, a))
+
+
+@PROPERTY
+@given(st.integers(2, 2000), st.integers(-12, 12), st.data())
+def test_lemma4_check_matches_its_exact_sides(n, a, data):
+    assume(gcd(a, n) == 1)
+    p = data.draw(st.sampled_from([p for p, _ in factorize(n).factors]))  # p = 2 too
+    _exact_matches(lemma4_check(n, a, p), lemma4_exact_sides(n, a, p))

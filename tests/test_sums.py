@@ -20,7 +20,7 @@ from lehmer_congruences.errors import (
     PrimeDivisibilityError,
 )
 from lehmer_congruences.quotients import fermat_quotient_mod
-from lehmer_congruences.arith import Residue, factorize, mod_inv
+from lehmer_congruences.arith import Residue, factorize, is_prime, mod_inv
 from lehmer_congruences.sums import (
     HALF,
     SumSpec,
@@ -31,6 +31,7 @@ from lehmer_congruences.sums import (
     lehmer_prime_rhs,
     lehmer_sum,
     lemma2_rhs,
+    lemma2_rhs_exact,
     lemma2_sum,
     modular_sum,
     modular_sum_lenient,
@@ -286,6 +287,41 @@ def test_theorem_rhs_exact_twin():
         for d in (3, 4, 6):
             exact = theorem_rhs_exact(n, d)
             assert rational_mod(exact, n * n) == theorem_rhs(n, d), (n, d)
+
+
+# n = 6k +- 1 up to about 5,000: every n with gcd(n, 6) = 1
+COPRIME_TO_6 = st.builds(lambda k, s: 6 * k + s, st.integers(1, 834), st.sampled_from([-1, 1]))
+
+
+@PROPERTY
+@given(COPRIME_TO_6, st.sampled_from([3, 4, 6]))
+def test_theorem_rhs_matches_its_exact_twin(n, d):
+    assert theorem_rhs(n, d) == rational_mod(theorem_rhs_exact(n, d), n * n), (n, d)
+
+
+@PROPERTY
+@given(st.integers(1, 2500).map(lambda k: 2 * k + 1))
+def test_half_rhs_matches_its_exact_twin(n):
+    assert half_rhs(n) == rational_mod(half_rhs_exact(n), n * n), n
+
+
+# (p, alpha) with p >= 5 prime and phi(p^{2 alpha}) <= 2 * 10^5, so that the
+# exact twin's a^phi stays a few hundred thousand bits
+LEMMA2_POINTS = [
+    (p, alpha)
+    for alpha in (1, 2, 3)
+    for p in range(5, 450)
+    if is_prime(p) and p ** (2 * alpha - 1) * (p - 1) <= 200_000
+]
+
+
+@PROPERTY
+@given(st.sampled_from(LEMMA2_POINTS), st.sampled_from([3, 4, 6]))
+def test_lemma2_rhs_matches_its_exact_twin(point, d):
+    p, alpha = point
+    m = p ** (2 * alpha)
+    assert lemma2_rhs(p, alpha, d) == rational_mod(lemma2_rhs_exact(p, alpha, d), m), (
+        p, alpha, d)
 
 
 def test_lehmer_prime_rhs():
