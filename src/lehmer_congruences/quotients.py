@@ -86,6 +86,16 @@ def _quotient_mod(n: int, a: int, m: int, phi: int) -> int:
     return (pow(a, phi, nm) - 1) % nm // n
 
 
+def _combination(n: int, a: int, m: int, phi: int) -> int:
+    """L_n(a) = 2 q_n(a) - n q_n(a)^2 mod m, given phi = phi(n) and gcd(a, n) = 1.
+
+    The combination lemma4 localizes; by lemma3 it is 2 q_{n^2}(a) mod n^2,
+    and every right-hand side in sums is a weighted sum of it.
+    """
+    q = _quotient_mod(n, a, m, phi)
+    return (2 * q - n % m * (q * q % m)) % m
+
+
 def lemma1_check(
     p: int, alpha: int, cache: BernoulliCache | None = None
 ) -> CongruenceReport:
@@ -130,9 +140,7 @@ def lemma3_check(n: int, a: int) -> CongruenceReport:
     nsq = n * n
     phi = euler_phi(factorize(n))
     lhs = Residue(_quotient_mod(nsq, a, nsq, n * phi), nsq)  # phi(n^2) = n phi(n)
-    q = _quotient_mod(n, a, nsq, phi)
-    half_n = mod_inv(2, nsq).rep * n % nsq
-    rhs = (q - half_n * (q * q % nsq)) % nsq
+    rhs = mod_inv(2, nsq).rep * _combination(n, a, nsq, phi) % nsq
     return CongruenceReport(
         identity=IdentityId.LEMMA_3,
         params={"n": n, "a": a},
@@ -161,12 +169,10 @@ def lemma4_check(n: int, a: int, p: int) -> CongruenceReport:
     q = factored.cofactor(p)
     modulus = p ** (2 * alpha)
     phi_n = euler_phi(factored)
-    qn = _quotient_mod(n, a, modulus, phi_n)
-    lhs = (2 * qn - n % modulus * (qn * qn % modulus)) % modulus
+    lhs = _combination(n, a, modulus, phi_n)
     prime_power = p**alpha
     phi_p = prime_power // p * (p - 1)
-    qp = _quotient_mod(prime_power, a, modulus, phi_p)
-    local = (2 * qp - prime_power % modulus * (qp * qp % modulus)) % modulus
+    local = _combination(prime_power, a, modulus, phi_p)
     phi_q = phi_n // phi_p  # phi is multiplicative and gcd(p^alpha, q) = 1
     rhs = phi_q * mod_inv(q, modulus).rep % modulus * local % modulus
     return CongruenceReport(

@@ -10,8 +10,9 @@ same terms through SumSpec.denominators() as an exact rational and is kept
 deliberately independent (gcd filter, no mask, no modular inverse), so the
 two can audit each other.
 
-The right-hand sides are polynomials in Fermat quotients q_n(2), q_n(3);
-each has a modular evaluation and an exact-rational twin.
+The right-hand sides are polynomials in Fermat quotients q_n(2), q_n(3).
+Each modular one is a weighted sum of L_n(a) = 2 q_n(a) - n q_n(a)^2 read
+from _RHS_WEIGHTS; each exact-rational twin is written out as stated.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from .errors import (
     PreconditionError,
     PrimeDivisibilityError,
 )
-from .quotients import _quotient_mod, fermat_quotient, fermat_quotient_mod
+from .quotients import _combination, fermat_quotient
+# unused here, but bench/tracer.py wraps sums.fermat_quotient_mod by name
+from .quotients import fermat_quotient_mod  # noqa: F401
 
 __all__ = [
     "HALF",
@@ -242,6 +245,27 @@ def lemma2_sum(n: int, p: int, d: int) -> Residue:
     return modular_sum(SumSpec(n, d, p, p ** (2 * alpha)))
 
 
+# The modular right-hand side for d is sum of w_a * L_n(a) over its (a, w_a),
+# L_n(a) = 2 q_n(a) - n q_n(a)^2; HALF is Lehmer's half-range sum.
+_RHS_WEIGHTS: dict[int | str, tuple[tuple[int, Fraction], ...]] = {
+    HALF: ((2, Fraction(-1)),),
+    3: ((3, Fraction(1, 4)),),
+    4: ((2, Fraction(3, 8)),),
+    6: ((2, Fraction(1, 6)), (3, Fraction(1, 8))),
+}
+
+
+def _weighted_rhs(n: int, d: int | str, m: int, phi: int) -> Residue:
+    """sum of w_a * L_n(a) mod m over the weights of d, given phi = phi(n).
+
+    The weights' denominators must be units mod m.
+    """
+    total = 0
+    for a, w in _RHS_WEIGHTS[d]:
+        total += w.numerator * pow(w.denominator, -1, m) * _combination(n, a, m, phi)
+    return Residue(total % m, m)
+
+
 def half_rhs(n: int) -> Residue:
     """-2 q_n(2) + n q_n(2)^2 mod n^2 for odd n > 1.
 
@@ -251,9 +275,7 @@ def half_rhs(n: int) -> Residue:
     _check_n(n)
     if n % 2 == 0:
         raise EvenModulusError(f"the half-range identity needs odd n, got {n}")
-    nsq = n * n
-    q2 = fermat_quotient_mod(n, 2, nsq).rep
-    return Residue((-2 * q2 + n * (q2 * q2 % nsq)) % nsq, nsq)
+    return _weighted_rhs(n, HALF, n * n, euler_phi(factorize(n)))
 
 
 def half_rhs_exact(n: int) -> Fraction:
@@ -279,26 +301,7 @@ def theorem_rhs(n: int, d: int) -> Residue:
     g = gcd(n, 6)
     if g != 1:
         raise NotCoprimeError(f"gcd({n}, 6) = {g}; need gcd(n, 6) = 1")
-    nsq = n * n
-    phi = euler_phi(factorize(n))  # shared by q_n(2) and q_n(3)
-    if d == 3:
-        q3 = _quotient_mod(n, 3, nsq, phi)
-        value = (
-            pow(2, -1, nsq) * q3 - pow(4, -1, nsq) * n % nsq * (q3 * q3 % nsq)
-        ) % nsq
-    elif d == 4:
-        q2 = _quotient_mod(n, 2, nsq, phi)
-        value = (
-            3 * pow(4, -1, nsq) * q2 - 3 * pow(8, -1, nsq) * n % nsq * (q2 * q2 % nsq)
-        ) % nsq
-    else:
-        q2 = _quotient_mod(n, 2, nsq, phi)
-        q3 = _quotient_mod(n, 3, nsq, phi)
-        inner = (
-            pow(6, -1, nsq) * (q2 * q2 % nsq) + pow(8, -1, nsq) * (q3 * q3 % nsq)
-        ) % nsq
-        value = (pow(3, -1, nsq) * q2 + pow(4, -1, nsq) * q3 - n * inner) % nsq
-    return Residue(value, nsq)
+    return _weighted_rhs(n, d, n * n, euler_phi(factorize(n)))
 
 
 def theorem_rhs_exact(n: int, d: int) -> Fraction:
@@ -345,18 +348,8 @@ def lemma2_rhs(p: int, alpha: int, d: int) -> Residue:
     if p < 5 or not is_prime(p):
         raise PreconditionError(f"p must be a prime >= 5, got {p}")
     m = p ** (2 * alpha)
-    phi = m // p * (p - 1)  # phi(p^{2 alpha}), no factorization needed
-    if d == 3:
-        q3 = _quotient_mod(m, 3, m, phi)
-        value = pow(2, -1, m) * q3 % m
-    elif d == 4:
-        q2 = _quotient_mod(m, 2, m, phi)
-        value = 3 * pow(4, -1, m) * q2 % m
-    else:
-        q2 = _quotient_mod(m, 2, m, phi)
-        q3 = _quotient_mod(m, 3, m, phi)
-        value = (pow(3, -1, m) * q2 + pow(4, -1, m) * q3) % m
-    return Residue(value, m)
+    # phi(p^{2 alpha}) needs no factorization, and n q^2 vanishes mod m = n
+    return _weighted_rhs(m, d, m, m // p * (p - 1))
 
 
 def lemma2_rhs_exact(p: int, alpha: int, d: int) -> Fraction:
