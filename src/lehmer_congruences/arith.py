@@ -109,24 +109,6 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _inv(a: int, modulus: int) -> int:
-    # Raw-integer inverse; the hot path for the congruence sums, so no
-    # Residue allocation here.
-    old_r, r = a % modulus, modulus
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r != 1:
-        if modulus == 1:
-            return 0
-        raise NotInvertibleError(
-            f"gcd({a}, {modulus}) = {old_r}; {a} is not a unit"
-        )
-    return old_s % modulus
-
-
 def mod_pow(base: int, exponent: int, modulus: int) -> Residue:
     """base**exponent reduced into [0, modulus); exponent must be >= 0."""
     if modulus < 1:
@@ -137,14 +119,18 @@ def mod_pow(base: int, exponent: int, modulus: int) -> Residue:
 
 
 def mod_inv(a: int, modulus: int) -> Residue:
-    """The inverse of a mod modulus via extended gcd.
+    """The inverse of a mod modulus, by the built-in pow(a, -1, modulus).
 
     Raises NotInvertibleError when gcd(a, modulus) > 1; the message names
-    the offending gcd.
+    the offending gcd.  Modulo 1 every a has the inverse 0.
     """
     if modulus < 1:
         raise PreconditionError(f"modulus must be >= 1, got {modulus}")
-    return Residue(_inv(a, modulus), modulus)
+    try:
+        return Residue(pow(a, -1, modulus), modulus)
+    except ValueError:
+        g = gcd(a, modulus)
+        raise NotInvertibleError(f"gcd({a}, {modulus}) = {g}; {a} is not a unit") from None
 
 
 # Deterministic Miller-Rabin base set; correct for all n < 3.3e24, which
@@ -302,6 +288,6 @@ def crt_combine(parts: Sequence[Residue]) -> Residue:
                 f"moduli {modulus} and {part.modulus} share the factor {g}"
             )
         diff = (part.rep - rep) % part.modulus
-        rep += modulus * (diff * _inv(modulus, part.modulus) % part.modulus)
+        rep += modulus * (diff * pow(modulus, -1, part.modulus) % part.modulus)
         modulus *= part.modulus
     return Residue(rep % modulus, modulus)

@@ -7,8 +7,9 @@ potentially large integer is rendered as a decimal string so consumers
 never lose precision to floating point.
 
 Exit status: 0 when everything asked for held (or the value was computed),
-1 when a checked congruence failed, a computational limit was hit, or no
-counterexample was found in range, and 2 on usage errors.
+1 when a checked congruence failed, a computational limit was hit, a scan
+skipped a row or checked nothing, or no counterexample was found in range,
+and 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -314,7 +315,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             exact_oracle=args.exact_oracle,
         )
         sys.stdout.write(serialize_reports(reports, args.format))
-        return 1 if any(r.holds is False for r in reports) else 0
+        return 0 if reports and all(r.holds for r in reports) else 1
     if args.command == "counterexample":
         identity = _resolve_identity(args.identity, None)
         trail = counterexample_search(

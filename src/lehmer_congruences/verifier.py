@@ -352,9 +352,9 @@ def scan(
 
     The scanned value is n, or p for lemma1 (a p given for lemma1 is
     ignored); every other parameter the identity requires must be given,
-    else PreconditionError is raised before any check runs.  A value is
-    retained when the predicate accepts it (default: the identity's
-    admissibility filter).  A retained value whose check still cannot run,
+    and a fixed p must be prime, else PreconditionError is raised before
+    any check runs.  A value is retained when the predicate accepts it
+    (default: the identity's admissibility filter).  A retained value whose check still cannot run,
     for instance under a permissive custom predicate or a tight Bernoulli
     cap, produces a report with skipped_reason instead of disappearing.
     With workers > 1 the range is split across processes; the merged result
@@ -365,6 +365,8 @@ def scan(
     # the scanned variable takes each value in turn; n_from stands in for it
     given = {"a": a, "p": p, "d": d, "alpha": alpha}
     params = _params(identity, {**given, spec.var: n_from})
+    if "p" in spec.required and spec.var != "p" and not is_prime(p):
+        raise PreconditionError(f"p must be prime for {identity.value}, got {p}")
     if n_to < n_from:
         return []
     if workers > 1:

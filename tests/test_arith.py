@@ -84,7 +84,7 @@ def test_mod_inv_values():
     assert mod_inv(7, 25).rep == 18
     assert mod_inv(8, 25).rep == 22
     assert mod_inv(3, 1).rep == 0  # the zero ring
-    with pytest.raises(NotInvertibleError):
+    with pytest.raises(NotInvertibleError, match=r"^gcd\(5, 25\) = 5; 5 is not a unit$"):
         mod_inv(5, 25)
     with pytest.raises(NotInvertibleError):
         mod_inv(0, 7)

@@ -118,10 +118,36 @@ def test_csv_skip_row(capsys):
         "scan", "--identity", "lemma1", "--from", "13", "--to", "13",
         "--bernoulli-cap", "100", "--format", "csv",
     )
-    assert code == 0  # a skip is not a failure
+    assert code == 1  # a skipped row was not checked
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1][9] == ""  # holds empty
     assert "capped" in rows[1][10]
+
+
+def test_scan_that_checks_nothing_exits_1(capsys):
+    # every prime from 11 on outgrows the cap: only skip rows
+    code, out, _ = run_cli(
+        capsys,
+        "scan", "--identity", "lemma1", "--from", "11", "--to", "40",
+        "--bernoulli-cap", "100", "--format", "json",
+    )
+    assert code == 1 and out
+    assert all("skipped_reason" in json.loads(line) for line in out.splitlines())
+    # no admissible n in range: an empty scan
+    code, out, _ = run_cli(capsys, "scan", "--identity", "thm3", "--from", "8", "--to", "10")
+    assert code == 1 and out.splitlines()[1:] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--identity", "lemma2-d3", "--p", "0"],
+    ["--identity", "lemma2-d3", "--p", "1"],
+    ["--identity", "moebius", "--d", "3", "--p", "-5"],
+    ["--identity", "lemma4", "--a", "2", "--p", "9"],
+])
+def test_scan_non_prime_p_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "scan", *argv, "--from", "5", "--to", "12")
+    assert code == 2 and out == ""
+    assert "p must be prime" in err
 
 
 def test_exit_code_failure(capsys):

@@ -43,7 +43,7 @@ from lehmer_congruences.sums import (
 
 
 def brute_sum(spec: SumSpec) -> int:
-    # independent mini-oracle: pow(-1) inverses, no shared code with _inv
+    # independent mini-oracle: one pow(-1) inverse per term, no mask
     total = 0
     for term in spec.denominators():
         total += pow(term, -1, spec.modulus)
@@ -52,7 +52,7 @@ def brute_sum(spec: SumSpec) -> int:
 
 def reference_modular_sum(spec: SumSpec) -> Residue:
     # the per-term loop modular_sum used before the running fraction: one
-    # extended-gcd inverse per kept r, filtered by gcd(r, n) or r % p
+    # mod_inv per kept r, filtered by gcd(r, n) or r % p
     n, m = spec.n, spec.modulus
     acc = 0
     if spec.d == HALF:

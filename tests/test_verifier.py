@@ -191,14 +191,12 @@ def test_scan_lemma1_walks_p():
 
 
 def test_scan_skip_rows_carry_the_identity_params():
-    # p = 1 passes the divisibility filter; the check rejects it and the
-    # skip row has no p-adic modulus to report
-    reports = scan(IdentityId.LEMMA_2_D3, 5, 12, p=1)
-    assert [r.params for r in reports] == [
-        {"n": n, "p": 1, "d": 3} for n in (5, 7, 11)
-    ]
-    assert all(r.modulus is None and "prime" in r.skipped_reason for r in reports)
+    # a fixed p that is not prime is refused before any row is made
+    with pytest.raises(PreconditionError, match="p must be prime"):
+        scan(IdentityId.LEMMA_2_D3, 5, 12, p=1)
     # a permissive predicate: 5 does not divide 7, so there is no modulus
+    (report,) = scan(IdentityId.LEMMA_2_D3, 7, 7, p=5, predicate=bool)
+    assert report.params == {"n": 7, "p": 5, "d": 3} and report.modulus is None
     (report,) = scan(IdentityId.MOEBIUS_DECOMP, 7, 7, p=5, d=3, predicate=bool)
     assert report.params == {"n": 7, "p": 5, "d": 3} and report.modulus is None
     (report,) = scan(IdentityId.LEMMA_4, 10, 10, a=2, p=5, predicate=bool)
