@@ -120,23 +120,14 @@ def parse_report_json(line: str) -> CongruenceReport:
 
 
 def _csv_row(report: CongruenceReport) -> list[str]:
-    row = [report.identity.value]
-    for key in _PARAM_COLUMNS:
-        row.append(str(report.params[key]) if key in report.params else "")
-    row.append("" if report.modulus is None else str(report.modulus))
-    row.append("" if report.lhs is None else str(report.lhs.rep))
-    row.append("" if report.rhs is None else str(report.rhs.rep))
-    if report.holds is None:
-        row.append("")
-    else:
-        row.append("true" if report.holds else "false")
-    row.append(report.skipped_reason or "")
-    if report.valuation is None:
-        row.append("")
-    else:
-        row.append("inf" if report.valuation == inf else str(report.valuation))
-    row.append("" if report.required is None else str(report.required))
-    return row
+    """report_to_dict flattened into _CSV_COLUMNS; absent fields are empty.
+
+    Strings stay as they are; numbers and booleans print as in JSON.
+    """
+    obj = report_to_dict(report)
+    flat = {**obj.pop("params"), **obj}
+    cells = (flat.get(key, "") for key in _CSV_COLUMNS)
+    return [cell if isinstance(cell, str) else json.dumps(cell) for cell in cells]
 
 
 def serialize_reports(reports: list[CongruenceReport], fmt: str = "json") -> str:
@@ -170,8 +161,6 @@ def serialize_reports(reports: list[CongruenceReport], fmt: str = "json") -> str
 
 def serialize_report(report: CongruenceReport, fmt: str = "json") -> str:
     """One report in the requested format (a one-line document for json)."""
-    if fmt == "json":
-        return json.dumps(report_to_dict(report), separators=(",", ":")) + "\n"
     return serialize_reports([report], fmt)
 
 
@@ -274,15 +263,15 @@ def _make_cache(args: argparse.Namespace) -> BernoulliCache | None:
     return BernoulliCache(max_index=args.bernoulli_cap)
 
 
-def _emit_residue(value: Residue, fmt: str) -> None:
+def _emit_record(record: dict, text: str, fmt: str) -> None:
+    """One flat record: a JSON object, a CSV header and row, or its text form."""
     if fmt == "json":
-        obj = {"rep": str(value.rep), "modulus": str(value.modulus)}
-        print(json.dumps(obj, separators=(",", ":")))
+        print(json.dumps(record, separators=(",", ":")))
     elif fmt == "csv":
-        print("rep,modulus")
-        print(f"{value.rep},{value.modulus}")
+        print(",".join(record))
+        print(",".join(str(value) for value in record.values()))
     else:
-        print(value)
+        print(text)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -327,25 +316,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         sys.stdout.write(serialize_reports(trail, args.format))
         return 0
     if args.command == "bernoulli":
-        value = bernoulli_number(args.m, _make_cache(args))
-        if args.format == "json":
-            print(json.dumps({"m": args.m, "value": str(value)}, separators=(",", ":")))
-        elif args.format == "csv":
-            print("m,value")
-            print(f"{args.m},{value}")
-        else:
-            print(value)
+        value = str(bernoulli_number(args.m, _make_cache(args)))
+        _emit_record({"m": args.m, "value": value}, value, args.format)
         return 0
     if args.command == "fq":
         quotient = fermat_quotient(args.n, args.a)
-        if args.format == "json":
-            obj = {"n": quotient.n, "a": quotient.a, "value": str(quotient.value)}
-            print(json.dumps(obj, separators=(",", ":")))
-        elif args.format == "csv":
-            print("n,a,value")
-            print(f"{quotient.n},{quotient.a},{quotient.value}")
-        else:
-            print(quotient.value)
+        value = str(quotient.value)
+        _emit_record({"n": quotient.n, "a": quotient.a, "value": value}, value, args.format)
         return 0
     if args.command == "sum":
         if args.d == HALF:
@@ -361,7 +338,8 @@ def _dispatch(args: argparse.Namespace) -> int:
                 value = lemma2_sum(args.n, args.p, d)
             else:
                 value = lehmer_sum(args.n, d)
-        _emit_residue(value, args.format)
+        record = {"rep": str(value.rep), "modulus": str(value.modulus)}
+        _emit_record(record, str(value), args.format)
         return 0
     raise PreconditionError(f"unknown command {args.command!r}")  # pragma: no cover
 
