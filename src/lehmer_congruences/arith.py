@@ -129,8 +129,9 @@ def mod_inv(a: int, modulus: int) -> Residue:
     try:
         return Residue(pow(a, -1, modulus), modulus)
     except ValueError:
-        g = gcd(a, modulus)
-        raise NotInvertibleError(f"gcd({a}, {modulus}) = {g}; {a} is not a unit") from None
+        raise NotInvertibleError(
+            f"gcd({a}, {modulus}) = {gcd(a, modulus)}; {a} is not a unit"
+        ) from None
 
 
 # Deterministic Miller-Rabin base set; correct for all n < 3.3e24, which

@@ -354,9 +354,10 @@ def scan(
     ignored); every other parameter the identity requires must be given,
     and a fixed p must be prime, else PreconditionError is raised before
     any check runs.  A value is retained when the predicate accepts it
-    (default: the identity's admissibility filter).  A retained value whose check still cannot run,
-    for instance under a permissive custom predicate or a tight Bernoulli
-    cap, produces a report with skipped_reason instead of disappearing.
+    (default: the identity's admissibility filter).  A retained value
+    whose check still cannot run, for instance under a permissive custom
+    predicate or a tight Bernoulli cap, produces a report with
+    skipped_reason instead of disappearing.
     With workers > 1 the range is split across processes; the merged result
     is identical to the single-process one, and the predicate (if given)
     must be picklable.

@@ -134,7 +134,9 @@ def test_scan_that_checks_nothing_exits_1(capsys):
     assert code == 1 and out
     assert all("skipped_reason" in json.loads(line) for line in out.splitlines())
     # no admissible n in range: an empty scan
-    code, out, _ = run_cli(capsys, "scan", "--identity", "thm3", "--from", "8", "--to", "10")
+    code, out, _ = run_cli(
+        capsys, "scan", "--identity", "thm3", "--from", "8", "--to", "10"
+    )
     assert code == 1 and out.splitlines()[1:] == []
 
 

@@ -290,7 +290,9 @@ def test_theorem_rhs_exact_twin():
 
 
 # n = 6k +- 1 up to about 5,000: every n with gcd(n, 6) = 1
-COPRIME_TO_6 = st.builds(lambda k, s: 6 * k + s, st.integers(1, 834), st.sampled_from([-1, 1]))
+COPRIME_TO_6 = st.builds(
+    lambda k, s: 6 * k + s, st.integers(1, 834), st.sampled_from([-1, 1])
+)
 
 
 @PROPERTY
