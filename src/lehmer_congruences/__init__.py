@@ -48,6 +48,7 @@ from .errors import (
     NotCoprimeError,
     NotInvertibleError,
     OracleDivergence,
+    PowerSizeExceeded,
     PreconditionError,
     PrimeDivisibilityError,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "NotCoprimeError",
     "NotInvertibleError",
     "OracleDivergence",
+    "PowerSizeExceeded",
     "PreconditionError",
     "PrimeDivisibilityError",
     "QuotientValue",

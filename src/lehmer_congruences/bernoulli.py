@@ -65,9 +65,8 @@ class BernoulliCache:
     """Growable memo table of B_0 .. B_max_index.
 
     The table is filled from Seidel's boustrophedon triangle; the cache
-    keeps the last row it built, so a later extension (also one in a worker
-    process that unpickled the cache) continues where this one stopped.
-    Once the table reaches max_index the row is released.
+    keeps the last row it built, so a later extension continues where this
+    one stopped.  Once the table reaches max_index the row is released.
     Extension happens under a lock and is append-only, so concurrent
     readers never observe a partially computed entry.  The cap is read from
     the environment at construction time unless given explicitly.
@@ -116,14 +115,6 @@ class BernoulliCache:
             table.append(value if k % 2 else -value)
         if len(table) > self.max_index:
             self._row = []  # the table is full and never needs another row
-
-    # The lock is not picklable; workers rebuild their own.
-    def __getstate__(self) -> tuple[int, list[Fraction], list[int]]:
-        return (self.max_index, self._table, self._row)
-
-    def __setstate__(self, state: tuple[int, list[Fraction], list[int]]) -> None:
-        self.max_index, self._table, self._row = state
-        self._lock = threading.Lock()
 
 
 _shared: BernoulliCache | None = None

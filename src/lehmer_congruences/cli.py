@@ -8,8 +8,8 @@ never lose precision to floating point.
 
 Exit status: 0 when everything asked for held (or the value was computed),
 1 when a checked congruence failed, a computational limit was hit, a scan
-skipped a row or checked nothing, or no counterexample was found in range,
-and 2 on usage errors.
+skipped a row, checked nothing or lost a worker process, or no
+counterexample was found in range, and 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ from math import inf
 
 from .arith import Residue
 from .bernoulli import BernoulliCache, bernoulli_number
-from .errors import (
-    FactorizationLimitExceeded,
-    IndexCapExceeded,
-    NoCounterexampleInRange,
-    OracleDivergence,
-    PreconditionError,
-)
+from .errors import CongruenceError, OracleDivergence, PreconditionError
 from .quotients import fermat_quotient
 from .report import CongruenceReport, IdentityId
 from .sums import HALF, half_harmonic, lehmer_sum, lemma2_sum
@@ -196,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for scans (default: 1)",
+        help="processes a scan deals its values to, at most the usable CPUs "
+        "(default: 1)",
     )
     common.add_argument(
         "--bernoulli-cap", type=int, default=None,
@@ -356,14 +351,11 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IndexCapExceeded, FactorizationLimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NoCounterexampleInRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OracleDivergence as exc:
         print(f"oracle divergence: {exc}", file=sys.stderr)
+        return 1
+    except CongruenceError as exc:  # a limit, an exhausted search, a lost worker
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -46,6 +46,10 @@ class IndexCapExceeded(CongruenceError):
     """A Bernoulli number beyond the configured cache cap was requested."""
 
 
+class PowerSizeExceeded(CongruenceError):
+    """An exact power a^phi(n) would outgrow the configured bit budget."""
+
+
 class NoCounterexampleInRange(CongruenceError):
     """A counterexample search exhausted its bound without finding a failure."""
 

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
 
 from .arith import Residue, euler_phi, factorize, is_prime, mod_inv
 from .bernoulli import BernoulliCache, bernoulli_number, p_adic_valuation, rational_mod
-from .errors import NotCoprimeError, PreconditionError, PrimeDivisibilityError
+from .errors import (
+    NotCoprimeError,
+    PowerSizeExceeded,
+    PreconditionError,
+    PrimeDivisibilityError,
+)
 from .report import CongruenceReport, IdentityId
 
 __all__ = [
@@ -25,6 +30,10 @@ __all__ = [
     "lemma3_check",
     "lemma4_check",
 ]
+
+# fermat_quotient refuses to build a^phi(n) beyond this many bits; 3**(2**22),
+# about 6.6 million bits, takes about a second in CPython.
+MAX_POWER_BITS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -52,11 +61,18 @@ def fermat_quotient(n: int, a: int) -> QuotientValue:
 
     Integrality is Euler's theorem.  This path materializes a^phi(n) in
     full, so it is the oracle route; fermat_quotient_mod is the production
-    route for reduced values.
+    route for reduced values.  Raises PowerSizeExceeded, before the power
+    is formed, when a^phi(n) would have more than MAX_POWER_BITS bits.
     """
     _require_modulus(n)
     _require_coprime(a, n)
     phi = euler_phi(factorize(n))
+    bits = phi * log2(abs(a))
+    if bits > MAX_POWER_BITS:
+        raise PowerSizeExceeded(
+            f"{a}^phi({n}) has about {bits:.3g} bits, over the budget of "
+            f"{MAX_POWER_BITS} bits for an exact power"
+        )
     quotient, remainder = divmod(a**phi - 1, n)
     if remainder:  # unreachable for coprime a; guards the type invariant
         raise ArithmeticError(f"{n} does not divide {a}^{phi} - 1")

@@ -7,7 +7,10 @@ the embedded d.  verify and scan read the table and branch on no identity;
 its entries look the layer functions up in this module when they run, so a
 wrapper set here (a tracer, a test double) sees every call.  scan keeps the
 admissible values of the scanned variable and turns in-range precondition
-failures into skip reports, so the output stays auditable.  The
+failures into skip reports, so the output stays auditable.  With several
+workers it deals those values round-robin to processes forked from the
+caller, one pipe each, and every share (the caller's own included) runs
+through _scan_chunk, looked up here at call time.  The
 counterexample search deliberately relaxes the hypotheses: left-hand terms
 are inverted one by one, and the right-hand side is evaluated as an exact
 rational first, reduced only when its denominator is a unit.
@@ -15,20 +18,23 @@ rational first, reduced only when its denominator is a unit.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, gcd
+from math import gcd
 
 from .arith import Residue, crt_combine, factorize, is_prime
 from .bernoulli import BernoulliCache, rational_mod
 from .errors import (
+    CongruenceError,
     FactorizationLimitExceeded,
     IndexCapExceeded,
     NoCounterexampleInRange,
     NotCoprimeError,
     NotInvertibleError,
     OracleDivergence,
+    PowerSizeExceeded,
     PreconditionError,
 )
 from .quotients import (
@@ -308,30 +314,113 @@ def _skip_report(identity: IdentityId, params: Params, reason: str) -> Congruenc
     )
 
 
-def _scan_serial(
-    identity: IdentityId,
-    n_from: int,
-    n_to: int,
-    params: Params,
-    predicate: Callable[[int], bool] | None,
-    cache: BernoulliCache | None,
-    exact_oracle: bool,
-) -> list[CongruenceReport]:
-    spec = IDENTITIES[identity]
+def _scan_chunk(args: tuple) -> list[CongruenceReport]:
+    """The reports of one share of a scan, in the order of its values.
+
+    args is (identity, values, params, cache, exact_oracle).  A value whose
+    check cannot run still yields a report, with skipped_reason, so every
+    value yields exactly one.
+    """
+    identity, values, params, cache, exact_oracle = args
+    var = IDENTITIES[identity].var
     out: list[CongruenceReport] = []
-    for n in range(n_from, n_to + 1):
-        if not (spec.admissible(n, params) if predicate is None else predicate(n)):
-            continue
-        row = {**params, spec.var: n}
+    for value in values:
+        row = {**params, var: value}
         try:
             out.append(verify(identity, **row, cache=cache, exact_oracle=exact_oracle))
-        except (PreconditionError, IndexCapExceeded, FactorizationLimitExceeded) as exc:
+        except (
+            PreconditionError, IndexCapExceeded, FactorizationLimitExceeded,
+            PowerSizeExceeded,
+        ) as exc:
             out.append(_skip_report(identity, row, str(exc)))
     return out
 
 
-def _scan_chunk(args: tuple) -> list[CongruenceReport]:
-    return _scan_serial(*args)
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fan_out(args: tuple, workers: int) -> list[CongruenceReport]:
+    """_scan_chunk over args, its values dealt round-robin to workers processes.
+
+    Share k is values[k::workers]; the parent forks a child for every share
+    but the first, computes that one itself, and merges the shares back in
+    value order.  Where the platform allows, share k runs on the k-th CPU
+    this process may use, and the parent gets its own affinity back when
+    the shares are in.  A child sends one pickled (ok, reports or
+    exception) through a pipe and leaves by os._exit, so it never returns
+    into the caller.  The first failing share, in share order, raises in
+    the parent.
+    """
+    import pickle
+
+    identity, values, params, cache, exact_oracle = args
+    # Left to the scheduler, a forked child stayed on its parent's CPU for
+    # a whole 0.15 s scan on a 2-vCPU Linux VM, so the shares ran one after
+    # the other; pinning each share to a CPU of its own makes them overlap.
+    saved = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+
+    def take_share(k: int) -> tuple:
+        """Pin this process to share k's CPU; return share k's _scan_chunk args."""
+        if saved is not None:
+            cpus = sorted(saved)
+            os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+        return (identity, values[k::workers], params, cache, exact_oracle)
+
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for k in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    try:
+                        payload = pickle.dumps((True, _scan_chunk(take_share(k))))
+                    except Exception as exc:
+                        payload = pickle.dumps((False, exc))
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, read_end))
+        out: list = [None] * len(values)
+        out[0::workers] = _scan_chunk(take_share(0))
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        if saved is not None:
+            os.sched_setaffinity(0, saved)
+        received = []
+        for pid, read_end in children:
+            with open(read_end, "rb") as pipe:
+                payload = pipe.read()
+            received.append((pid, payload, os.waitpid(pid, 0)[1]))
+    for k, (pid, payload, status) in enumerate(received, start=1):
+        code = os.waitstatus_to_exitcode(status)
+        if code:  # a child exits 0 only once its whole payload is written
+            raise CongruenceError(
+                f"scan worker {pid} exited with status {code} before sending its reports"
+            )
+        ok, part = pickle.loads(payload)
+        if not ok:
+            raise part
+        out[k::workers] = part
+    return out
 
 
 def scan(
@@ -352,15 +441,16 @@ def scan(
 
     The scanned value is n, or p for lemma1 (a p given for lemma1 is
     ignored); every other parameter the identity requires must be given,
-    and a fixed p must be prime, else PreconditionError is raised before
-    any check runs.  A value is retained when the predicate accepts it
-    (default: the identity's admissibility filter).  A retained value
-    whose check still cannot run, for instance under a permissive custom
-    predicate or a tight Bernoulli cap, produces a report with
-    skipped_reason instead of disappearing.
-    With workers > 1 the range is split across processes; the merged result
-    is identical to the single-process one, and the predicate (if given)
-    must be picklable.
+    a fixed p must be prime and workers must be at least 1, else
+    PreconditionError is raised before any check runs.  A value is
+    retained when the predicate accepts it (default: the identity's
+    admissibility filter).  A retained value whose check still cannot run,
+    for instance under a permissive custom predicate or a tight Bernoulli
+    cap, produces a report with skipped_reason instead of disappearing.
+    With workers > 1 the retained values are dealt round-robin to
+    min(workers, retained values, usable CPUs) processes forked from this
+    one; the merged result is identical to the single-process one.  Where
+    os.fork does not exist the scan runs in this process.
     """
     spec = IDENTITIES[identity]
     # the scanned variable takes each value in turn; n_from stands in for it
@@ -368,23 +458,17 @@ def scan(
     params = _params(identity, {**given, spec.var: n_from})
     if "p" in spec.required and spec.var != "p" and not is_prime(p):
         raise PreconditionError(f"p must be prime for {identity.value}, got {p}")
-    if n_to < n_from:
-        return []
-    if workers > 1:
-        # imported here so that a serial run does not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        count = n_to - n_from + 1
-        chunk = max(1, ceil(count / (workers * 4)))
-        jobs = [
-            (identity, lo, min(lo + chunk - 1, n_to), params, predicate, cache,
-             exact_oracle)
-            for lo in range(n_from, n_to + 1, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_chunk, jobs))
-        return [report for part in parts for report in part]
-    return _scan_serial(identity, n_from, n_to, params, predicate, cache, exact_oracle)
+    if workers < 1:
+        raise PreconditionError(f"workers must be >= 1, got {workers}")
+    values = [
+        value for value in range(n_from, n_to + 1)
+        if (spec.admissible(value, params) if predicate is None else predicate(value))
+    ]
+    args = (identity, values, params, cache, exact_oracle)
+    workers = min(workers, len(values), _usable_cpus())
+    if workers > 1 and hasattr(os, "fork"):
+        return _fan_out(args, workers)
+    return _scan_chunk(args)
 
 
 def counterexample_search(

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lehmer_congruences
-from lehmer_congruences import verifier
+from lehmer_congruences import quotients, verifier
 from lehmer_congruences.arith import Residue
 from lehmer_congruences.cli import (
     main,
@@ -283,6 +283,38 @@ def test_workers_flag_output_identical(capsys):
     assert out1 == out2
 
 
+def test_scan_worker_failure_exit_1(capsys, monkeypatch):
+    parent = os.getpid()
+    real = verifier.rational_mod
+
+    def corrupted(x, m):  # wrong only in the forked worker
+        value = real(x, m)
+        return value if os.getpid() == parent else Residue((value.rep + 1) % m, m)
+
+    monkeypatch.setattr(verifier, "rational_mod", corrupted)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    argv = ["scan", "--identity", "thm3", "--from", "5", "--to", "60", "--exact-oracle"]
+    code, out, err = run_cli(capsys, *argv, "--workers", "2")
+    assert (code, out) == (1, "")
+    assert "oracle divergence: thm3" in err
+    code, _, err = run_cli(capsys, *argv, "--workers", "0")
+    assert code == 2 and "workers must be >= 1" in err
+
+
+def test_power_size_limit_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(quotients, "MAX_POWER_BITS", 99)
+    code, out, err = run_cli(capsys, "fq", "--n", "101", "--a", "2")
+    assert (code, out) == (1, "")
+    assert "budget of 99 bits" in err
+    # a scan makes the refused oracle a skip row, and a skip row exits 1
+    code, out, _ = run_cli(
+        capsys, "scan", "--identity", "lemma3", "--a", "2", "--from", "5", "--to", "11",
+        "--exact-oracle", "--format", "json",
+    )
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and [row.get("holds") for row in rows] == [True, True, None]
+
+
 def test_exact_oracle_flag(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -332,12 +364,18 @@ def test_serialize_reports_batch():
 
 
 def test_import_loads_no_process_pool():
-    # serial runs, --help included, should not pay for multiprocessing
+    # neither an import (--help included) nor a forked scan loads a pool
     src = str(Path(lehmer_congruences.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
-        "import sys, lehmer_congruences.cli; "
-        "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)"
+        "import sys, lehmer_congruences.cli\n"
+        "from lehmer_congruences import verifier\n"
+        "def pools(): return ['concurrent.futures' in sys.modules, "
+        "'multiprocessing' in sys.modules]\n"
+        "before = pools()\n"
+        "verifier._usable_cpus = lambda: 2\n"
+        "verifier.scan(verifier.IdentityId.THM_3, 5, 60, workers=2)\n"
+        "print(*before, *pools())"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
@@ -347,4 +385,4 @@ def test_import_loads_no_process_pool():
         timeout=60,
         check=True,
     )
-    assert done.stdout.split() == ["False", "False"]
+    assert done.stdout.split() == ["False"] * 4

@@ -13,6 +13,7 @@ from lehmer_congruences.bernoulli import BernoulliCache, bernoulli_number, ratio
 from lehmer_congruences.errors import (
     IndexCapExceeded,
     NotCoprimeError,
+    PowerSizeExceeded,
     PreconditionError,
     PrimeDivisibilityError,
 )
@@ -42,6 +43,18 @@ def test_fermat_quotient_values():
         fermat_quotient(6, 2)
     with pytest.raises(PreconditionError):
         fermat_quotient(1, 2)
+
+
+def test_fermat_quotient_refuses_an_oversized_power(monkeypatch):
+    # phi(101) * log2(2) = 100 bits; the check comes before a^phi is formed
+    monkeypatch.setattr(quotients, "MAX_POWER_BITS", 99)
+    with pytest.raises(PowerSizeExceeded, match="2\\^phi\\(101\\)"):
+        fermat_quotient(101, 2)
+    with pytest.raises(PowerSizeExceeded):
+        lemma3_exact_sides(11, 2)  # q_{121}(2) needs 2^110
+    assert fermat_quotient(101, 1).value == 0  # log2(1) = 0
+    monkeypatch.setattr(quotients, "MAX_POWER_BITS", 100)
+    assert fermat_quotient(101, 2).value == (2**100 - 1) // 101
 
 
 def test_fermat_quotient_exactness_invariant():

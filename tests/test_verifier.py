@@ -1,8 +1,12 @@
 """verify/scan orchestration, counterexample search and CRT reassembly."""
 
-import pytest
+import os
 
-from lehmer_congruences import verifier
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lehmer_congruences import quotients, verifier
 from lehmer_congruences.arith import Residue
 from lehmer_congruences.bernoulli import BernoulliCache
 from lehmer_congruences.errors import (
@@ -21,6 +25,10 @@ from lehmer_congruences.verifier import (
 )
 
 ALL_IDENTITIES = list(IdentityId)
+
+# the CPUs the test process may use, read before any scan has pinned it
+AFFINITY = getattr(os, "sched_getaffinity", lambda pid: None)
+START_CPUS = AFFINITY(0)
 
 
 def test_verify_pinned_examples():
@@ -236,6 +244,124 @@ def test_scan_workers_match_serial():
     serial = scan(IdentityId.LEMMA_1, 3, 23, workers=1)
     parallel = scan(IdentityId.LEMMA_1, 3, 23, workers=3)
     assert serial == parallel
+
+
+SCANNED = [
+    (IdentityId.THM_6, {}),
+    (IdentityId.CAI_HALF, {}),
+    (IdentityId.LEMMA_1, {}),  # walks p; primes past 23 are skip rows at the cap
+    (IdentityId.LEMMA_2_D3, {"p": 5}),
+]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(SCANNED), st.integers(1, 300), st.integers(0, 60),
+    st.integers(2, 4),
+)
+def test_scan_workers_match_serial_property(case, lo, width, workers):
+    identity, params = case
+    serial = scan(identity, lo, lo + width, **params)
+    # as many CPUs as workers, so every host deals the values the same way
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "_usable_cpus", lambda: workers)
+        assert scan(identity, lo, lo + width, workers=workers, **params) == serial
+
+
+def test_scan_forks_at_most_one_process_per_value_and_cpu(monkeypatch):
+    real_fork = os.fork
+    forks = []
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    # the 9 admissible n in [5, 29]: the usable CPUs bound the processes
+    assert scan(IdentityId.THM_6, 5, 29, workers=64) == scan(IdentityId.THM_6, 5, 29)
+    assert len(forks) == min(9, verifier._usable_cpus()) - 1
+    assert AFFINITY(0) == START_CPUS  # the caller's CPUs are given back
+    # with CPUs to spare, the 3 admissible n in [5, 11] bound them
+    forks.clear()
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 64)
+    assert scan(IdentityId.THM_6, 5, 11, workers=64) == scan(IdentityId.THM_6, 5, 11)
+    assert len(forks) == 2
+    with pytest.raises(PreconditionError, match="workers must be >= 1"):
+        scan(IdentityId.THM_6, 5, 11, workers=0)
+    assert len(forks) == 2
+
+
+@pytest.mark.skipif(
+    START_CPUS is None or len(START_CPUS) < 2, reason="needs two CPUs to pin to"
+)
+def test_scan_pins_each_share_to_a_cpu_of_its_own(monkeypatch):
+    serial = scan(IdentityId.THM_3, 5, 60)
+    parent = os.getpid()
+    real = verifier._scan_chunk
+    first, second = sorted(START_CPUS)[:2]
+
+    def checking(args):
+        expected = {first} if os.getpid() == parent else {second}
+        if os.sched_getaffinity(0) != expected:
+            raise AssertionError(f"share ran on {os.sched_getaffinity(0)}, not {expected}")
+        return real(args)
+
+    monkeypatch.setattr(verifier, "_scan_chunk", checking)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    assert scan(IdentityId.THM_3, 5, 60, workers=2) == serial
+    assert AFFINITY(0) == START_CPUS
+
+
+def test_scan_without_fork_runs_serially(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 4)
+    assert scan(IdentityId.THM_4, 5, 101, workers=4) == scan(IdentityId.THM_4, 5, 101)
+
+
+@pytest.mark.parametrize("where", ["parent", "worker"])
+def test_scan_failure_in_any_share_reaches_the_caller(monkeypatch, where):
+    parent = os.getpid()
+    real = verifier.rational_mod
+
+    def corrupted(x, m):  # wrong in the caller's share or in the worker's only
+        value = real(x, m)
+        if (os.getpid() == parent) == (where == "parent"):
+            return Residue((value.rep + 1) % m, m)
+        return value
+
+    monkeypatch.setattr(verifier, "rational_mod", corrupted)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    with pytest.raises(OracleDivergence, match="thm3 at"):
+        scan(IdentityId.THM_3, 5, 60, workers=2, exact_oracle=True)
+    assert os.getpid() == parent
+    assert AFFINITY(0) == START_CPUS
+    with pytest.raises(ChildProcessError):  # the worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_scan_worker_that_dies_raises_a_typed_error(monkeypatch):
+    parent = os.getpid()
+    real = verifier._scan_chunk
+
+    def dying(args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(args)
+
+    monkeypatch.setattr(verifier, "_scan_chunk", dying)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    with pytest.raises(CongruenceError, match="exited with status 3"):
+        scan(IdentityId.THM_3, 5, 60, workers=2)
+    assert os.getpid() == parent
+
+
+def test_scan_turns_an_oversized_exact_power_into_a_skip(monkeypatch):
+    # 3^phi(n) passes a 20-bit budget up to n = 13 (phi = 12, 19.02 bits)
+    monkeypatch.setattr(quotients, "MAX_POWER_BITS", 20)
+    reports = scan(IdentityId.THM_3, 5, 19, exact_oracle=True)
+    assert [r.params["n"] for r in reports] == [5, 7, 11, 13, 17, 19]
+    assert all(r.holds for r in reports[:4])
+    assert all(r.holds is None and "bits" in r.skipped_reason for r in reports[4:])
 
 
 def test_counterexample_thm3_class4():
