@@ -1,17 +1,17 @@
 """Integer and modular arithmetic primitives.
 
 Everything works on plain Python ints (arbitrary precision) and is a pure
-function of its inputs; the dataclasses are immutable value types.  The
-factorizer is deterministic: trial division below a fixed bound, then
-Brent's rho driven by a fixed-seed generator, with every reported prime
-certified by Miller-Rabin.
+function of its inputs.  Residue and FactoredInteger are immutable value
+types on _Value, the slotted base that every value type of the package
+shares.  The factorizer is deterministic: trial division below a fixed
+bound, then Brent's rho driven by a fixed-seed generator, with every
+reported prime certified by Miller-Rabin.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
@@ -36,52 +36,90 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Residue:
+class _Value:
+    """Base of the immutable value types: fields are the subclass's __slots__.
+
+    Equality holds between instances of the same type with equal fields,
+    the hash is that of the field tuple, the repr is Name(field=value, ...),
+    and assignment or deletion raises AttributeError, as for a frozen
+    dataclass.  A subclass's __init__ validates its arguments, then passes
+    every field, in slot order, to _Value.__init__.  Pickling re-calls the
+    constructor, so an unpickled value is validated like a new one.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+
+class Residue(_Value):
     """A canonical residue class representative: 0 <= rep < modulus."""
 
-    rep: int
-    modulus: int
+    __slots__ = ("rep", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise PreconditionError(f"modulus must be >= 1, got {self.modulus}")
-        if not 0 <= self.rep < self.modulus:
-            raise PreconditionError(
-                f"rep must lie in [0, {self.modulus}), got {self.rep}"
-            )
+    def __init__(self, rep: int, modulus: int) -> None:
+        if modulus < 1:
+            raise PreconditionError(f"modulus must be >= 1, got {modulus}")
+        if not 0 <= rep < modulus:
+            raise PreconditionError(f"rep must lie in [0, {modulus}), got {rep}")
+        _Value.__init__(self, rep, modulus)
 
     def __str__(self) -> str:
         return f"{self.rep} (mod {self.modulus})"
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class FactoredInteger(_Value):
     """A positive integer together with its complete prime factorization.
 
     factors holds (prime, exponent) pairs with strictly increasing primes
     and positive exponents; their product must equal value.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("value", "factors")
 
-    def __post_init__(self) -> None:
-        if self.value < 1:
-            raise PreconditionError(f"value must be >= 1, got {self.value}")
+    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]) -> None:
+        if value < 1:
+            raise PreconditionError(f"value must be >= 1, got {value}")
         product = 1
         previous = 1
-        for p, alpha in self.factors:
+        for p, alpha in factors:
             if p <= previous:
                 raise PreconditionError("primes must be strictly increasing")
             if alpha < 1:
                 raise PreconditionError(f"exponent of {p} must be >= 1, got {alpha}")
             product *= p**alpha
             previous = p
-        if product != self.value:
-            raise PreconditionError(
-                f"factors multiply to {product}, not {self.value}"
-            )
+        if product != value:
+            raise PreconditionError(f"factors multiply to {product}, not {value}")
+        _Value.__init__(self, value, factors)
 
     def exponent_of(self, p: int) -> int:
         for q, alpha in self.factors:

@@ -15,7 +15,6 @@ counterexample was found in range, and 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -132,6 +131,8 @@ def serialize_reports(reports: list[CongruenceReport], fmt: str = "json") -> str
             for r in reports
         )
     if fmt == "csv":
+        import csv  # only here: the module is not loaded for json or text output
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
@@ -176,6 +177,17 @@ def _resolve_identity(code: str, d: int | None) -> IdentityId:
     return identity
 
 
+def _workers(text: str) -> int:
+    """The --workers value: an int of at least 1, on every subcommand."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lehmer-congruences",
@@ -189,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     common.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_workers, default=1,
         help="processes a scan deals its values to, at most the usable CPUs "
         "(default: 1)",
     )

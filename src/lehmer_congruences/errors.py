@@ -50,6 +50,10 @@ class PowerSizeExceeded(CongruenceError):
     """An exact power a^phi(n) would outgrow the configured bit budget."""
 
 
+class TermCountExceeded(CongruenceError):
+    """An exact-rational sum would run over more terms than its budget."""
+
+
 class NoCounterexampleInRange(CongruenceError):
     """A counterexample search exhausted its bound without finding a failure."""
 

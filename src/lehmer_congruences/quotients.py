@@ -8,11 +8,10 @@ localizes the combination 2 q_n - n q_n^2 at one prime-power part of n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log2
 
-from .arith import Residue, euler_phi, factorize, is_prime, mod_inv
+from .arith import Residue, _Value, euler_phi, factorize, is_prime, mod_inv
 from .bernoulli import BernoulliCache, bernoulli_number, p_adic_valuation, rational_mod
 from .errors import (
     NotCoprimeError,
@@ -36,13 +35,13 @@ __all__ = [
 MAX_POWER_BITS = 1 << 23
 
 
-@dataclass(frozen=True)
-class QuotientValue:
+class QuotientValue(_Value):
     """q_n(a), held exactly: n * value == a^phi(n) - 1."""
 
-    n: int
-    a: int
-    value: int
+    __slots__ = ("n", "a", "value")
+
+    def __init__(self, n: int, a: int, value: int) -> None:
+        _Value.__init__(self, n, a, value)
 
 
 def _require_modulus(n: int) -> None:

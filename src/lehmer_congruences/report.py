@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, unique
 
-from .arith import Residue
+from .arith import Residue, _Value
 
 
 @unique
@@ -34,8 +33,7 @@ class IdentityId(Enum):
     MOEBIUS_DECOMP = "moebius"
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(_Value):
     """The outcome of one congruence check.
 
     A completed check fills lhs, rhs and holds (holds is the p-adic verdict
@@ -45,12 +43,24 @@ class CongruenceReport:
     modulus could be derived.
     """
 
-    identity: IdentityId
-    params: dict[str, int]
-    modulus: int | None
-    lhs: Residue | None
-    rhs: Residue | None
-    holds: bool | None
-    skipped_reason: str | None = None
-    valuation: int | float | None = None
-    required: int | None = None
+    __slots__ = (
+        "identity", "params", "modulus", "lhs", "rhs", "holds",
+        "skipped_reason", "valuation", "required",
+    )
+
+    def __init__(
+        self,
+        identity: IdentityId,
+        params: dict[str, int],
+        modulus: int | None,
+        lhs: Residue | None,
+        rhs: Residue | None,
+        holds: bool | None,
+        skipped_reason: str | None = None,
+        valuation: int | float | None = None,
+        required: int | None = None,
+    ) -> None:
+        _Value.__init__(
+            self, identity, params, modulus, lhs, rhs, holds,
+            skipped_reason, valuation, required,
+        )

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .arith import Residue, crt_combine, factorize, is_prime
+from .arith import Residue, _Value, crt_combine, factorize, is_prime
 from .bernoulli import BernoulliCache, rational_mod
 from .errors import (
     CongruenceError,
@@ -36,6 +35,7 @@ from .errors import (
     OracleDivergence,
     PowerSizeExceeded,
     PreconditionError,
+    TermCountExceeded,
 )
 from .quotients import (
     lemma1_check,
@@ -78,8 +78,7 @@ __all__ = [
 Params = dict[str, int]
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(_Value):
     """What verify, scan and the oracle need to know about one identity.
 
     required names the parameters the check reads, in the order a missing
@@ -92,14 +91,25 @@ class IdentitySpec:
     (None when check already compares exact values).
     """
 
-    required: tuple[str, ...]
-    admissible: Callable[[int, Params], bool]
-    modulus: Callable[[Params], int | None]
-    check: Callable[[IdentityId, Params, BernoulliCache | None], CongruenceReport]
-    exact: Callable[[Params, int], tuple[Fraction, Fraction]] | None
-    d: int | None = None
-    var: str = "n"
-    defaults: Params = field(default_factory=dict)
+    __slots__ = (
+        "required", "admissible", "modulus", "check", "exact", "d", "var", "defaults",
+    )
+
+    def __init__(
+        self,
+        required: tuple[str, ...],
+        admissible: Callable[[int, Params], bool],
+        modulus: Callable[[Params], int | None],
+        check: Callable[[IdentityId, Params, BernoulliCache | None], CongruenceReport],
+        exact: Callable[[Params, int], tuple[Fraction, Fraction]] | None,
+        d: int | None = None,
+        var: str = "n",
+        defaults: Params | None = None,
+    ) -> None:
+        _Value.__init__(
+            self, required, admissible, modulus, check, exact, d, var,
+            {} if defaults is None else defaults,
+        )
 
 
 def _modular_report(
@@ -330,7 +340,7 @@ def _scan_chunk(args: tuple) -> list[CongruenceReport]:
             out.append(verify(identity, **row, cache=cache, exact_oracle=exact_oracle))
         except (
             PreconditionError, IndexCapExceeded, FactorizationLimitExceeded,
-            PowerSizeExceeded,
+            PowerSizeExceeded, TermCountExceeded,
         ) as exc:
             out.append(_skip_report(identity, row, str(exc)))
     return out

@@ -6,12 +6,15 @@ import json
 import os
 import subprocess
 import sys
+from math import inf
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lehmer_congruences
-from lehmer_congruences import quotients, verifier
+from lehmer_congruences import quotients, sums, verifier
 from lehmer_congruences.arith import Residue
 from lehmer_congruences.cli import (
     main,
@@ -19,7 +22,7 @@ from lehmer_congruences.cli import (
     serialize_report,
     serialize_reports,
 )
-from lehmer_congruences.report import IdentityId
+from lehmer_congruences.report import CongruenceReport, IdentityId
 from lehmer_congruences.verifier import scan, verify
 
 
@@ -97,6 +100,35 @@ def test_round_trip_all_identities():
         assert batch, "scan unexpectedly empty"
         for report in batch:
             assert parse_report_json(serialize_report(report, "json")) == report
+
+
+@st.composite
+def reports(draw) -> CongruenceReport:
+    """Checked rows, skip rows with and without a modulus, p-adic rows."""
+    keys = draw(st.lists(st.sampled_from(["n", "a", "p", "d", "alpha"]), unique=True))
+    params = {key: draw(st.integers(-(10**30), 10**30)) for key in keys}
+    modulus = draw(st.none() | st.integers(1, 10**40))
+    sides = [None, None]
+    if modulus is not None:
+        residues = st.builds(Residue, st.integers(0, modulus - 1), st.just(modulus))
+        sides = [draw(st.none() | residues) for _ in sides]
+    return CongruenceReport(
+        identity=draw(st.sampled_from(IdentityId)),
+        params=params,
+        modulus=modulus,
+        lhs=sides[0],
+        rhs=sides[1],
+        holds=draw(st.none() | st.booleans()),
+        skipped_reason=draw(st.none() | st.text()),
+        valuation=draw(st.none() | st.integers(0, 10**6) | st.just(inf)),
+        required=draw(st.none() | st.integers(0, 10**6)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(reports())
+def test_json_round_trip_property(report):
+    assert parse_report_json(serialize_report(report, "json")) == report
 
 
 def test_text_format_alignment(capsys):
@@ -297,8 +329,41 @@ def test_scan_worker_failure_exit_1(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv, "--workers", "2")
     assert (code, out) == (1, "")
     assert "oracle divergence: thm3" in err
-    code, _, err = run_cli(capsys, *argv, "--workers", "0")
-    assert code == 2 and "workers must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "thm3", "--n", "35"],
+    ["scan", "--identity", "thm3", "--from", "5", "--to", "40"],
+    ["counterexample", "--identity", "thm4", "--class", "3", "--to", "40"],
+    ["bernoulli", "--m", "4"],
+    ["fq", "--n", "7", "--a", "2"],
+    ["sum", "--n", "5", "--d", "3"],
+], ids=lambda argv: argv[0])
+def test_workers_below_one_is_a_usage_error_everywhere(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--workers", "0")
+    assert (code, out) == (2, "") and "workers must be >= 1, got 0" in err
+    code, _, err = run_cli(capsys, *argv, "--workers", "x")
+    assert code == 2 and "invalid int value: 'x'" in err
+    # every subcommand accepts the flag; only scan uses it
+    code, out, _ = run_cli(capsys, *argv, "--workers", "1")
+    assert code == 0 and out
+
+
+def test_term_count_limit_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(sums, "MAX_EXACT_TERMS", 10)
+    code, out, err = run_cli(
+        capsys, "verify", "--identity", "thm3", "--n", "35", "--exact-oracle"
+    )
+    assert (code, out) == (1, "")
+    assert "over the budget of 10 terms" in err
+    # a scan makes the refused oracle a skip row, and a skip row exits 1
+    code, out, _ = run_cli(
+        capsys, "scan", "--identity", "cai", "--from", "19", "--to", "25",
+        "--exact-oracle", "--format", "json",
+    )
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and [row.get("holds") for row in rows] == [True, True, None, None]
+    assert "over the budget of 10 terms" in rows[-1]["skipped_reason"]
 
 
 def test_power_size_limit_exit_1(capsys, monkeypatch):
@@ -363,10 +428,23 @@ def test_serialize_reports_batch():
         serialize_reports(reports, "xml")
 
 
-def test_import_loads_no_process_pool():
-    # neither an import (--help included) nor a forked scan loads a pool
+def _probe(code: str) -> list[str]:
+    """The words code prints, run by a fresh interpreter on this package."""
     src = str(Path(lehmer_congruences.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return done.stdout.split()
+
+
+def test_import_loads_no_process_pool():
+    # neither an import (--help included) nor a forked scan loads a pool
     probe = (
         "import sys, lehmer_congruences.cli\n"
         "from lehmer_congruences import verifier\n"
@@ -377,12 +455,23 @@ def test_import_loads_no_process_pool():
         "verifier.scan(verifier.IdentityId.THM_3, 5, 60, workers=2)\n"
         "print(*before, *pools())"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
+    assert _probe(probe) == ["False"] * 4
+
+
+def test_json_scan_loads_no_dataclasses_inspect_or_csv():
+    # start-up time: dataclasses pulls in inspect, ast, dis and tokenize, and
+    # csv serves the csv format only; neither the import nor a json scan
+    # may load them (those the interpreter loaded before are not counted)
+    probe = (
+        "import io, sys\n"
+        "heavy = {'dataclasses', 'inspect', 'csv'}\n"
+        "before = heavy & set(sys.modules)\n"
+        "from lehmer_congruences.cli import main\n"
+        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        "code = main(['scan', '--identity', 'thm3', '--from', '5', '--to', '60',\n"
+        "             '--format', 'json'])\n"
+        "rows = len(sys.stdout.getvalue().splitlines())\n"
+        "sys.stdout = stdout\n"
+        "print(code, rows, *sorted(heavy & set(sys.modules) - before))"
     )
-    assert done.stdout.split() == ["False"] * 4
+    assert _probe(probe) == ["0", "19"]

@@ -18,6 +18,7 @@ from lehmer_congruences.errors import (
     NotInvertibleError,
     PreconditionError,
     PrimeDivisibilityError,
+    TermCountExceeded,
 )
 from lehmer_congruences.quotients import fermat_quotient_mod
 from lehmer_congruences.arith import Residue, factorize, is_prime, mod_inv
@@ -227,6 +228,20 @@ def test_exact_sum_is_plain_fraction_sum():
     expected = sum((Fraction(1, t) for t in spec.denominators()), Fraction(0))
     assert exact_sum(spec) == expected
     assert exact_sum(SumSpec(5, 6, None, 25)) == 0
+
+
+def test_exact_sum_term_budget(monkeypatch):
+    monkeypatch.setattr(sums, "MAX_EXACT_TERMS", 10)
+    at_budget = SumSpec(21, HALF, None, 441)  # r runs over 1..10
+    assert exact_sum(at_budget) == sum(Fraction(1, t) for t in at_budget.denominators())
+
+    def no_terms(spec):
+        raise AssertionError("a term was formed")
+
+    monkeypatch.setattr(SumSpec, "denominators", no_terms)
+    for spec in (SumSpec(23, HALF, None, 529), SumSpec(35, 3, 5, 49)):
+        with pytest.raises(TermCountExceeded, match="11 values of r is over the budget"):
+            exact_sum(spec)
 
 
 def test_modular_sum_lenient():
