@@ -25,11 +25,9 @@ from .arith import (
 )
 from .bernoulli import (
     BernoulliCache,
-    CAP_ENV_VAR,
     DEFAULT_MAX_INDEX,
     bernoulli_number,
     bernoulli_poly,
-    default_cap,
     p_adic_valuation,
     padic_congruent,
     power_sum,
@@ -68,7 +66,6 @@ from .sums import (
     exact_sum,
     half_harmonic,
     half_rhs,
-    lehmer_prime_rhs,
     lehmer_sum,
     lemma2_rhs,
     lemma2_sum,
@@ -87,7 +84,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BernoulliCache",
-    "CAP_ENV_VAR",
     "CongruenceError",
     "CongruenceReport",
     "DEFAULT_MAX_INDEX",
@@ -115,7 +111,6 @@ __all__ = [
     "counterexample_search",
     "crt_combine",
     "crt_reassembly_check",
-    "default_cap",
     "divisors",
     "euler_phi",
     "exact_sum",
@@ -126,7 +121,6 @@ __all__ = [
     "half_harmonic",
     "half_rhs",
     "is_prime",
-    "lehmer_prime_rhs",
     "lehmer_sum",
     "lemma1_check",
     "lemma2_rhs",

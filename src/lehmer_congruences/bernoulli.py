@@ -14,7 +14,6 @@ anywhere.
 
 from __future__ import annotations
 
-import os
 import threading
 from fractions import Fraction
 from itertools import accumulate
@@ -31,10 +30,8 @@ from .errors import (
 __all__ = [
     "BernoulliCache",
     "DEFAULT_MAX_INDEX",
-    "CAP_ENV_VAR",
     "bernoulli_number",
     "bernoulli_poly",
-    "default_cap",
     "p_adic_valuation",
     "padic_congruent",
     "power_sum",
@@ -45,20 +42,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_INDEX = 600
-CAP_ENV_VAR = "CONGRUENCE_BERNOULLI_CAP"
 
 Rational = Fraction | int
-
-
-def default_cap() -> int:
-    """The cache cap: CONGRUENCE_BERNOULLI_CAP when set, else 600."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_MAX_INDEX
-    cap = int(raw)
-    if cap < 0:
-        raise PreconditionError(f"{CAP_ENV_VAR} must be >= 0, got {cap}")
-    return cap
 
 
 class BernoulliCache:
@@ -68,12 +53,11 @@ class BernoulliCache:
     keeps the last row it built, so a later extension continues where this
     one stopped.  Once the table reaches max_index the row is released.
     Extension happens under a lock and is append-only, so concurrent
-    readers never observe a partially computed entry.  The cap is read from
-    the environment at construction time unless given explicitly.
+    readers never observe a partially computed entry.
     """
 
-    def __init__(self, max_index: int | None = None) -> None:
-        self.max_index = default_cap() if max_index is None else max_index
+    def __init__(self, max_index: int = DEFAULT_MAX_INDEX) -> None:
+        self.max_index = max_index
         if self.max_index < 0:
             raise PreconditionError(
                 f"max_index must be >= 0, got {self.max_index}"

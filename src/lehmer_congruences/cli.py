@@ -21,7 +21,7 @@ import sys
 from math import inf
 
 from .arith import Residue
-from .bernoulli import BernoulliCache, bernoulli_number
+from .bernoulli import DEFAULT_MAX_INDEX, BernoulliCache, bernoulli_number
 from .errors import CongruenceError, OracleDivergence, PreconditionError
 from .quotients import fermat_quotient
 from .report import CongruenceReport, IdentityId
@@ -59,9 +59,6 @@ identity codes:
   lemma3        quotient lift q_{n^2} from q_n; needs --a
   lemma4        localization of 2 q_n - n q_n^2; needs --a and --p
   moebius       divisor rearrangement of the d-sum; needs --d and --p
-
-environment: CONGRUENCE_BERNOULLI_CAP caps the Bernoulli table (default 600);
-the --bernoulli-cap flag overrides it.
 """
 
 
@@ -178,7 +175,7 @@ def _resolve_identity(code: str, d: int | None) -> IdentityId:
 
 
 def _workers(text: str) -> int:
-    """The --workers value: an int of at least 1, on every subcommand."""
+    """The --workers value: an int of at least 1."""
     try:
         workers = int(text)
     except ValueError:
@@ -195,27 +192,31 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_IDENTITY_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # each subcommand takes exactly the flags it reads, from these parents
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
         "--format", choices=("json", "csv", "text"), default="text",
         help="output format (default: text)",
     )
-    common.add_argument(
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument(
+        "--bernoulli-cap", type=int, default=None,
+        help=f"cap on Bernoulli indices (default: {DEFAULT_MAX_INDEX})",
+    )
+    check = argparse.ArgumentParser(add_help=False)
+    check.add_argument(
         "--workers", type=_workers, default=1,
         help="processes a scan deals its values to, at most the usable CPUs "
-        "(default: 1)",
+        "(default: 1); verify accepts and ignores it, so that one argument "
+        "list serves verify and scan",
     )
-    common.add_argument(
-        "--bernoulli-cap", type=int, default=None,
-        help="cap on Bernoulli indices; overrides the environment",
-    )
-    common.add_argument(
+    check.add_argument(
         "--exact-oracle", action="store_true",
         help="recompute every check over the exact rationals and compare",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run one check")
+    p_verify = sub.add_parser("verify", parents=[fmt, cap, check], help="run one check")
     p_verify.add_argument("--identity", required=True)
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--a", type=int)
@@ -223,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--d", type=int, choices=(3, 4, 6))
     p_verify.add_argument("--alpha", type=int)
 
-    p_scan = sub.add_parser("scan", parents=[common], help="check a range of n")
+    p_scan = sub.add_parser(
+        "scan", parents=[fmt, cap, check], help="check a range of n"
+    )
     p_scan.add_argument("--identity", required=True)
     p_scan.add_argument("--from", dest="n_from", type=int, required=True)
     p_scan.add_argument("--to", dest="n_to", type=int, required=True)
@@ -233,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--alpha", type=int)
 
     p_counter = sub.add_parser(
-        "counterexample", parents=[common],
+        "counterexample", parents=[fmt],
         help="find the first failure in a residue class mod 6",
     )
     p_counter.add_argument("--identity", required=True)
@@ -244,29 +247,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_counter.add_argument("--to", dest="n_to", type=int, default=1000)
 
     p_bernoulli = sub.add_parser(
-        "bernoulli", parents=[common], help="print the exact Bernoulli number B_m"
+        "bernoulli", parents=[fmt, cap], help="print the exact Bernoulli number B_m"
     )
     p_bernoulli.add_argument("--m", type=int, required=True)
 
     p_fq = sub.add_parser(
-        "fq", parents=[common], help="print the exact Fermat quotient q_n(a)"
+        "fq", parents=[fmt], help="print the exact Fermat quotient q_n(a)"
     )
     p_fq.add_argument("--n", type=int, required=True)
     p_fq.add_argument("--a", type=int, required=True)
 
     p_sum = sub.add_parser(
-        "sum", parents=[common], help="print one restricted inverse sum"
+        "sum", parents=[fmt], help="print one restricted inverse sum"
     )
     p_sum.add_argument("--n", type=int, required=True)
     p_sum.add_argument("--d", required=True, help="3, 4, 6 or half")
-    p_sum.add_argument("--p", type=int)
+    p_sum.add_argument("--p", type=int, help="localize a d-sum at this prime")
 
     return parser
 
 
 def _make_cache(args: argparse.Namespace) -> BernoulliCache | None:
     if args.bernoulli_cap is None:
-        return None  # the shared cache applies, honoring the environment
+        return None  # the shared cache applies
     return BernoulliCache(max_index=args.bernoulli_cap)
 
 
@@ -314,12 +317,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if reports and all(r.holds for r in reports) else 1
     if args.command == "counterexample":
         identity = _resolve_identity(args.identity, None)
-        trail = counterexample_search(
-            identity,
-            args.residue_class,
-            n_to=args.n_to,
-            cache=_make_cache(args),
-        )
+        trail = counterexample_search(identity, args.residue_class, n_to=args.n_to)
         sys.stdout.write(serialize_reports(trail, args.format))
         return 0
     if args.command == "bernoulli":
@@ -333,6 +331,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "sum":
         if args.d == HALF:
+            if args.p is not None:
+                raise PreconditionError("--p localizes a d-sum; --d half takes none")
             value = half_harmonic(args.n)
         else:
             try:

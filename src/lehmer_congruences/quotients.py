@@ -59,9 +59,10 @@ def fermat_quotient(n: int, a: int) -> QuotientValue:
     """The exact Euler-Fermat quotient (a^phi(n) - 1) / n.
 
     Integrality is Euler's theorem.  This path materializes a^phi(n) in
-    full, so it is the oracle route; fermat_quotient_mod is the production
-    route for reduced values.  Raises PowerSizeExceeded, before the power
-    is formed, when a^phi(n) would have more than MAX_POWER_BITS bits.
+    full, so it is the oracle route; the checks reduce through
+    _quotient_mod and _combination instead.  Raises PowerSizeExceeded,
+    before the power is formed, when a^phi(n) would have more than
+    MAX_POWER_BITS bits.
     """
     _require_modulus(n)
     _require_coprime(a, n)
@@ -226,10 +227,7 @@ def lemma4_exact_sides(n: int, a: int, p: int) -> tuple[Fraction, Fraction]:
     qn = Fraction(fermat_quotient(n, a).value)
     lhs = 2 * qn - n * qn * qn
     prime_power = p**alpha
-    if prime_power > 1:
-        qp = Fraction(fermat_quotient(prime_power, a).value)
-    else:  # cannot happen: p divides n
-        qp = Fraction(0)
+    qp = Fraction(fermat_quotient(prime_power, a).value)
     local = 2 * qp - prime_power * qp * qp
     rhs = Fraction(euler_phi(factorize(q)), q) * local
     return lhs, rhs

@@ -32,7 +32,7 @@ from .errors import (
     PrimeDivisibilityError,
     TermCountExceeded,
 )
-from .quotients import _combination, fermat_quotient
+from .quotients import _combination, _require_modulus, fermat_quotient
 # unused here, but bench/tracer.py wraps sums.fermat_quotient_mod by name
 from .quotients import fermat_quotient_mod  # noqa: F401
 
@@ -43,7 +43,6 @@ __all__ = [
     "half_harmonic",
     "half_rhs",
     "half_rhs_exact",
-    "lehmer_prime_rhs",
     "lehmer_sum",
     "lemma2_rhs",
     "lemma2_rhs_exact",
@@ -202,11 +201,6 @@ def _check_d(d: int) -> None:
         raise InvalidDenominatorError(f"d must be 3, 4 or 6, got {d}")
 
 
-def _check_n(n: int) -> None:
-    if n < 2:
-        raise PreconditionError(f"n must be > 1, got {n}")
-
-
 def _prime_valuation(n: int, p: int) -> int:
     alpha = 0
     while n % p == 0:
@@ -218,7 +212,7 @@ def _prime_valuation(n: int, p: int) -> int:
 def _lemma2_args(n: int, p: int, d: int) -> int:
     """Validate the shared lemma2 hypotheses; returns alpha = v_p(n)."""
     _check_d(d)
-    _check_n(n)
+    _require_modulus(n)
     if p < 5 or not is_prime(p):
         raise PreconditionError(f"p must be a prime >= 5, got {p}")
     if n % p:
@@ -231,7 +225,7 @@ def _lemma2_args(n: int, p: int, d: int) -> int:
 
 def half_harmonic(n: int) -> Residue:
     """Sum of 1/r mod n^2 over 1 <= r <= (n-1)/2 with gcd(r, n) = 1."""
-    _check_n(n)
+    _require_modulus(n)
     if n % 2 == 0:
         raise EvenModulusError(f"the half-range sum needs odd n, got {n}")
     return modular_sum(SumSpec(n, HALF, None, n * n))
@@ -245,7 +239,7 @@ def lehmer_sum(n: int, d: int) -> Residue:
     coprime to n.
     """
     _check_d(d)
-    _check_n(n)
+    _require_modulus(n)
     g = gcd(n, d)
     if g != 1:
         raise NotCoprimeError(f"gcd({n}, {d}) = {g}; the d-sum needs gcd(n, d) = 1")
@@ -288,7 +282,7 @@ def half_rhs(n: int) -> Residue:
     Integer coefficients only, so this side needs no inverses and exists
     for every odd n, prime or not.
     """
-    _check_n(n)
+    _require_modulus(n)
     if n % 2 == 0:
         raise EvenModulusError(f"the half-range identity needs odd n, got {n}")
     return _weighted_rhs(n, HALF, n * n, euler_phi(factorize(n)))
@@ -296,7 +290,7 @@ def half_rhs(n: int) -> Residue:
 
 def half_rhs_exact(n: int) -> Fraction:
     """half_rhs from the fully materialized quotient (oracle route)."""
-    _check_n(n)
+    _require_modulus(n)
     if n % 2 == 0:
         raise EvenModulusError(f"the half-range identity needs odd n, got {n}")
     q2 = fermat_quotient(n, 2).value
@@ -313,7 +307,7 @@ def theorem_rhs(n: int, d: int) -> Residue:
     The constant denominators are inverted mod n^2, hence gcd(n, 6) = 1.
     """
     _check_d(d)
-    _check_n(n)
+    _require_modulus(n)
     g = gcd(n, 6)
     if g != 1:
         raise NotCoprimeError(f"gcd({n}, 6) = {g}; need gcd(n, 6) = 1")
@@ -328,7 +322,7 @@ def theorem_rhs_exact(n: int, d: int) -> Fraction:
     compare p-adically themselves.
     """
     _check_d(d)
-    _check_n(n)
+    _require_modulus(n)
     if d == 3:
         q3 = Fraction(fermat_quotient(n, 3).value)
         return q3 / 2 - n * q3 * q3 / 4
@@ -338,18 +332,6 @@ def theorem_rhs_exact(n: int, d: int) -> Fraction:
     q2 = Fraction(fermat_quotient(n, 2).value)
     q3 = Fraction(fermat_quotient(n, 3).value)
     return q2 / 3 + q3 / 4 - n * (q2 * q2 / 6 + q3 * q3 / 8)
-
-
-def lehmer_prime_rhs(p: int, d: int | str) -> Residue:
-    """The prime-modulus right-hand side; d = HALF selects the harmonic one."""
-    if d == HALF:
-        if p < 3 or p % 2 == 0 or not is_prime(p):
-            raise PreconditionError(f"need an odd prime, got {p}")
-        return half_rhs(p)
-    _check_d(d)
-    if p < 5 or not is_prime(p):
-        raise PreconditionError(f"need a prime >= 5, got {p}")
-    return theorem_rhs(p, d)
 
 
 def lemma2_rhs(p: int, alpha: int, d: int) -> Residue:
@@ -385,6 +367,14 @@ def lemma2_rhs_exact(p: int, alpha: int, d: int) -> Fraction:
     )
 
 
+def _moebius_terms(q: int) -> Iterator[tuple[int, int]]:
+    """(mu(s), s) for every squarefree divisor s of q."""
+    primes = [f for f, _ in factorize(q).factors]
+    for size in range(len(primes) + 1):
+        for combo in combinations(primes, size):
+            yield (-1) ** size, prod(combo)
+
+
 def moebius_decomposition_sides(n: int, p: int, d: int) -> tuple[Residue, Residue]:
     """Both sides of the divisor rearrangement mod p^{2 v_p(n)}.
 
@@ -395,16 +385,11 @@ def moebius_decomposition_sides(n: int, p: int, d: int) -> tuple[Residue, Residu
     """
     alpha = _lemma2_args(n, p, d)
     modulus = p ** (2 * alpha)
-    q = n // p**alpha
     lhs = modular_sum(SumSpec(n, d, None, modulus))
-    primes = [f for f, _ in factorize(q).factors]
-    total = 0
-    for size in range(len(primes) + 1):
-        sign = -1 if size % 2 else 1
-        for combo in combinations(primes, size):
-            s = prod(combo)
-            inner = modular_sum(SumSpec(n // s, d, p, modulus)).rep
-            total += sign * (pow(s, -1, modulus) * inner % modulus)
+    total = sum(
+        mu * pow(s, -1, modulus) * modular_sum(SumSpec(n // s, d, p, modulus)).rep
+        for mu, s in _moebius_terms(n // p**alpha)
+    )
     return lhs, Residue(total % modulus, modulus)
 
 
@@ -418,13 +403,9 @@ def moebius_decomposition_sides_exact(n: int, p: int, d: int) -> tuple[Fraction,
     """Exact-rational twins of both decomposition sides (oracle route)."""
     alpha = _lemma2_args(n, p, d)
     modulus = p ** (2 * alpha)
-    q = n // p**alpha
     lhs = exact_sum(SumSpec(n, d, None, modulus))
-    primes = [f for f, _ in factorize(q).factors]
-    total = Fraction(0)
-    for size in range(len(primes) + 1):
-        sign = -1 if size % 2 else 1
-        for combo in combinations(primes, size):
-            s = prod(combo)
-            total += Fraction(sign, s) * exact_sum(SumSpec(n // s, d, p, modulus))
+    total = sum(
+        Fraction(mu, s) * exact_sum(SumSpec(n // s, d, p, modulus))
+        for mu, s in _moebius_terms(n // p**alpha)
+    )
     return lhs, total

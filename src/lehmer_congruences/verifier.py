@@ -48,6 +48,7 @@ from .report import CongruenceReport, IdentityId
 from .sums import (
     HALF,
     SumSpec,
+    _check_d,
     _prime_valuation,
     exact_sum,
     half_harmonic,
@@ -451,8 +452,8 @@ def scan(
 
     The scanned value is n, or p for lemma1 (a p given for lemma1 is
     ignored); every other parameter the identity requires must be given,
-    a fixed p must be prime and workers must be at least 1, else
-    PreconditionError is raised before any check runs.  A value is
+    a fixed p must be prime, a fixed alpha and workers must be at least 1,
+    else PreconditionError is raised before any check runs.  A value is
     retained when the predicate accepts it (default: the identity's
     admissibility filter).  A retained value whose check still cannot run,
     for instance under a permissive custom predicate or a tight Bernoulli
@@ -468,6 +469,10 @@ def scan(
     params = _params(identity, {**given, spec.var: n_from})
     if "p" in spec.required and spec.var != "p" and not is_prime(p):
         raise PreconditionError(f"p must be prime for {identity.value}, got {p}")
+    if params.get("alpha", 1) < 1:
+        raise PreconditionError(
+            f"alpha must be >= 1 for {identity.value}, got {params['alpha']}"
+        )
     if workers < 1:
         raise PreconditionError(f"workers must be >= 1, got {workers}")
     values = [
@@ -486,7 +491,6 @@ def counterexample_search(
     class_filter: int | Callable[[int], bool],
     *,
     n_to: int = 1000,
-    cache: BernoulliCache | None = None,
 ) -> list[CongruenceReport]:
     """Scan n = 2, 3, ... for the first failure of a theorem congruence.
 
@@ -537,9 +541,7 @@ def counterexample_search(
     )
 
 
-def crt_reassembly_check(
-    n: int, d: int, cache: BernoulliCache | None = None
-) -> bool:
+def crt_reassembly_check(n: int, d: int) -> bool:
     """Rebuild the theorem verdict mod n^2 from its prime-power parts.
 
     The difference of the two sides is reduced mod p^{2 alpha} for every
@@ -547,9 +549,8 @@ def crt_reassembly_check(
     combination must vanish mod n^2 exactly when the direct comparison
     holds.  For prime n this degenerates to the single congruence.
     """
-    if d not in (3, 4, 6):
-        raise PreconditionError(f"d must be 3, 4 or 6, got {d}")
-    report = verify(IdentityId(f"thm{d}"), n=n, cache=cache)
+    _check_d(d)
+    report = verify(IdentityId(f"thm{d}"), n=n)
     diff = (report.lhs.rep - report.rhs.rep) % report.modulus
     parts = [
         Residue(diff % p ** (2 * alpha), p ** (2 * alpha))

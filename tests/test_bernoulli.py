@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 
 from lehmer_congruences.bernoulli import (
     BernoulliCache,
-    CAP_ENV_VAR,
     DEFAULT_MAX_INDEX,
     bernoulli_number,
     bernoulli_poly,
-    default_cap,
     p_adic_valuation,
     padic_congruent,
     power_sum,
@@ -115,20 +113,14 @@ def test_cache_cap_enforced():
         cache.get(12)
     with pytest.raises(PreconditionError):
         cache.get(-1)
+    with pytest.raises(PreconditionError, match="max_index must be >= 0"):
+        BernoulliCache(max_index=-3)
 
 
-def test_cache_env_cap(monkeypatch):
-    monkeypatch.setenv(CAP_ENV_VAR, "42")
-    assert default_cap() == 42
-    cache = BernoulliCache()
-    assert cache.max_index == 42
-    with pytest.raises(IndexCapExceeded):
-        cache.get(44)
-    monkeypatch.setenv(CAP_ENV_VAR, "-3")
-    with pytest.raises(PreconditionError):
-        default_cap()
-    monkeypatch.delenv(CAP_ENV_VAR)
-    assert default_cap() == DEFAULT_MAX_INDEX
+def test_cache_cap_ignores_the_environment(monkeypatch):
+    # the cap is set by max_index alone; no environment variable reaches it
+    monkeypatch.setenv("CONGRUENCE_BERNOULLI_CAP", "42")
+    assert BernoulliCache().max_index == DEFAULT_MAX_INDEX
 
 
 def test_cache_concurrent_extension():

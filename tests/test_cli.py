@@ -52,6 +52,12 @@ def test_verify_lemma1_fields(capsys):
     assert obj["valuation"] == 3
     assert obj["required"] == 2
     assert obj["params"] == {"p": 5, "alpha": 1}
+    # p = 13 needs B_156: over a cap of 100, within one of 200
+    argv = ["verify", "--identity", "lemma1", "--p", "13", "--bernoulli-cap"]
+    code, _, err = run_cli(capsys, *argv, "100")
+    assert code == 1 and "capped at index 100" in err
+    code, _, _ = run_cli(capsys, *argv, "200")
+    assert code == 0
 
 
 def test_scan_csv_shape(capsys):
@@ -253,6 +259,17 @@ def test_scan_missing_parameter_is_usage_error(capsys, argv):
     assert "is required" in err
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_scan_alpha_below_one_is_usage_error(capsys, alpha):
+    code, out, err = run_cli(
+        capsys,
+        "scan", "--identity", "lemma1", "--from", "1", "--to", "8",
+        "--alpha", alpha, "--format", "json",
+    )
+    assert (code, out) == (2, "")
+    assert f"alpha must be >= 1 for lemma1, got {alpha}" in err
+
+
 def test_verify_failure_exit_1(capsys):
     # lemma1 at p = 2 is a faithful holds=false, not an error
     code, out, _ = run_cli(
@@ -305,6 +322,9 @@ def test_raw_value_commands(capsys):
     assert json.loads(out) == {"rep": "13", "modulus": "25"}
     code, _, err = run_cli(capsys, "sum", "--n", "5", "--d", "7")
     assert code == 2
+    # --p localizes a d-sum; the half-range sum has no such form
+    code, out, err = run_cli(capsys, "sum", "--n", "5", "--d", "half", "--p", "5")
+    assert (code, out) == (2, "") and "--d half takes none" in err
 
 
 def test_workers_flag_output_identical(capsys):
@@ -331,22 +351,42 @@ def test_scan_worker_failure_exit_1(capsys, monkeypatch):
     assert "oracle divergence: thm3" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--identity", "thm3", "--n", "35"],
-    ["scan", "--identity", "thm3", "--from", "5", "--to", "40"],
-    ["counterexample", "--identity", "thm4", "--class", "3", "--to", "40"],
-    ["bernoulli", "--m", "4"],
-    ["fq", "--n", "7", "--a", "2"],
-    ["sum", "--n", "5", "--d", "3"],
-], ids=lambda argv: argv[0])
-def test_workers_below_one_is_a_usage_error_everywhere(capsys, argv):
+SUBCOMMANDS = {
+    "verify": ["verify", "--identity", "thm3", "--n", "35"],
+    "scan": ["scan", "--identity", "thm3", "--from", "5", "--to", "40"],
+    "counterexample": [
+        "counterexample", "--identity", "thm4", "--class", "3", "--to", "40",
+    ],
+    "bernoulli": ["bernoulli", "--m", "4"],
+    "fq": ["fq", "--n", "7", "--a", "2"],
+    "sum": ["sum", "--n", "5", "--d", "3"],
+}
+
+# the subcommands that read each flag; every subcommand takes --format
+FLAG_READERS = {
+    ("--workers", "1"): {"verify", "scan"},
+    ("--bernoulli-cap", "10"): {"verify", "scan", "bernoulli"},
+    ("--exact-oracle",): {"verify", "scan"},
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("flag", FLAG_READERS, ids=lambda flag: flag[0])
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command, flag):
+    code, out, err = run_cli(capsys, *SUBCOMMANDS[command], *flag)
+    if command in FLAG_READERS[flag]:
+        assert code == 0 and out
+    else:
+        assert (code, out) == (2, "") and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_workers_below_one_is_a_usage_error(capsys, command):
+    argv = SUBCOMMANDS[command]
     code, out, err = run_cli(capsys, *argv, "--workers", "0")
     assert (code, out) == (2, "") and "workers must be >= 1, got 0" in err
     code, _, err = run_cli(capsys, *argv, "--workers", "x")
     assert code == 2 and "invalid int value: 'x'" in err
-    # every subcommand accepts the flag; only scan uses it
-    code, out, _ = run_cli(capsys, *argv, "--workers", "1")
-    assert code == 0 and out
 
 
 def test_term_count_limit_exit_1(capsys, monkeypatch):
@@ -398,21 +438,6 @@ def test_exact_oracle_divergence_exit_1(capsys, monkeypatch):
     )
     assert (code, out) == (1, "")
     assert "oracle divergence: thm3" in err
-
-
-def test_env_cap_respected(capsys, monkeypatch):
-    monkeypatch.setenv("CONGRUENCE_BERNOULLI_CAP", "100")
-    # fresh cache instances honor the environment; the flag overrides it
-    code, _, err = run_cli(
-        capsys, "verify", "--identity", "lemma1", "--p", "13",
-        "--bernoulli-cap", "100",
-    )
-    assert code == 1 and "capped at index 100" in err
-    code, _, _ = run_cli(
-        capsys, "verify", "--identity", "lemma1", "--p", "13",
-        "--bernoulli-cap", "200",
-    )
-    assert code == 0
 
 
 def test_serialize_reports_batch():

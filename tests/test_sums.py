@@ -29,7 +29,6 @@ from lehmer_congruences.sums import (
     half_harmonic,
     half_rhs,
     half_rhs_exact,
-    lehmer_prime_rhs,
     lehmer_sum,
     lemma2_rhs,
     lemma2_rhs_exact,
@@ -339,17 +338,6 @@ def test_lemma2_rhs_matches_its_exact_twin(point, d):
     m = p ** (2 * alpha)
     assert lemma2_rhs(p, alpha, d) == rational_mod(lemma2_rhs_exact(p, alpha, d), m), (
         p, alpha, d)
-
-
-def test_lehmer_prime_rhs():
-    assert lehmer_prime_rhs(5, HALF).rep == 14
-    assert lehmer_prime_rhs(3, HALF).rep == half_rhs(3).rep
-    assert lehmer_prime_rhs(5, 3).rep == 13
-    assert lehmer_prime_rhs(7, 6).rep == 1
-    with pytest.raises(PreconditionError):
-        lehmer_prime_rhs(9, HALF)
-    with pytest.raises(PreconditionError):
-        lehmer_prime_rhs(3, 3)  # d-sums need p >= 5
 
 
 def test_moebius_decomposition():

@@ -55,6 +55,8 @@ def test_verify_preconditions_name_the_predicate():
         verify(IdentityId.LEHMER_HALF, n=9)
     with pytest.raises(PreconditionError, match="prime >= 5"):
         verify(IdentityId.LEHMER_P3, n=9)
+    with pytest.raises(PreconditionError, match="prime >= 5"):
+        verify(IdentityId.LEHMER_P3, n=3)  # the d-sums need p >= 5
     with pytest.raises(PreconditionError, match="required"):
         verify(IdentityId.THM_3)
     with pytest.raises(PreconditionError, match="required"):
@@ -196,6 +198,14 @@ def test_scan_lemma1_walks_p():
     reports = scan(IdentityId.LEMMA_1, 3, 13, p=5)
     assert [r.params["p"] for r in reports] == [3, 5, 7, 11, 13]
     assert verify(IdentityId.LEMMA_1, n=7) == verify(IdentityId.LEMMA_1, p=7)
+
+
+@pytest.mark.parametrize("alpha", [0, -1])
+def test_scan_alpha_below_one_raises_before_any_check(alpha):
+    # else every row is a skip row whose modulus p^(2 alpha) is 1 or a fraction
+    message = f"alpha must be >= 1 for lemma1, got {alpha}"
+    with pytest.raises(PreconditionError, match=message):
+        scan(IdentityId.LEMMA_1, 1, 8, alpha=alpha)
 
 
 def test_scan_skip_rows_carry_the_identity_params():
