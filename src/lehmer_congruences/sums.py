@@ -57,9 +57,11 @@ __all__ = [
 
 HALF = "half"  # marker selecting the half-range harmonic sum
 
-# exact_sum refuses a sum over more values of r than this; the time grows
-# about quadratically, and at 30,000 the d = 3 sum takes about 2 s and the
-# half-range sum about 0.7 s in CPython.
+# exact_sum refuses a sum over more values of r than this.  At 30,000 the
+# d = 3 sum (n = 90,001) takes about 0.45 s, the d = 6 sum 0.56 s and the
+# half-range sum 0.26 s in CPython 3.11 on one vCPU of a 2-vCPU virtual
+# machine (2.1 s, 2.8 s and 0.75 s with one Fraction per term); the time
+# grows a little less than quadratically with the number of terms.
 MAX_EXACT_TERMS = 30_000
 
 
@@ -167,8 +169,11 @@ def modular_sum(spec: SumSpec) -> Residue:
 def exact_sum(spec: SumSpec) -> Fraction:
     """The same sum as an exact rational: the oracle for modular_sum.
 
-    Raises TermCountExceeded, before any term is summed, when the sum runs
-    over more than MAX_EXACT_TERMS values of r.
+    The inverses of the terms are added as unreduced integer pairs over a
+    balanced binary-splitting tree, and one Fraction reduces the total,
+    instead of one normalising gcd per term.  Raises TermCountExceeded,
+    before any term is summed, when the sum runs over more than
+    MAX_EXACT_TERMS values of r.
     """
     bound = spec.bound()
     if bound > MAX_EXACT_TERMS:
@@ -176,10 +181,24 @@ def exact_sum(spec: SumSpec) -> Fraction:
             f"an exact sum over {bound} values of r is over the budget of "
             f"{MAX_EXACT_TERMS} terms"
         )
-    total = Fraction(0)
-    for term in spec.denominators():
-        total += Fraction(1, term)
-    return total
+    terms = list(spec.denominators())
+    if not terms:
+        return Fraction(0)
+    return Fraction(*_inverse_pair(terms, 0, len(terms)))
+
+
+def _inverse_pair(terms: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """(num, den) with num/den = sum of 1/t over terms[lo:hi], not reduced.
+
+    Binary splitting: the two halves' fractions are added by cross
+    multiplication, so the big products stay balanced and no gcd is taken.
+    """
+    if hi - lo == 1:
+        return 1, terms[lo]
+    mid = (lo + hi) // 2
+    a, b = _inverse_pair(terms, lo, mid)
+    c, d = _inverse_pair(terms, mid, hi)
+    return a * d + c * b, b * d
 
 
 def modular_sum_lenient(spec: SumSpec) -> tuple[Residue | None, str | None]:

@@ -252,7 +252,12 @@ IDENTITIES: dict[IdentityId, IdentitySpec] = {
 
 
 def _params(identity: IdentityId, given: dict[str, int | None]) -> Params:
-    """The parameters identity reads, taken from given; raises if one is missing."""
+    """The parameters identity reads, taken from given.
+
+    Raises PreconditionError when a required one is missing, or naming the
+    first given value (not None) that the identity does not read; a d
+    equal to the identity's embedded d is accepted.
+    """
     spec = IDENTITIES[identity]
     params: Params = {}
     for name in spec.required:
@@ -264,6 +269,12 @@ def _params(identity: IdentityId, given: dict[str, int | None]) -> Params:
         params[name] = default if value is None else value
     if spec.d is not None:
         params["d"] = spec.d
+    for name, value in given.items():
+        if value is not None and params.get(name) != value:
+            reads = ", ".join((*spec.required, *spec.defaults))
+            raise PreconditionError(
+                f"{identity.value} does not take {name} = {value}; it reads {reads}"
+            )
     return params
 
 
@@ -282,16 +293,17 @@ def verify(
 
     Which keyword parameters are required depends on the identity; the
     lemma2 variants and the theorem/prime identities carry their d in the
-    identity itself, while the Moebius decomposition takes d explicitly.
-    Parameters the identity does not read are ignored, and lemma1 takes its
-    prime as n when p is not given.  With exact_oracle=True both sides are
+    identity itself (a d equal to it is accepted), while the Moebius
+    decomposition takes d explicitly.  lemma1 takes its prime as n when p
+    is not given; any other parameter the identity does not read raises
+    PreconditionError.  With exact_oracle=True both sides are
     recomputed over the exact rationals and any disagreement with the
     modular route raises OracleDivergence.
     """
     spec = IDENTITIES[identity]
     given = {"n": n, "a": a, "p": p, "d": d, "alpha": alpha}
     if given[spec.var] is None:
-        given[spec.var] = n
+        given[spec.var] = given.pop("n")
     report = spec.check(identity, _params(identity, given), cache)
     if exact_oracle:
         _exact_recheck(report)
@@ -452,12 +464,13 @@ def scan(
 
     The scanned value is n, or p for lemma1 (a p given for lemma1 is
     ignored); every other parameter the identity requires must be given,
-    a fixed p must be prime, a fixed alpha and workers must be at least 1,
-    else PreconditionError is raised before any check runs.  A value is
-    retained when the predicate accepts it (default: the identity's
-    admissibility filter).  A retained value whose check still cannot run,
-    for instance under a permissive custom predicate or a tight Bernoulli
-    cap, produces a report with skipped_reason instead of disappearing.
+    none that it does not read may be, a fixed p must be prime, a fixed
+    alpha and workers must be at least 1, else PreconditionError is raised
+    before any check runs.  A value is retained when the predicate accepts
+    it (default: the identity's admissibility filter).  A retained value
+    whose check still cannot run, for instance under a permissive custom
+    predicate or a tight Bernoulli cap, produces a report with
+    skipped_reason instead of disappearing.
     With workers > 1 the retained values are dealt round-robin to
     min(workers, retained values, usable CPUs) processes forked from this
     one; the merged result is identical to the single-process one.  Where

@@ -4,7 +4,10 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lehmer_congruences import arith
 from lehmer_congruences.arith import (
     FactoredInteger,
     Residue,
@@ -153,6 +156,84 @@ def test_factorize_budget_exhaustion():
     p, q = 1_000_003, 1_000_033
     with pytest.raises(FactorizationLimitExceeded):
         factorize(p * q, rho_iterations=1)
+
+
+def _sieve(limit: int) -> list[int]:
+    """The primes below limit, by the sieve of Eratosthenes."""
+    mask = bytearray(b"\x01") * limit
+    mask[:2] = b"\x00\x00"
+    for p in range(2, int(limit**0.5) + 1):
+        if mask[p]:
+            mask[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return [p for p in range(limit) if mask[p]]
+
+
+REFERENCE_PRIMES = _sieve(1_100_000)
+
+
+def reference_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n by trial division over the sieved primes:
+    the reference that factorize is checked against.  Whatever is left once
+    p * p exceeds it is 1 or a prime."""
+    factors = []
+    for p in REFERENCE_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            alpha = 0
+            while n % p == 0:
+                n //= p
+                alpha += 1
+            factors.append((p, alpha))
+    else:
+        raise AssertionError("the reference sieve is too short for this n")
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
+def _next_prime(n: int) -> int:
+    while reference_factors(n) != ((n, 1),):
+        n += 1
+    return n
+
+
+# primes on both sides of the trial-division bound of 1000
+STRADDLING = st.sampled_from([2, 3, 5, 7, 991, 997, 1009, 1013, 1019])
+NEAR_MILLION = st.integers(990_000, 1_010_000).map(_next_prime)
+LARGE_PART = st.one_of(
+    st.just(1),
+    # squares and cubes of primes just above the bound
+    st.tuples(st.integers(1001, 1200).map(_next_prime), st.integers(2, 3)).map(
+        lambda pe: pe[0] ** pe[1]
+    ),
+    # a semiprime of primes near 10^6, and a prime near 10^12
+    st.tuples(NEAR_MILLION, NEAR_MILLION).map(lambda pq: pq[0] * pq[1]),
+    st.integers(10**12, 10**12 + 10**5).map(_next_prime),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(STRADDLING, max_size=5), LARGE_PART)
+def test_factorize_matches_trial_division_reference(small, large):
+    n = large
+    for p in small:
+        n *= p
+    assert factorize(n).factors == reference_factors(n)
+
+
+def test_factorize_below_a_million_never_reaches_rho(monkeypatch):
+    def no_rho(*args):
+        raise AssertionError("the rho stage was entered")
+
+    monkeypatch.setattr(arith, "_rho_factor", no_rho)
+    rng = random.Random(20061)
+    # 997^2 = 994,009 and the prime 999,983 end the loop only as f passes 1000
+    sample = rng.sample(range(1, 10**6), 20_000) + [994_009, 999_983, 999_999]
+    for n in sample:
+        assert factorize(n).factors == reference_factors(n), n
+    with pytest.raises(AssertionError, match="rho stage"):
+        factorize(1009 * 1013)  # no factor up to the bound: only rho splits it
 
 
 def test_euler_phi_counting_oracle():

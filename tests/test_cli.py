@@ -259,6 +259,34 @@ def test_scan_missing_parameter_is_usage_error(capsys, argv):
     assert "is required" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--identity", "thm3", "--n", "35", "--a", "2", "--p", "7",
+      "--alpha", "5"), "thm3 does not take a = 2; it reads n"),
+    (("scan", "--identity", "lemma2-d3", "--from", "5", "--to", "40", "--p", "5",
+      "--alpha", "9", "--a", "3"), "lemma2-d3 does not take a = 3; it reads n, p"),
+    (("scan", "--identity", "lemma2-d3", "--from", "5", "--to", "40", "--p", "5",
+      "--alpha", "9"), "lemma2-d3 does not take alpha = 9"),
+    (("verify", "--identity", "lemma1", "--n", "7", "--p", "5"),
+     "lemma1 does not take n = 7; it reads p, alpha"),
+], ids=["verify-thm3", "scan-lemma2", "scan-lemma2-alpha", "verify-lemma1"])
+def test_unread_parameter_is_usage_error(capsys, argv, message):
+    # named instead of dropped: the first given parameter the identity does not read
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--identity", "thm4", "--n", "49", "--d", "4"),
+    ("verify", "--identity", "lemma2", "--d", "3", "--n", "35", "--p", "5"),
+    ("verify", "--identity", "lemma1", "--n", "7"),
+    ("scan", "--identity", "lemma1", "--from", "3", "--to", "7", "--p", "5"),
+], ids=["embedded-d", "lemma2-d", "lemma1-n", "scan-lemma1-p"])
+def test_parameters_that_stand_for_a_read_one_are_accepted(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("alpha", ["0", "-1"])
 def test_scan_alpha_below_one_is_usage_error(capsys, alpha):
     code, out, err = run_cli(

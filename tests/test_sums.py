@@ -222,17 +222,39 @@ def test_modular_sum_against_pow_oracle():
         assert modular_sum(spec).rep == brute_sum(spec), spec
 
 
+def reference_exact_sum(spec: SumSpec) -> Fraction:
+    """One normalised Fraction added per term: the plain loop that the
+    binary-splitting exact_sum is checked against."""
+    total = Fraction(0)
+    for term in spec.denominators():
+        total += Fraction(1, term)
+    return total
+
+
+def _exact_outcome(fn, spec):
+    try:
+        return fn(spec)
+    except ZeroDivisionError:  # a kept term n - d*r = 0
+        return ZeroDivisionError
+
+
 def test_exact_sum_is_plain_fraction_sum():
-    spec = SumSpec(35, 3, None, 1225)
-    expected = sum((Fraction(1, t) for t in spec.denominators()), Fraction(0))
-    assert exact_sum(spec) == expected
-    assert exact_sum(SumSpec(5, 6, None, 25)) == 0
+    for d in (HALF, 3, 4, 6):
+        empty = SumSpec(2, d, None, 4)
+        single = SumSpec(3 if d == HALF else d + 1, d, None, 1)
+        assert (empty.bound(), single.bound()) == (0, 1)
+        assert exact_sum(empty) == 0 and exact_sum(single) == 1  # the term 1
+        for n in [*range(1, 200), 3001, 5005]:
+            for p in [None, 5, *(p for p, _ in factorize(n).factors)]:
+                spec = SumSpec(n, d, p, n * n)
+                expected = _exact_outcome(reference_exact_sum, spec)
+                assert _exact_outcome(exact_sum, spec) == expected, spec
 
 
 def test_exact_sum_term_budget(monkeypatch):
     monkeypatch.setattr(sums, "MAX_EXACT_TERMS", 10)
     at_budget = SumSpec(21, HALF, None, 441)  # r runs over 1..10
-    assert exact_sum(at_budget) == sum(Fraction(1, t) for t in at_budget.denominators())
+    assert exact_sum(at_budget) == reference_exact_sum(at_budget)
 
     def no_terms(spec):
         raise AssertionError("a term was formed")

@@ -111,6 +111,27 @@ def test_registry_names_every_required_parameter(identity):
             scan(identity, 1, 60, **fixed)
 
 
+@pytest.mark.parametrize("identity", ALL_IDENTITIES, ids=lambda i: i.value)
+def test_unread_parameter_raises(identity):
+    spec = IDENTITIES[identity]
+    kwargs = ADMISSIBLE[identity]
+    read = {*spec.required, *spec.defaults}
+    for name in ("n", "a", "p", "d", "alpha"):
+        if name in read:
+            continue
+        value = 5
+        if name == "d":
+            value = 4 if spec.d == 3 else 3
+        with pytest.raises(PreconditionError, match=f"does not take {name} = {value}"):
+            verify(identity, **kwargs, **{name: value})
+        if name != "n":  # scan has no n to take
+            fixed = {k: v for k, v in kwargs.items() if k != spec.var}
+            with pytest.raises(PreconditionError, match=f"does not take {name}"):
+                scan(identity, 1, 60, **fixed, **{name: value})
+    if spec.d is not None:  # the embedded d itself is accepted
+        assert verify(identity, **kwargs, d=spec.d) == verify(identity, **kwargs)
+
+
 def test_registry_embeds_d_where_the_identity_fixes_it():
     embedded = {i: spec.d for i, spec in IDENTITIES.items() if spec.d is not None}
     assert embedded == {
