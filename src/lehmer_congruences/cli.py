@@ -201,7 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     cap = argparse.ArgumentParser(add_help=False)
     cap.add_argument(
         "--bernoulli-cap", type=int, default=None,
-        help=f"cap on Bernoulli indices (default: {DEFAULT_MAX_INDEX})",
+        help=f"largest Bernoulli index that may be computed (default: {DEFAULT_MAX_INDEX}); "
+        "only the bernoulli command and the lemma1 identity read Bernoulli numbers, "
+        "so verify and scan refuse the flag for any other identity",
     )
     check = argparse.ArgumentParser(add_help=False)
     check.add_argument(

@@ -89,11 +89,13 @@ class IdentitySpec(_Value):
     scan's default filter for a value of var, modulus gives the modulus a
     skipped check reports, check runs the modular route, and exact returns
     the exact rationals of both sides given the report's params and modulus
-    (None when check already compares exact values).
+    (None when check already compares exact values).  bernoulli tells
+    whether check reads a Bernoulli number, and so whether it takes a cache.
     """
 
     __slots__ = (
         "required", "admissible", "modulus", "check", "exact", "d", "var", "defaults",
+        "bernoulli",
     )
 
     def __init__(
@@ -106,10 +108,11 @@ class IdentitySpec(_Value):
         d: int | None = None,
         var: str = "n",
         defaults: Params | None = None,
+        bernoulli: bool = False,
     ) -> None:
         _Value.__init__(
             self, required, admissible, modulus, check, exact, d, var,
-            {} if defaults is None else defaults,
+            {} if defaults is None else defaults, bernoulli,
         )
 
 
@@ -223,6 +226,7 @@ IDENTITIES: dict[IdentityId, IdentitySpec] = {
         None,  # the p-adic comparison is already exact
         var="p",
         defaults={"alpha": 1},
+        bernoulli=True,
     ),
     IdentityId.LEMMA_2_D3: _lemma2(3),
     IdentityId.LEMMA_2_D4: _lemma2(4),
@@ -251,14 +255,21 @@ IDENTITIES: dict[IdentityId, IdentitySpec] = {
 }
 
 
-def _params(identity: IdentityId, given: dict[str, int | None]) -> Params:
+def _params(
+    identity: IdentityId, given: dict[str, int | None], cache: BernoulliCache | None
+) -> Params:
     """The parameters identity reads, taken from given.
 
-    Raises PreconditionError when a required one is missing, or naming the
-    first given value (not None) that the identity does not read; a d
+    Raises PreconditionError when a required one is missing, naming the
+    first given value (not None) that the identity does not read, or when
+    a cache is given to an identity that reads no Bernoulli number; a d
     equal to the identity's embedded d is accepted.
     """
     spec = IDENTITIES[identity]
+    if cache is not None and not spec.bernoulli:
+        raise PreconditionError(
+            f"{identity.value} reads no Bernoulli number, so it takes no Bernoulli cap"
+        )
     params: Params = {}
     for name in spec.required:
         if given.get(name) is None:
@@ -296,15 +307,16 @@ def verify(
     identity itself (a d equal to it is accepted), while the Moebius
     decomposition takes d explicitly.  lemma1 takes its prime as n when p
     is not given; any other parameter the identity does not read raises
-    PreconditionError.  With exact_oracle=True both sides are
-    recomputed over the exact rationals and any disagreement with the
-    modular route raises OracleDivergence.
+    PreconditionError, and so does a cache given to an identity that reads
+    no Bernoulli number (only lemma1 does).  With exact_oracle=True both
+    sides are recomputed over the exact rationals and any disagreement with
+    the modular route raises OracleDivergence.
     """
     spec = IDENTITIES[identity]
     given = {"n": n, "a": a, "p": p, "d": d, "alpha": alpha}
     if given[spec.var] is None:
         given[spec.var] = given.pop("n")
-    report = spec.check(identity, _params(identity, given), cache)
+    report = spec.check(identity, _params(identity, given, cache), cache)
     if exact_oracle:
         _exact_recheck(report)
     return report
@@ -464,9 +476,10 @@ def scan(
 
     The scanned value is n, or p for lemma1 (a p given for lemma1 is
     ignored); every other parameter the identity requires must be given,
-    none that it does not read may be, a fixed p must be prime, a fixed
-    alpha and workers must be at least 1, else PreconditionError is raised
-    before any check runs.  A value is retained when the predicate accepts
+    none that it does not read may be, nor a cache unless its check reads
+    Bernoulli numbers, a fixed p must be prime, a fixed alpha and workers
+    must be at least 1, else PreconditionError is raised before any check
+    runs.  A value is retained when the predicate accepts
     it (default: the identity's admissibility filter).  A retained value
     whose check still cannot run, for instance under a permissive custom
     predicate or a tight Bernoulli cap, produces a report with
@@ -479,7 +492,7 @@ def scan(
     spec = IDENTITIES[identity]
     # the scanned variable takes each value in turn; n_from stands in for it
     given = {"a": a, "p": p, "d": d, "alpha": alpha}
-    params = _params(identity, {**given, spec.var: n_from})
+    params = _params(identity, {**given, spec.var: n_from}, cache)
     if "p" in spec.required and spec.var != "p" and not is_prime(p):
         raise PreconditionError(f"p must be prime for {identity.value}, got {p}")
     if params.get("alpha", 1) < 1:

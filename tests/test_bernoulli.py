@@ -3,13 +3,17 @@
 import functools
 import random
 import threading
+import time
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, inf, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lehmer_congruences import bernoulli
+from lehmer_congruences.arith import is_prime
 from lehmer_congruences.bernoulli import (
     BernoulliCache,
     DEFAULT_MAX_INDEX,
@@ -64,7 +68,7 @@ def test_defining_recurrence():
 @functools.cache
 def reference_table(m):
     """B_0 .. B_m by the defining recurrence over Fractions: the O(m^2)
-    reference that the boustrophedon table is checked against."""
+    reference that the single-index route is checked against."""
     table = [Fraction(1)]
     for j in range(1, m + 1):
         if j % 2 and j > 1:
@@ -79,31 +83,104 @@ def reference_table(m):
     return table
 
 
+@functools.cache
+def seidel_table(m):
+    """B_0 .. B_m from Seidel's boustrophedon triangle (L. Seidel, 1877).
+
+    A second reference, sharing nothing with the recurrence or the route:
+    row n of the triangle is built from row n - 1 by integer additions and
+    ends in the zigzag number E_n, and for even j = 2k >= 2
+    B_j = (-1)^(k-1) j E_{j-1} / (4^k (4^k - 1)).
+    """
+    table, row = [Fraction(1)], [1]
+    for j in range(1, m + 1):
+        if j % 2:
+            table.append(Fraction(-1, 2) if j == 1 else Fraction(0))
+            continue
+        while len(row) < j:  # row j - 1 has j entries and ends in E_{j-1}
+            row = list(accumulate(reversed(row), initial=0))
+        k = j // 2
+        value = Fraction(j * row[-1], 4**k * (4**k - 1))
+        table.append(value if k % 2 else -value)
+    return table
+
+
 def test_table_matches_reference_recurrence():
     cache = BernoulliCache(max_index=400)
     assert [cache.get(m) for m in range(401)] == reference_table(400)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 300), st.integers(0, 300))
-def test_cache_keeps_extending_from_its_row(i, j):
-    # a cache filled to i goes on extending from the row it kept
-    i, j = sorted((i, j))
-    cache = BernoulliCache(max_index=300)
-    cache.get(i)
-    assert cache.get(j) == BernoulliCache(max_index=300).get(j)
-    assert len(cache) == j + 1
-    assert [cache.get(m) for m in range(j + 1)] == reference_table(400)[: j + 1]
+def test_table_matches_seidel_triangle():
+    cache = BernoulliCache(max_index=1200)
+    assert [cache.get(m) for m in range(1201)] == seidel_table(1200)
 
 
-def test_full_table_releases_the_row():
-    # at the cap the table cannot grow, so the triangle row is dropped
+SHARED = BernoulliCache(max_index=1200)  # filled across the examples below
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 600).map(lambda k: 2 * k), min_size=1, max_size=6))
+def test_any_request_order_gives_the_same_values(indices):
+    # one cache asked in any order agrees with a fresh cache per index
+    for m in indices:
+        fresh = BernoulliCache(max_index=1200)
+        assert SHARED.get(m) == fresh.get(m) == seidel_table(1200)[m], m
+        assert len(fresh) == 1
+
+
+def _count_computations(monkeypatch, delay=0.0):
+    """Record every index the route computes, in order, each after delay s."""
+    computed = []
+    real = bernoulli._numerator
+
+    def counting(m, den):
+        computed.append(m)
+        time.sleep(delay)
+        return real(m, den)
+
+    monkeypatch.setattr(bernoulli, "_numerator", counting)
+    return computed
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 300), max_size=12))
+def test_cache_computes_each_index_once(indices):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        computed = _count_computations(monkeypatch)
+        cache = BernoulliCache(max_index=300)
+        for m in indices + indices:
+            assert cache.get(m) == reference_table(300)[m]
+    # B_0, B_1 and the odd indices are constants and never computed
+    expected = {m for m in indices if m >= 2 and m % 2 == 0}
+    assert sorted(computed) == sorted(expected)
+    assert len(cache) == len(expected)
+
+
+def test_cache_holds_only_the_indices_asked_for():
     cache = BernoulliCache(max_index=120)
     cache.get(60)
-    assert cache._row
+    assert len(cache) == 1
     cache.get(120)
-    assert cache._row == []
+    assert len(cache) == 2
+    assert [cache.get(m) for m in (0, 1, 3, 119)] == [1, Fraction(-1, 2), 0, 0]
+    assert len(cache) == 2
     assert [cache.get(m) for m in range(121)] == reference_table(120)
+    assert len(cache) == 60
+
+
+def test_too_low_starting_precision_retries_to_the_exact_value(monkeypatch):
+    # the first bracket has 1 bit and holds many integers; the route doubles
+    # the precision until one is left, and that one is exact
+    monkeypatch.setattr(bernoulli, "_GUARD_BITS", -(10**6))
+    monkeypatch.setattr(bernoulli, "_pi", (0, 0, 0))
+    tried = []
+    real = bernoulli._pi_bounds
+    monkeypatch.setattr(bernoulli, "_pi_bounds", lambda bits: tried.append(bits) or real(bits))
+    cache = BernoulliCache(max_index=1200)
+    for m in (2, 4, 12, 20, 156, 930, 1200):
+        tried.clear()
+        assert cache.get(m) == seidel_table(1200)[m], m
+        assert len(tried) > 1 and tried == [2**i for i in range(len(tried))], m
 
 
 def test_cache_cap_enforced():
@@ -123,21 +200,27 @@ def test_cache_cap_ignores_the_environment(monkeypatch):
     assert BernoulliCache().max_index == DEFAULT_MAX_INDEX
 
 
-def test_cache_concurrent_extension():
+def test_cache_concurrent_extension(monkeypatch):
+    # the sleep keeps the first thread computing while the others find the
+    # index missing and queue on the lock
+    computed = _count_computations(monkeypatch, delay=0.05)
     cache = BernoulliCache(max_index=300)
+    start = threading.Barrier(8)
     results = []
 
     def worker():
+        start.wait()
         results.append(cache.get(200))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert len(set(results)) == 1
-    assert results[0] == bernoulli_number(200)
-    assert len(cache) == 201
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert results == [reference_table(400)[200]] * 8
+    assert computed == [200]  # the other threads read the one computed entry
+    assert len(cache) == 1
 
 
 def test_bernoulli_poly_values():
@@ -188,14 +271,15 @@ def test_von_staudt_clausen():
     assert von_staudt_clausen(2) == (1, [2, 3])
     assert von_staudt_clausen(4) == (1, [2, 3, 5])
     assert von_staudt_clausen(12) == (1, [2, 3, 5, 7, 13])
-    # the denominators come from the divisors of m alone, so this audits the
-    # table independently of how it was filled
+    # the primes against a walk over every e <= m, and the denominators
+    # against the triangle, which never sees a prime
     cache = BernoulliCache(max_index=600)
     for m in range(2, 601, 2):
         integer, primes = von_staudt_clausen(m, cache)
+        assert primes == [e + 1 for e in range(1, m + 1) if m % e == 0 and is_prime(e + 1)]
         value = cache.get(m)
         assert value + sum(Fraction(1, p) for p in primes) == integer
-        assert value.denominator == prod(primes), m
+        assert seidel_table(1200)[m].denominator == prod(primes), m
     with pytest.raises(PreconditionError):
         von_staudt_clausen(3)
 

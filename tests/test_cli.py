@@ -397,15 +397,33 @@ FLAG_READERS = {
     ("--exact-oracle",): {"verify", "scan"},
 }
 
+# verify and scan read a Bernoulli cap only for lemma1 (B_6 here)
+LEMMA1 = {
+    "verify": ["verify", "--identity", "lemma1", "--p", "3"],
+    "scan": ["scan", "--identity", "lemma1", "--from", "3", "--to", "4"],
+}
+
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 @pytest.mark.parametrize("flag", FLAG_READERS, ids=lambda flag: flag[0])
 def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command, flag):
-    code, out, err = run_cli(capsys, *SUBCOMMANDS[command], *flag)
+    argv = SUBCOMMANDS[command]
+    if flag[0] == "--bernoulli-cap":
+        argv = LEMMA1.get(command, argv)
+    code, out, err = run_cli(capsys, *argv, *flag)
     if command in FLAG_READERS[flag]:
         assert code == 0 and out
     else:
         assert (code, out) == (2, "") and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "thm3", "--n", "35", "--bernoulli-cap", "10"],
+    ["scan", "--identity", "cai", "--from", "3", "--to", "9", "--bernoulli-cap", "0"],
+], ids=["verify", "scan"])
+def test_bernoulli_cap_for_an_identity_that_reads_none_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "reads no Bernoulli number" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "scan"])

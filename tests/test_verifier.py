@@ -132,6 +132,27 @@ def test_unread_parameter_raises(identity):
         assert verify(identity, **kwargs, d=spec.d) == verify(identity, **kwargs)
 
 
+@pytest.mark.parametrize("identity", list(IdentityId), ids=lambda i: i.value)
+def test_cache_for_an_identity_that_reads_no_bernoulli_number_raises(identity):
+    spec = IDENTITIES[identity]
+    kwargs = ADMISSIBLE[identity]
+    fixed = {k: v for k, v in kwargs.items() if k != spec.var}
+    cache = BernoulliCache(max_index=100)
+    if spec.bernoulli:
+        assert verify(identity, **kwargs, cache=cache).holds
+        assert scan(identity, 2, 13, **fixed, cache=cache)
+        return
+    with pytest.raises(PreconditionError, match="reads no Bernoulli number"):
+        verify(identity, **kwargs, cache=cache)
+    with pytest.raises(PreconditionError, match="reads no Bernoulli number"):
+        scan(identity, 1, 60, **fixed, cache=cache)
+    assert len(cache) == 0
+
+
+def test_only_lemma1_reads_bernoulli_numbers():
+    assert [i for i, spec in IDENTITIES.items() if spec.bernoulli] == [IdentityId.LEMMA_1]
+
+
 def test_registry_embeds_d_where_the_identity_fixes_it():
     embedded = {i: spec.d for i, spec in IDENTITIES.items() if spec.d is not None}
     assert embedded == {
