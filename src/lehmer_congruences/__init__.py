@@ -16,11 +16,9 @@ from .arith import (
     crt_combine,
     divisors,
     euler_phi,
-    extended_gcd,
     factorize,
     is_prime,
     mod_inv,
-    mod_pow,
     moebius,
 )
 from .bernoulli import (
@@ -114,7 +112,6 @@ __all__ = [
     "divisors",
     "euler_phi",
     "exact_sum",
-    "extended_gcd",
     "factorize",
     "fermat_quotient",
     "fermat_quotient_mod",
@@ -128,7 +125,6 @@ __all__ = [
     "lemma3_check",
     "lemma4_check",
     "mod_inv",
-    "mod_pow",
     "modular_sum",
     "moebius",
     "moebius_decomposition_check",

@@ -27,11 +27,9 @@ __all__ = [
     "crt_combine",
     "divisors",
     "euler_phi",
-    "extended_gcd",
     "factorize",
     "is_prime",
     "mod_inv",
-    "mod_pow",
     "moebius",
 ]
 
@@ -130,30 +128,6 @@ class FactoredInteger(_Value):
     def cofactor(self, p: int) -> int:
         """The part of value coprime to p, i.e. value / p^exponent_of(p)."""
         return self.value // p ** self.exponent_of(p)
-
-
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b) and g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def mod_pow(base: int, exponent: int, modulus: int) -> Residue:
-    """base**exponent reduced into [0, modulus); exponent must be >= 0."""
-    if modulus < 1:
-        raise PreconditionError(f"modulus must be >= 1, got {modulus}")
-    if exponent < 0:
-        raise PreconditionError(f"exponent must be >= 0, got {exponent}")
-    return Residue(pow(base, exponent, modulus), modulus)
 
 
 def mod_inv(a: int, modulus: int) -> Residue:

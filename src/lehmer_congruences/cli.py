@@ -120,35 +120,44 @@ def _csv_row(report: CongruenceReport) -> list[str]:
     return [cell if isinstance(cell, str) else json.dumps(cell) for cell in cells]
 
 
-def serialize_reports(reports: list[CongruenceReport], fmt: str = "json") -> str:
-    """A complete document for a batch of reports in the requested format."""
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def _json_line(report: CongruenceReport) -> str:
+    """One compact JSON line; built by one encoder, not one per row."""
+    return _JSON.encode(report_to_dict(report)) + "\n"
+
+
+# the row of one report in each format; a scan share renders its own rows
+_RENDERERS = {"json": _json_line, "csv": _csv_row, "text": _csv_row}
+
+
+def _document(rows: list, fmt: str) -> str:
+    """The rendered rows of fmt, in order, as one complete document."""
     if fmt == "json":
-        return "".join(
-            json.dumps(report_to_dict(r), separators=(",", ":")) + "\n"
-            for r in reports
-        )
+        return "".join(rows)
     if fmt == "csv":
         import csv  # only here: the module is not loaded for json or text output
 
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
-        for report in reports:
-            writer.writerow(_csv_row(report))
+        writer.writerows(rows)
         return buffer.getvalue()
-    if fmt == "text":
-        rows = [list(_CSV_COLUMNS)] + [_csv_row(r) for r in reports]
-        for row in rows:
-            for i, cell in enumerate(row):
-                if cell == "":
-                    row[i] = "-"
-        widths = [max(len(row[i]) for row in rows) for i in range(len(_CSV_COLUMNS))]
-        lines = [
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-            for row in rows
-        ]
-        return "\n".join(lines) + "\n"
-    raise PreconditionError(f"unknown format {fmt!r}")
+    # text: columns aligned over every row, an absent field shown as "-"
+    table = [_CSV_COLUMNS, *([cell or "-" for cell in row] for row in rows)]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n"
+        for row in table
+    )
+
+
+def serialize_reports(reports: list[CongruenceReport], fmt: str = "json") -> str:
+    """A complete document for a batch of reports in the requested format."""
+    if fmt not in _RENDERERS:
+        raise PreconditionError(f"unknown format {fmt!r}")
+    return _document(list(map(_RENDERERS[fmt], reports)), fmt)
 
 
 def serialize_report(report: CongruenceReport, fmt: str = "json") -> str:
@@ -303,7 +312,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report.holds else 1
     if args.command == "scan":
         identity = _resolve_identity(args.identity, args.d)
-        reports = scan(
+        rows = scan(
             identity,
             args.n_from,
             args.n_to,
@@ -314,9 +323,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache=_make_cache(args),
             exact_oracle=args.exact_oracle,
+            render=_RENDERERS[args.format],
         )
-        sys.stdout.write(serialize_reports(reports, args.format))
-        return 0 if reports and all(r.holds for r in reports) else 1
+        sys.stdout.write(_document([row for row, _ in rows], args.format))
+        return 0 if rows and all(held for _, held in rows) else 1
     if args.command == "counterexample":
         identity = _resolve_identity(args.identity, None)
         trail = counterexample_search(identity, args.residue_class, n_to=args.n_to)

@@ -10,10 +10,12 @@ admissible values of the scanned variable and turns in-range precondition
 failures into skip reports, so the output stays auditable.  With several
 workers it deals those values round-robin to processes forked from the
 caller, one pipe each, and every share (the caller's own included) runs
-through _scan_chunk, looked up here at call time.  The
-counterexample search deliberately relaxes the hypotheses: left-hand terms
-are inverted one by one, and the right-hand side is evaluated as an exact
-rational first, reduced only when its denominator is a unit.
+through _scan_chunk, looked up here at call time.  Given a render
+function, each share renders its own reports, so a child sends back
+rendered rows with their verdicts, not reports.  The counterexample
+search deliberately relaxes the hypotheses: left-hand terms are inverted
+one by one, and the right-hand side is evaluated as an exact rational
+first, reduced only when its denominator is a unit.
 """
 
 from __future__ import annotations
@@ -349,25 +351,27 @@ def _skip_report(identity: IdentityId, params: Params, reason: str) -> Congruenc
     )
 
 
-def _scan_chunk(args: tuple) -> list[CongruenceReport]:
+def _scan_chunk(args: tuple) -> list:
     """The reports of one share of a scan, in the order of its values.
 
-    args is (identity, values, params, cache, exact_oracle).  A value whose
-    check cannot run still yields a report, with skipped_reason, so every
-    value yields exactly one.
+    args is (identity, values, params, cache, exact_oracle, render).  A
+    value whose check cannot run still yields a report, with skipped_reason,
+    so every value yields exactly one.  Unless render is None, each report
+    is replaced by (render(report), report.holds is True).
     """
-    identity, values, params, cache, exact_oracle = args
+    identity, values, params, cache, exact_oracle, render = args
     var = IDENTITIES[identity].var
-    out: list[CongruenceReport] = []
+    out: list = []
     for value in values:
         row = {**params, var: value}
         try:
-            out.append(verify(identity, **row, cache=cache, exact_oracle=exact_oracle))
+            report = verify(identity, **row, cache=cache, exact_oracle=exact_oracle)
         except (
             PreconditionError, IndexCapExceeded, FactorizationLimitExceeded,
             PowerSizeExceeded, TermCountExceeded,
         ) as exc:
-            out.append(_skip_report(identity, row, str(exc)))
+            report = _skip_report(identity, row, str(exc))
+        out.append(report if render is None else (render(report), report.holds is True))
     return out
 
 
@@ -378,21 +382,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fan_out(args: tuple, workers: int) -> list[CongruenceReport]:
+def _fan_out(args: tuple, workers: int) -> list:
     """_scan_chunk over args, its values dealt round-robin to workers processes.
 
     Share k is values[k::workers]; the parent forks a child for every share
     but the first, computes that one itself, and merges the shares back in
     value order.  Where the platform allows, share k runs on the k-th CPU
     this process may use, and the parent gets its own affinity back when
-    the shares are in.  A child sends one pickled (ok, reports or
-    exception) through a pipe and leaves by os._exit, so it never returns
-    into the caller.  The first failing share, in share order, raises in
+    the shares are in.  A child sends one pickled (ok, rows or exception)
+    through a pipe and leaves by os._exit, so it never returns into the
+    caller; its rows are what _scan_chunk returned there, so with a render
+    function they are the rendered rows with their verdicts, and no report
+    crosses the pipe.  The first failing share, in share order, raises in
     the parent.
     """
     import pickle
 
-    identity, values, params, cache, exact_oracle = args
+    values = args[1]
     # Left to the scheduler, a forked child stayed on its parent's CPU for
     # a whole 0.15 s scan on a 2-vCPU Linux VM, so the shares ran one after
     # the other; pinning each share to a CPU of its own makes them overlap.
@@ -403,7 +409,7 @@ def _fan_out(args: tuple, workers: int) -> list[CongruenceReport]:
         if saved is not None:
             cpus = sorted(saved)
             os.sched_setaffinity(0, {cpus[k % len(cpus)]})
-        return (identity, values[k::workers], params, cache, exact_oracle)
+        return (args[0], values[k::workers], *args[2:])
 
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     try:
@@ -449,7 +455,7 @@ def _fan_out(args: tuple, workers: int) -> list[CongruenceReport]:
         code = os.waitstatus_to_exitcode(status)
         if code:  # a child exits 0 only once its whole payload is written
             raise CongruenceError(
-                f"scan worker {pid} exited with status {code} before sending its reports"
+                f"scan worker {pid} exited with status {code} before sending its share"
             )
         ok, part = pickle.loads(payload)
         if not ok:
@@ -471,7 +477,8 @@ def scan(
     workers: int = 1,
     cache: BernoulliCache | None = None,
     exact_oracle: bool = False,
-) -> list[CongruenceReport]:
+    render: Callable[[CongruenceReport], object] | None = None,
+) -> list:
     """One report per retained value in [n_from, n_to], in ascending order.
 
     The scanned value is n, or p for lemma1 (a p given for lemma1 is
@@ -488,6 +495,9 @@ def scan(
     min(workers, retained values, usable CPUs) processes forked from this
     one; the merged result is identical to the single-process one.  Where
     os.fork does not exist the scan runs in this process.
+    With render, each report becomes (render(report), report.holds is True)
+    in the process that computed it, so a share sends back its rows and
+    verdicts rather than its reports.
     """
     spec = IDENTITIES[identity]
     # the scanned variable takes each value in turn; n_from stands in for it
@@ -505,7 +515,7 @@ def scan(
         value for value in range(n_from, n_to + 1)
         if (spec.admissible(value, params) if predicate is None else predicate(value))
     ]
-    args = (identity, values, params, cache, exact_oracle)
+    args = (identity, values, params, cache, exact_oracle, render)
     workers = min(workers, len(values), _usable_cpus())
     if workers > 1 and hasattr(os, "fork"):
         return _fan_out(args, workers)

@@ -14,11 +14,9 @@ from lehmer_congruences.arith import (
     crt_combine,
     divisors,
     euler_phi,
-    extended_gcd,
     factorize,
     is_prime,
     mod_inv,
-    mod_pow,
     moebius,
 )
 from lehmer_congruences.errors import (
@@ -53,33 +51,6 @@ def test_factored_integer_validates():
         FactoredInteger(12, ((2, 2),))  # wrong product
     with pytest.raises(PreconditionError):
         FactoredInteger(12, ((2, 0), (3, 1)))  # zero exponent
-
-
-def test_extended_gcd_bezout():
-    rng = random.Random(11)
-    for _ in range(500):
-        a = rng.randrange(-10**9, 10**9)
-        b = rng.randrange(-10**9, 10**9)
-        g, x, y = extended_gcd(a, b)
-        assert g == gcd(a, b)
-        assert a * x + b * y == g
-
-
-def test_mod_pow_values():
-    assert mod_pow(2, 10, 1000) == Residue(24, 1000)
-    assert mod_pow(2, 0, 7) == Residue(1, 7)
-    assert mod_pow(3, 20, 625) == Residue(26, 625)
-    # cross-check against full integer powers
-    rng = random.Random(5)
-    for _ in range(200):
-        b = rng.randrange(-50, 50)
-        e = rng.randrange(0, 40)
-        m = rng.randrange(1, 10**6)
-        assert mod_pow(b, e, m).rep == b**e % m
-    with pytest.raises(PreconditionError):
-        mod_pow(2, -1, 7)
-    with pytest.raises(PreconditionError):
-        mod_pow(2, 3, 0)
 
 
 def test_mod_inv_values():

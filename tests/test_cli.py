@@ -355,12 +355,19 @@ def test_raw_value_commands(capsys):
     assert (code, out) == (2, "") and "--d half takes none" in err
 
 
-def test_workers_flag_output_identical(capsys):
-    argv = ["scan", "--identity", "thm6", "--from", "5", "--to", "200", "--format", "json"]
-    code1, out1, _ = run_cli(capsys, *argv)
-    code2, out2, _ = run_cli(capsys, *argv, "--workers", "4")
-    assert code1 == code2 == 0
-    assert out1 == out2
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv, code", [
+    (["--identity", "thm6", "--from", "5", "--to", "200"], 0),
+    # primes from 23 on outgrow the cap: skip rows among checked ones
+    (["--identity", "lemma1", "--from", "1", "--to", "40", "--bernoulli-cap", "400"], 1),
+    (["--identity", "thm3", "--from", "8", "--to", "10"], 1),  # no admissible n
+], ids=["holds", "skips", "empty"])
+def test_workers_flag_output_identical(capsys, monkeypatch, argv, code, fmt):
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 4)
+    argv = ["scan", *argv, "--format", fmt]
+    serial = run_cli(capsys, *argv)
+    assert serial[0] == code
+    assert run_cli(capsys, *argv, "--workers", "4") == serial
 
 
 def test_scan_worker_failure_exit_1(capsys, monkeypatch):
@@ -529,18 +536,22 @@ def test_import_loads_no_process_pool():
     assert _probe(probe) == ["False"] * 4
 
 
-def test_json_scan_loads_no_dataclasses_inspect_or_csv():
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_json_scan_loads_no_dataclasses_inspect_or_csv(workers):
     # start-up time: dataclasses pulls in inspect, ast, dis and tokenize, and
-    # csv serves the csv format only; neither the import nor a json scan
-    # may load them (those the interpreter loaded before are not counted)
+    # csv serves the csv format only; neither the import nor a json scan,
+    # serial or forked, may load them (those the interpreter loaded before
+    # are not counted)
     probe = (
         "import io, sys\n"
         "heavy = {'dataclasses', 'inspect', 'csv'}\n"
         "before = heavy & set(sys.modules)\n"
+        "from lehmer_congruences import verifier\n"
         "from lehmer_congruences.cli import main\n"
+        "verifier._usable_cpus = lambda: 2\n"
         "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
         "code = main(['scan', '--identity', 'thm3', '--from', '5', '--to', '60',\n"
-        "             '--format', 'json'])\n"
+        f"             '--format', 'json', '--workers', '{workers}'])\n"
         "rows = len(sys.stdout.getvalue().splitlines())\n"
         "sys.stdout = stdout\n"
         "print(code, rows, *sorted(heavy & set(sys.modules) - before))"

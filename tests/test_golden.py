@@ -6,9 +6,10 @@ searches of acceptance criterion 8 and one (thm6 in the class 3 mod 6)
 whose every left side has a term sharing a factor with the modulus.  It
 also holds one `verify --format json` per identity code, plain and with
 --exact-oracle, two verify calls that fail a precondition, and the raw
-value commands bernoulli, fq and sum in json, csv and text.  Any change
-to the arithmetic or the encoding that alters a single printed character
-shows up here.
+value commands bernoulli, fq and sum in json, csv and text.  Every scan
+case is replayed with --workers 2 as well and must print the same bytes.
+Any change to the arithmetic or the encoding that alters a single printed
+character shows up here.
 
 The scan and counterexample cases were written by the implementation that
 did one extended-gcd inversion per term, the verify cases by the one that
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from lehmer_congruences import verifier
 from lehmer_congruences.cli import main
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_json.json"
@@ -132,8 +134,10 @@ def test_cli_output_matches_golden(argv):
     assert run(argv) == (expected["exit"], expected["stdout"])
 
 
-def test_parallel_scan_matches_golden():
-    argv = _scan("thm6", 400)
+@pytest.mark.parametrize("argv", [a for a in CASES if a[0] == "scan"], ids=" ".join)
+def test_parallel_scan_matches_golden(argv, monkeypatch):
+    # two usable CPUs on any host, so every case forks a worker
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
     expected = _golden()[" ".join(argv)]
     assert run(argv + ["--workers", "2"]) == (expected["exit"], expected["stdout"])
 

@@ -318,6 +318,9 @@ def test_scan_workers_match_serial_property(case, lo, width, workers):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier, "_usable_cpus", lambda: workers)
         assert scan(identity, lo, lo + width, workers=workers, **params) == serial
+        # rendered in the share that computed it, each row keeps its verdict
+        rows = scan(identity, lo, lo + width, workers=workers, render=repr, **params)
+        assert rows == [(repr(r), r.holds is True) for r in serial]
 
 
 def test_scan_forks_at_most_one_process_per_value_and_cpu(monkeypatch):
@@ -385,6 +388,24 @@ def test_scan_failure_in_any_share_reaches_the_caller(monkeypatch, where):
     monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
     with pytest.raises(OracleDivergence, match="thm3 at"):
         scan(IdentityId.THM_3, 5, 60, workers=2, exact_oracle=True)
+    assert os.getpid() == parent
+    assert AFFINITY(0) == START_CPUS
+    with pytest.raises(ChildProcessError):  # the worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_scan_render_failure_in_a_worker_reaches_the_caller(monkeypatch):
+    parent = os.getpid()
+
+    def render(report):  # fails in the forked worker only
+        if os.getpid() != parent:
+            raise ValueError(f"cannot render n = {report.params['n']}")
+        return repr(report)
+
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    # the worker's share of the admissible n in [5, 60] starts at n = 7
+    with pytest.raises(ValueError, match=r"^cannot render n = 7$"):
+        scan(IdentityId.THM_3, 5, 60, workers=2, render=render)
     assert os.getpid() == parent
     assert AFFINITY(0) == START_CPUS
     with pytest.raises(ChildProcessError):  # the worker was reaped
