@@ -180,14 +180,15 @@ def is_prime(n: int) -> bool:
 # integers near 10^11 a bound of 10^6 made factorize 15 times slower.
 _TRIAL_BOUND = 1000
 _RHO_SEED = 0x6A09E667  # fixed so factorizations are reproducible
+_RHO_BUDGET = 2_000_000  # rho steps one factorize call may take
 
 
-def factorize(n: int, *, rho_iterations: int = 2_000_000) -> FactoredInteger:
+def factorize(n: int) -> FactoredInteger:
     """Factor n completely: trial division up to 1000, then Brent's rho.
 
     Every n below 10^6 is factored by trial division alone.  The rho
     stage is seeded with a package constant, so repeated calls give
-    identical traces.  rho_iterations bounds the total number of rho steps
+    identical traces.  _RHO_BUDGET bounds the total number of rho steps
     per call; running out raises FactorizationLimitExceeded.
     """
     if n < 1:
@@ -210,7 +211,7 @@ def factorize(n: int, *, rho_iterations: int = 2_000_000) -> FactoredInteger:
         if f * f > n:
             counts[n] = counts.get(n, 0) + 1
         else:
-            _rho_factor(n, counts, rho_iterations)
+            _rho_factor(n, counts, _RHO_BUDGET)
     return FactoredInteger(value, tuple(sorted(counts.items())))
 
 

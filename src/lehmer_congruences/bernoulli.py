@@ -33,7 +33,6 @@ __all__ = [
     "padic_congruent",
     "power_sum",
     "rational_mod",
-    "shared_cache",
     "special_value",
     "von_staudt_clausen",
 ]
@@ -141,21 +140,11 @@ def _pi_bounds(bits: int) -> tuple[int, int]:
     return lo >> top - bits, -(-hi >> top - bits)
 
 
-_shared: BernoulliCache | None = None
-_shared_guard = threading.Lock()
-
-
-def shared_cache() -> BernoulliCache:
-    """The process-wide default cache, created on first use."""
-    global _shared
-    with _shared_guard:
-        if _shared is None:
-            _shared = BernoulliCache()
-        return _shared
+_shared = BernoulliCache()  # the process-wide default cache
 
 
 def _resolve(cache: BernoulliCache | None) -> BernoulliCache:
-    return shared_cache() if cache is None else cache
+    return _shared if cache is None else cache
 
 
 def bernoulli_number(m: int, cache: BernoulliCache | None = None) -> Fraction:

@@ -23,6 +23,7 @@ from itertools import chain, combinations, compress
 from math import gcd, prod
 
 from .arith import Residue, _Value, euler_phi, factorize, is_prime
+from .bernoulli import p_adic_valuation
 from .errors import (
     EvenModulusError,
     InvalidDenominatorError,
@@ -32,7 +33,7 @@ from .errors import (
     PrimeDivisibilityError,
     TermCountExceeded,
 )
-from .quotients import _combination, _require_modulus, fermat_quotient
+from .quotients import _combination, _require_coprime, _require_modulus, fermat_quotient
 # unused here, but bench/tracer.py wraps sums.fermat_quotient_mod by name
 from .quotients import fermat_quotient_mod  # noqa: F401
 
@@ -48,7 +49,6 @@ __all__ = [
     "lemma2_rhs_exact",
     "lemma2_sum",
     "modular_sum",
-    "modular_sum_lenient",
     "moebius_decomposition_check",
     "moebius_decomposition_sides",
     "theorem_rhs",
@@ -201,31 +201,9 @@ def _inverse_pair(terms: list[int], lo: int, hi: int) -> tuple[int, int]:
     return a * d + c * b, b * d
 
 
-def modular_sum_lenient(spec: SumSpec) -> tuple[Residue | None, str | None]:
-    """modular_sum, but a non-unit term yields (None, reason) instead of raising.
-
-    Used by the counterexample search, where terms sharing a factor with the
-    modulus are expected and must surface as an auditable skip.
-    """
-    m = spec.modulus
-    value, culprit = _inverse_sum(spec)
-    if culprit is not None:
-        g = gcd(culprit, m)
-        return None, f"term {culprit} shares the factor {g} with modulus {m}"
-    return Residue(value, m), None
-
-
 def _check_d(d: int) -> None:
     if d not in (3, 4, 6):
         raise InvalidDenominatorError(f"d must be 3, 4 or 6, got {d}")
-
-
-def _prime_valuation(n: int, p: int) -> int:
-    alpha = 0
-    while n % p == 0:
-        n //= p
-        alpha += 1
-    return alpha
 
 
 def _lemma2_args(n: int, p: int, d: int) -> int:
@@ -239,7 +217,7 @@ def _lemma2_args(n: int, p: int, d: int) -> int:
     g = gcd(n, 6)
     if g != 1:
         raise NotCoprimeError(f"gcd({n}, 6) = {g}; need gcd(n, 6) = 1")
-    return _prime_valuation(n, p)
+    return p_adic_valuation(n, p)
 
 
 def half_harmonic(n: int) -> Residue:
@@ -274,25 +252,35 @@ def lemma2_sum(n: int, p: int, d: int) -> Residue:
     return modular_sum(SumSpec(n, d, p, p ** (2 * alpha)))
 
 
-# The modular right-hand side for d is sum of w_a * L_n(a) over its (a, w_a),
-# L_n(a) = 2 q_n(a) - n q_n(a)^2; HALF is Lehmer's half-range sum.
-_RHS_WEIGHTS: dict[int | str, tuple[tuple[int, Fraction], ...]] = {
-    HALF: ((2, Fraction(-1)),),
-    3: ((3, Fraction(1, 4)),),
-    4: ((2, Fraction(3, 8)),),
-    6: ((2, Fraction(1, 6)), (3, Fraction(1, 8))),
+# The modular right-hand side for d is (sum of c_a * L_n(a)) / D over the
+# entry (D, ((a, c_a), ...)) of d, with L_n(a) = 2 q_n(a) - n q_n(a)^2 and
+# D the weights' common denominator; HALF is Lehmer's half-range sum.
+_RHS_WEIGHTS: dict[int | str, tuple[int, tuple[tuple[int, int], ...]]] = {
+    HALF: (1, ((2, -1),)),  # -L_n(2)
+    3: (4, ((3, 1),)),  # L_n(3) / 4
+    4: (8, ((2, 3),)),  # 3 L_n(2) / 8
+    6: (24, ((2, 4), (3, 3))),  # L_n(2) / 6 + L_n(3) / 8
 }
 
 
 def _weighted_rhs(n: int, d: int | str, m: int, phi: int) -> Residue:
-    """sum of w_a * L_n(a) mod m over the weights of d, given phi = phi(n).
+    """sum of c_a * L_n(a) / D mod m over the weights of d, given phi = phi(n).
 
-    The weights' denominators must be units mod m.
+    The numerator is formed mod D m, and the factor it shares with D is
+    divided out, so the result is the exact rational reduced mod m.  Raises
+    NotCoprimeError when some q_n(a) does not exist, and NotInvertibleError
+    when what is left of D is not a unit mod m.
     """
+    den, weights = _RHS_WEIGHTS[d]
     total = 0
-    for a, w in _RHS_WEIGHTS[d]:
-        total += w.numerator * pow(w.denominator, -1, m) * _combination(n, a, m, phi)
-    return Residue(total % m, m)
+    for a, c in weights:
+        _require_coprime(a, n)
+        total += c * _combination(n, a, den * m, phi)
+    g = gcd(total, den)  # D divides D m, so total mod D m shares g with D too
+    rest, total = den // g, total % (den * m) // g
+    if gcd(rest, m) != 1:
+        raise NotInvertibleError(f"right-side denominator {rest} is not a unit mod {m}")
+    return Residue(total * pow(rest, -1, m) % m, m)
 
 
 def half_rhs(n: int) -> Residue:

@@ -1,21 +1,21 @@
 """Identity catalog and orchestration: verify, scan, search, reassembly.
 
 IDENTITIES holds one IdentitySpec per IdentityId: the parameters its check
-reads, scan's default admissibility filter, the modulus a skip report
-carries, the modular check, the exact-rational sides for the oracle, and
-the embedded d.  verify and scan read the table and branch on no identity;
+reads, scan's admissibility filter, the modulus a skip report carries,
+the modular check, the exact-rational sides for the oracle, and the
+embedded d.  verify and scan read the table and branch on no identity;
 its entries look the layer functions up in this module when they run, so a
 wrapper set here (a tracer, a test double) sees every call.  scan keeps the
-admissible values of the scanned variable and turns in-range precondition
-failures into skip reports, so the output stays auditable.  With several
-workers it deals those values round-robin to processes forked from the
-caller, one pipe each, and every share (the caller's own included) runs
-through _scan_chunk, looked up here at call time.  Given a render
-function, each share renders its own reports, so a child sends back
-rendered rows with their verdicts, not reports.  The counterexample
-search deliberately relaxes the hypotheses: left-hand terms are inverted
-one by one, and the right-hand side is evaluated as an exact rational
-first, reduced only when its denominator is a unit.
+admissible values of the scanned variable and turns a check that hits a
+cap or a budget into a skip report, so the output stays auditable.  With
+several workers it deals those values round-robin to processes forked
+from the caller, one pipe each, and every share (the caller's own
+included) runs through _scan_chunk, looked up here at call time.  Given
+a render function, each share renders its own reports, so a child sends
+back rendered rows with their verdicts, not reports.  The counterexample
+search deliberately relaxes the hypothesis gcd(n, 6) = 1 but keeps the
+modular routes of both sides; the right-hand side cancels what its
+numerator shares with its weights' denominator before it inverts the rest.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from collections.abc import Callable
 from fractions import Fraction
 from math import gcd
 
-from .arith import Residue, _Value, crt_combine, factorize, is_prime
-from .bernoulli import BernoulliCache, rational_mod
+from .arith import Residue, _Value, crt_combine, euler_phi, factorize, is_prime
+from .bernoulli import BernoulliCache, p_adic_valuation, rational_mod
 from .errors import (
     CongruenceError,
     FactorizationLimitExceeded,
@@ -51,7 +51,7 @@ from .sums import (
     HALF,
     SumSpec,
     _check_d,
-    _prime_valuation,
+    _weighted_rhs,
     exact_sum,
     half_harmonic,
     half_rhs,
@@ -60,7 +60,7 @@ from .sums import (
     lemma2_rhs,
     lemma2_rhs_exact,
     lemma2_sum,
-    modular_sum_lenient,
+    modular_sum,
     moebius_decomposition_sides,
     moebius_decomposition_sides_exact,
     theorem_rhs,
@@ -88,7 +88,7 @@ class IdentitySpec(_Value):
     one is reported, and defaults the optional ones with their values; d is
     the denominator the identity embeds (None when it takes none, or takes
     it as a parameter) and var the parameter a scan walks.  admissible is
-    scan's default filter for a value of var, modulus gives the modulus a
+    scan's filter for a value of var, modulus gives the modulus a
     skipped check reports, check runs the modular route, and exact returns
     the exact rationals of both sides given the report's params and modulus
     (None when check already compares exact values).  bernoulli tells
@@ -137,10 +137,9 @@ def _square(q: Params) -> int:
     return q["n"] * q["n"]
 
 
-def _local_modulus(q: Params) -> int | None:
-    """p^{2 v_p(n)}, or None when p does not divide n."""
-    n, p = q["n"], q["p"]
-    return p ** (2 * _prime_valuation(n, p)) if p > 1 and n % p == 0 else None
+def _local_modulus(q: Params) -> int:
+    """p^{2 v_p(n)}."""
+    return q["p"] ** (2 * p_adic_valuation(q["n"], q["p"]))
 
 
 def _localized(n: int, q: Params) -> bool:
@@ -195,7 +194,7 @@ def _lemma2(d: int) -> IdentitySpec:
     def check(identity: IdentityId, q: Params, cache) -> CongruenceReport:
         n, p = q["n"], q["p"]
         lhs = lemma2_sum(n, p, d)
-        q = {**q, "alpha": _prime_valuation(n, p)}
+        q = {**q, "alpha": p_adic_valuation(n, p)}
         return _modular_report(identity, q, lhs, lemma2_rhs(p, q["alpha"], d))
 
     def exact(q: Params, m: int) -> tuple[Fraction, Fraction]:
@@ -208,7 +207,7 @@ def _lemma2(d: int) -> IdentitySpec:
 def _moebius(identity: IdentityId, q: Params, cache) -> CongruenceReport:
     n, p = q["n"], q["p"]
     lhs, rhs = moebius_decomposition_sides(n, p, q["d"])
-    return _modular_report(identity, {**q, "alpha": _prime_valuation(n, p)}, lhs, rhs)
+    return _modular_report(identity, {**q, "alpha": p_adic_valuation(n, p)}, lhs, rhs)
 
 
 IDENTITIES: dict[IdentityId, IdentitySpec] = {
@@ -355,9 +354,9 @@ def _scan_chunk(args: tuple) -> list:
     """The reports of one share of a scan, in the order of its values.
 
     args is (identity, values, params, cache, exact_oracle, render).  A
-    value whose check cannot run still yields a report, with skipped_reason,
-    so every value yields exactly one.  Unless render is None, each report
-    is replaced by (render(report), report.holds is True).
+    value whose check hits a cap or a budget still yields a report, with
+    skipped_reason, so every value yields exactly one.  Unless render is
+    None, each report is replaced by (render(report), report.holds is True).
     """
     identity, values, params, cache, exact_oracle, render = args
     var = IDENTITIES[identity].var
@@ -367,8 +366,8 @@ def _scan_chunk(args: tuple) -> list:
         try:
             report = verify(identity, **row, cache=cache, exact_oracle=exact_oracle)
         except (
-            PreconditionError, IndexCapExceeded, FactorizationLimitExceeded,
-            PowerSizeExceeded, TermCountExceeded,
+            IndexCapExceeded, FactorizationLimitExceeded, PowerSizeExceeded,
+            TermCountExceeded,
         ) as exc:
             report = _skip_report(identity, row, str(exc))
         out.append(report if render is None else (render(report), report.holds is True))
@@ -473,7 +472,6 @@ def scan(
     p: int | None = None,
     d: int | None = None,
     alpha: int | None = None,
-    predicate: Callable[[int], bool] | None = None,
     workers: int = 1,
     cache: BernoulliCache | None = None,
     exact_oracle: bool = False,
@@ -486,11 +484,10 @@ def scan(
     none that it does not read may be, nor a cache unless its check reads
     Bernoulli numbers, a fixed p must be prime, a fixed alpha and workers
     must be at least 1, else PreconditionError is raised before any check
-    runs.  A value is retained when the predicate accepts
-    it (default: the identity's admissibility filter).  A retained value
-    whose check still cannot run, for instance under a permissive custom
-    predicate or a tight Bernoulli cap, produces a report with
-    skipped_reason instead of disappearing.
+    runs.  A value is retained when the identity's admissibility filter
+    accepts it.  A retained value whose check hits a cap or a budget, for
+    instance a tight Bernoulli cap, produces a report with skipped_reason
+    instead of disappearing.
     With workers > 1 the retained values are dealt round-robin to
     min(workers, retained values, usable CPUs) processes forked from this
     one; the merged result is identical to the single-process one.  Where
@@ -511,10 +508,7 @@ def scan(
         )
     if workers < 1:
         raise PreconditionError(f"workers must be >= 1, got {workers}")
-    values = [
-        value for value in range(n_from, n_to + 1)
-        if (spec.admissible(value, params) if predicate is None else predicate(value))
-    ]
+    values = [v for v in range(n_from, n_to + 1) if spec.admissible(v, params)]
     args = (identity, values, params, cache, exact_oracle, render)
     workers = min(workers, len(values), _usable_cpus())
     if workers > 1 and hasattr(os, "fork"):
@@ -523,50 +517,35 @@ def scan(
 
 
 def counterexample_search(
-    identity: IdentityId,
-    class_filter: int | Callable[[int], bool],
-    *,
-    n_to: int = 1000,
+    identity: IdentityId, residue: int, *, n_to: int = 1000
 ) -> list[CongruenceReport]:
-    """Scan n = 2, 3, ... for the first failure of a theorem congruence.
+    """Scan n = 2, 3, ... with n = residue mod 6 for a theorem's first failure.
 
-    class_filter is either a residue class mod 6 or an arbitrary predicate
-    on n.  The hypotheses are deliberately relaxed: left-hand terms are
-    inverted individually, and n is skipped (with a report) when a term is
-    not a unit mod n^2; the right-hand side is evaluated as an exact
-    rational, reduced only when its denominator is a unit.  Returns the
-    trail of reports, ending with the first failure; raises
-    NoCounterexampleInRange when the bound is exhausted.
+    The hypothesis gcd(n, 6) = 1 is deliberately relaxed, and both sides
+    take their modular routes at every n: the left-hand terms are summed
+    as one running fraction mod n^2, and the right-hand side is formed
+    over its weights' common denominator, so only the part of that
+    denominator its numerator does not cancel must be a unit.  n is
+    skipped, with a report, when a left-hand term is not a unit mod n^2, a
+    quotient q_n(a) of the right side does not exist, or that part of the
+    denominator is not a unit.  Returns the trail of reports, ending with
+    the first failure; raises NoCounterexampleInRange when the bound is
+    exhausted.
     """
     if identity not in (IdentityId.THM_3, IdentityId.THM_4, IdentityId.THM_6):
         raise PreconditionError(
             "counterexample search covers thm3, thm4 and thm6 only"
         )
     d = IDENTITIES[identity].d
-    if isinstance(class_filter, int):
-        residue = class_filter % 6
-        keep: Callable[[int], bool] = lambda n: n % 6 == residue
-    else:
-        keep = class_filter
     trail: list[CongruenceReport] = []
-    for n in range(2, n_to + 1):
-        if not keep(n):
-            continue
+    for n in range(2 + (residue - 2) % 6, n_to + 1, 6):
         nsq = n * n
         params = {"n": n, "d": d}
-        lhs, reason = modular_sum_lenient(SumSpec(n, d, None, nsq))
-        if lhs is None:
-            trail.append(_skip_report(identity, params, reason))
-            continue
         try:
-            rhs_value = theorem_rhs_exact(n, d)
-        except NotCoprimeError as exc:
+            lhs = modular_sum(SumSpec(n, d, None, nsq))
+            rhs = _weighted_rhs(n, d, nsq, euler_phi(factorize(n)))
+        except (NotCoprimeError, NotInvertibleError) as exc:
             trail.append(_skip_report(identity, params, str(exc)))
-            continue
-        try:
-            rhs = rational_mod(rhs_value, nsq)
-        except NotInvertibleError as exc:
-            trail.append(_skip_report(identity, params, f"right side: {exc}"))
             continue
         report = _modular_report(identity, params, lhs, rhs)
         trail.append(report)

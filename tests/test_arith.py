@@ -123,10 +123,11 @@ def test_factorize_rho_path():
     assert factorize(p * q) == f
 
 
-def test_factorize_budget_exhaustion():
+def test_factorize_budget_exhaustion(monkeypatch):
     p, q = 1_000_003, 1_000_033
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 1)
     with pytest.raises(FactorizationLimitExceeded):
-        factorize(p * q, rho_iterations=1)
+        factorize(p * q)
 
 
 def _sieve(limit: int) -> list[int]:

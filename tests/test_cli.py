@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from math import inf
@@ -506,19 +507,78 @@ def test_serialize_reports_batch():
         serialize_reports(reports, "xml")
 
 
-def _probe(code: str) -> list[str]:
-    """The words code prints, run by a fresh interpreter on this package."""
+def _interpreter(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this package, run with args."""
     src = str(Path(lehmer_congruences.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code],
+    return subprocess.run(
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=60,
-        check=True,
+        check=check,
     )
-    return done.stdout.split()
+
+
+def _probe(code: str) -> list[str]:
+    """The words code prints, run by a fresh interpreter on this package."""
+    return _interpreter("-c", code).stdout.split()
+
+
+def _cli(*argv: str) -> subprocess.CompletedProcess:
+    return _interpreter("-m", "lehmer_congruences", *argv, check=False)
+
+
+def test_integers_past_the_decimal_conversion_limit():
+    # Python 3.11 and later refuse to print an int of over 4,300 digits by
+    # default; the CLI prints every value in full
+    done = _cli("fq", "--n", "20011", "--a", "2")
+    assert (done.returncode, done.stderr) == (0, "")
+    digits = done.stdout.rstrip("\n")
+    value = 0  # read 1,000 digits at a time, under this process's limit
+    for k in range(0, len(digits), 1000):
+        chunk = digits[k:k + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == (2**20010 - 1) // 20011 and len(digits) == 6020
+    done = _cli("bernoulli", "--m", "2200", "--bernoulli-cap", "3000")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("-") and "/" in done.stdout
+    # phi(5^8000) is a Bernoulli index of 5,592 digits
+    done = _cli("verify", "--identity", "lemma1", "--p", "5", "--alpha", "4000")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert "capped" in done.stderr and "Traceback" not in done.stderr
+    done = _cli(
+        "scan", "--identity", "lemma1", "--from", "3", "--to", "7", "--alpha", "4000",
+        "--format", "json",
+    )
+    assert (done.returncode, done.stderr) == (1, "")
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [row["params"]["p"] for row in rows] == [3, 5, 7]
+    assert all("capped" in row["skipped_reason"] for row in rows)
+
+
+def _readme_examples() -> list[tuple[list[str], str]]:
+    """(argv, stdout) for every `$ lehmer-congruences` line of README.md."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples: list[tuple[list[str], str]] = []
+    for line in readme.read_text().splitlines():
+        if line.startswith("$ lehmer-congruences "):
+            examples.append((shlex.split(line)[2:], ""))
+        elif examples and line and not line.startswith(("$", "```")):
+            argv, out = examples[-1]
+            examples[-1] = (argv, out + line + "\n")
+        elif examples and examples[-1][1]:
+            examples.append(([], ""))  # the example's output has ended
+    return [(argv, out) for argv, out in examples if argv]
+
+
+def test_readme_examples():
+    examples = _readme_examples()
+    assert len(examples) == 7
+    for argv, out in examples:
+        done = _cli(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, ""), argv
 
 
 def test_import_loads_no_process_pool():

@@ -21,7 +21,7 @@ from lehmer_congruences.errors import (
     TermCountExceeded,
 )
 from lehmer_congruences.quotients import fermat_quotient_mod
-from lehmer_congruences.arith import Residue, factorize, is_prime, mod_inv
+from lehmer_congruences.arith import Residue, euler_phi, factorize, is_prime, mod_inv
 from lehmer_congruences.sums import (
     HALF,
     SumSpec,
@@ -34,7 +34,6 @@ from lehmer_congruences.sums import (
     lemma2_rhs_exact,
     lemma2_sum,
     modular_sum,
-    modular_sum_lenient,
     moebius_decomposition_check,
     moebius_decomposition_sides,
     theorem_rhs,
@@ -79,18 +78,6 @@ def reference_modular_sum(spec: SumSpec) -> Residue:
     return Residue(acc, m)
 
 
-def reference_lenient(spec: SumSpec) -> tuple[Residue | None, str | None]:
-    # modular_sum_lenient before the running fraction
-    m = spec.modulus
-    acc = 0
-    for term in spec.denominators():
-        g = gcd(term, m)
-        if g != 1:
-            return None, f"term {term} shares the factor {g} with modulus {m}"
-        acc = (acc + mod_inv(term, m).rep) % m
-    return Residue(acc, m), None
-
-
 def outcome(fn, spec: SumSpec) -> int | str:
     try:
         return fn(spec).rep
@@ -127,7 +114,6 @@ def test_modular_sum_matches_reference_loop(spec, block):
     with patch.object(sums, "_MASK_BLOCK", block):
         result = outcome(modular_sum, spec)
         assert result == outcome(reference_modular_sum, spec), spec
-        assert modular_sum_lenient(spec) == reference_lenient(spec), spec
     terms = list(spec.denominators())
     if isinstance(result, int) and 0 not in terms:
         assert rational_mod(exact_sum(spec), spec.modulus).rep == result, spec
@@ -265,19 +251,6 @@ def test_exact_sum_term_budget(monkeypatch):
             exact_sum(spec)
 
 
-def test_modular_sum_lenient():
-    value, reason = modular_sum_lenient(SumSpec(5, 3, None, 25))
-    assert reason is None and value.rep == 13
-    # n = 9, d = 3 keeps the term 9 - 3*1 = 6, which shares 3 with 81
-    value, reason = modular_sum_lenient(SumSpec(9, 3, None, 81))
-    assert value is None
-    assert "shares the factor" in reason
-    # a zero term is caught the same way: 4 - 4*1 = 0
-    value, reason = modular_sum_lenient(SumSpec(4, 4, None, 16))
-    assert value is None
-    assert "term 0" in reason
-
-
 def test_lemma2_sum_values():
     assert lemma2_sum(35, 5, 3).rep == 13
     # pinned alignment with the localized right side
@@ -335,6 +308,38 @@ COPRIME_TO_6 = st.builds(
 @given(COPRIME_TO_6, st.sampled_from([3, 4, 6]))
 def test_theorem_rhs_matches_its_exact_twin(n, d):
     assert theorem_rhs(n, d) == rational_mod(theorem_rhs_exact(n, d), n * n), (n, d)
+
+
+def rhs_outcome(route) -> Residue | type:
+    try:
+        return route()
+    except (NotCoprimeError, NotInvertibleError) as exc:
+        return type(exc)
+
+
+def test_relaxed_rhs_matches_the_oracle_outside_the_hypothesis():
+    # _weighted_rhs at every n, gcd(n, 6) = 1 or not: the oracle reduces the
+    # exact rational, and where one route cannot, the other raises alike
+    outcomes = set()
+    for d in (3, 4, 6):
+        for n in range(2, 1500):
+            phi = euler_phi(factorize(n))
+            relaxed = rhs_outcome(lambda: sums._weighted_rhs(n, d, n * n, phi))
+            exact = rhs_outcome(lambda: rational_mod(theorem_rhs_exact(n, d), n * n))
+            assert relaxed == exact, (n, d)
+            outcomes.add(relaxed if isinstance(relaxed, type) else Residue)
+    assert outcomes == {Residue, NotCoprimeError}
+    # mod n^2, at these n, what the numerator leaves of the weights'
+    # denominator is always a unit; smaller moduli reach the other case
+    for d in (3, 4, 6):
+        for n in range(2, 60):
+            phi = euler_phi(factorize(n))
+            for m in range(2, 50):
+                relaxed = rhs_outcome(lambda: sums._weighted_rhs(n, d, m, phi))
+                exact = rhs_outcome(lambda: rational_mod(theorem_rhs_exact(n, d), m))
+                assert relaxed == exact, (n, d, m)
+                outcomes.add(relaxed if isinstance(relaxed, type) else Residue)
+    assert NotInvertibleError in outcomes
 
 
 @PROPERTY

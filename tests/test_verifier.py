@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lehmer_congruences import quotients, verifier
+from lehmer_congruences import quotients, sums, verifier
 from lehmer_congruences.arith import Residue
 from lehmer_congruences.bernoulli import BernoulliCache
 from lehmer_congruences.errors import (
@@ -250,17 +250,30 @@ def test_scan_alpha_below_one_raises_before_any_check(alpha):
         scan(IdentityId.LEMMA_1, 1, 8, alpha=alpha)
 
 
-def test_scan_skip_rows_carry_the_identity_params():
+def test_scan_skip_rows_carry_the_identity_params(monkeypatch):
     # a fixed p that is not prime is refused before any row is made
     with pytest.raises(PreconditionError, match="p must be prime"):
         scan(IdentityId.LEMMA_2_D3, 5, 12, p=1)
-    # a permissive predicate: 5 does not divide 7, so there is no modulus
-    (report,) = scan(IdentityId.LEMMA_2_D3, 7, 7, p=5, predicate=bool)
-    assert report.params == {"n": 7, "p": 5, "d": 3} and report.modulus is None
-    (report,) = scan(IdentityId.MOEBIUS_DECOMP, 7, 7, p=5, d=3, predicate=bool)
-    assert report.params == {"n": 7, "p": 5, "d": 3} and report.modulus is None
-    (report,) = scan(IdentityId.LEMMA_4, 10, 10, a=2, p=5, predicate=bool)
-    assert report.params == {"n": 10, "a": 2, "p": 5} and report.modulus == 25
+    # the exact oracle's sums at n = 25, d = 3 run over 8 values of r
+    monkeypatch.setattr(sums, "MAX_EXACT_TERMS", 6)
+    (report,) = scan(IdentityId.LEMMA_2_D3, 25, 25, p=5, exact_oracle=True)
+    assert report.params == {"n": 25, "p": 5, "d": 3} and report.modulus == 625
+    assert "over the budget of 6 terms" in report.skipped_reason
+    (report,) = scan(IdentityId.MOEBIUS_DECOMP, 25, 25, p=5, d=3, exact_oracle=True)
+    assert report.params == {"n": 25, "p": 5, "d": 3} and report.modulus == 625
+    assert "over the budget of 6 terms" in report.skipped_reason
+    # 3^phi(10) has about 6.3 bits
+    monkeypatch.setattr(quotients, "MAX_POWER_BITS", 3)
+    (report,) = scan(IdentityId.LEMMA_4, 10, 10, a=3, p=5, exact_oracle=True)
+    assert report.params == {"n": 10, "a": 3, "p": 5} and report.modulus == 25
+    assert "bits" in report.skipped_reason
+
+
+def test_scan_raises_precondition_errors():
+    # a skip row means a cap or a budget was hit; a check called outside its
+    # contract is an error of the caller
+    with pytest.raises(PreconditionError, match="d must be 3, 4 or 6"):
+        scan(IdentityId.MOEBIUS_DECOMP, 5, 40, p=5, d=5)
 
 
 def test_scan_skip_reports_under_cap():
@@ -273,14 +286,6 @@ def test_scan_skip_reports_under_cap():
     assert by_p[13].holds is None
     assert "capped" in by_p[13].skipped_reason
     assert by_p[13].modulus == 169
-
-
-def test_scan_custom_predicate_skips_inadmissible():
-    # a permissive predicate routes precondition failures into skip reports
-    reports = scan(IdentityId.THM_3, 8, 10, predicate=lambda n: True)
-    assert [r.params["n"] for r in reports] == [8, 9, 10]
-    assert all(r.holds is None for r in reports)
-    assert all("gcd" in r.skipped_reason for r in reports)
 
 
 def test_scan_deterministic():
@@ -469,8 +474,8 @@ def test_counterexample_skip_reports():
     # search exhausts its range
     with pytest.raises(NoCounterexampleInRange):
         counterexample_search(IdentityId.THM_3, 0, n_to=60)
-    # a predicate filter behaves like its residue class
-    trail = counterexample_search(IdentityId.THM_4, lambda n: n % 6 == 3, n_to=100)
+    # a class is taken mod 6
+    trail = counterexample_search(IdentityId.THM_4, -3, n_to=100)
     assert trail[-1].holds is False
     assert trail[-1].params["n"] == 3
     # thm6 is accepted, but its right side needs both q_n(2) and q_n(3),
@@ -479,6 +484,21 @@ def test_counterexample_skip_reports():
         counterexample_search(IdentityId.THM_6, 2, n_to=60)
     with pytest.raises(PreconditionError):
         counterexample_search(IdentityId.LEMMA_3, 1)
+
+
+def test_counterexample_search_uses_no_oracle_code(monkeypatch):
+    def oracle(*args):
+        raise AssertionError("the search reached the exact oracle")
+
+    monkeypatch.setattr(verifier, "theorem_rhs_exact", oracle)
+    monkeypatch.setattr(verifier, "rational_mod", oracle)
+    monkeypatch.setattr(sums, "fermat_quotient", oracle)
+    monkeypatch.setattr(quotients, "fermat_quotient", oracle)
+    test_counterexample_thm3_class4()
+    test_counterexample_thm4_class3()
+    test_counterexample_thm3_class2()
+    test_counterexample_skip_reports()
+    test_counterexample_exhaustion()
 
 
 def test_counterexample_exhaustion():
