@@ -16,7 +16,7 @@ import threading
 from fractions import Fraction
 from math import comb, factorial, gcd, inf, prod
 
-from .arith import Residue, divisors, factorize, is_prime, mod_inv
+from .arith import Residue, divisors, factorize, is_prime
 from .errors import (
     IndexCapExceeded,
     InvalidDenominatorError,
@@ -247,5 +247,6 @@ def rational_mod(x: Rational, modulus: int) -> Residue:
         raise NotInvertibleError(
             f"denominator {den} shares the factor {g} with modulus {modulus}"
         )
-    inverse = mod_inv(den, modulus).rep
-    return Residue(value.numerator * inverse % modulus, modulus)
+    if modulus < 1:
+        raise PreconditionError(f"modulus must be >= 1, got {modulus}")
+    return Residue(value.numerator * pow(den, -1, modulus) % modulus, modulus)

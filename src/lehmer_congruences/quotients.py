@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, log2
 
-from .arith import Residue, _Value, euler_phi, factorize, is_prime, mod_inv
+from .arith import Residue, _Value, euler_phi, factorize, is_prime
 from .bernoulli import BernoulliCache, bernoulli_number, p_adic_valuation, rational_mod
 from .errors import (
     NotCoprimeError,
@@ -156,7 +156,7 @@ def lemma3_check(n: int, a: int) -> CongruenceReport:
     nsq = n * n
     phi = euler_phi(factorize(n))
     lhs = Residue(_quotient_mod(nsq, a, nsq, n * phi), nsq)  # phi(n^2) = n phi(n)
-    rhs = mod_inv(2, nsq).rep * _combination(n, a, nsq, phi) % nsq
+    rhs = pow(2, -1, nsq) * _combination(n, a, nsq, phi) % nsq
     return CongruenceReport(
         identity=IdentityId.LEMMA_3,
         params={"n": n, "a": a},
@@ -190,7 +190,7 @@ def lemma4_check(n: int, a: int, p: int) -> CongruenceReport:
     phi_p = prime_power // p * (p - 1)
     local = _combination(prime_power, a, modulus, phi_p)
     phi_q = phi_n // phi_p  # phi is multiplicative and gcd(p^alpha, q) = 1
-    rhs = phi_q * mod_inv(q, modulus).rep % modulus * local % modulus
+    rhs = phi_q * pow(q, -1, modulus) % modulus * local % modulus
     return CongruenceReport(
         identity=IdentityId.LEMMA_4,
         params={"n": n, "a": a, "p": p, "alpha": alpha},

@@ -10,6 +10,15 @@ same terms through SumSpec.denominators() as an exact rational and is kept
 deliberately independent (gcd filter, no mask, no modular inverse), so the
 two can audit each other.
 
+coprime_sums forms the gcd(r, n) = 1 sums mod n^2 at a whole list of n
+(half_harmonic and lehmer_sum are its one-value case).  It takes
+modular_sum at each n, or, when an operation-count estimate says it is
+cheaper, the sweep module: one ascending sweep of exact prefix sums L/j,
+L = lcm(1..top), that every n of the list reads at its Moebius cut
+points.  The loop costs about n/d steps per n, the sweep about top steps
+and 2^omega(n) requests per n, each times the size of L, so the sweep
+wins on long scans from small n and the loop on narrow windows far out.
+
 The right-hand sides are polynomials in Fermat quotients q_n(2), q_n(3).
 Each modular one is a weighted sum of L_n(a) = 2 q_n(a) - n q_n(a)^2 read
 from _RHS_WEIGHTS; each exact-rational twin is written out as stated.
@@ -17,12 +26,12 @@ from _RHS_WEIGHTS; each exact-rational twin is written out as stated.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, combinations, compress
 from math import gcd, prod
 
-from .arith import Residue, _Value, euler_phi, factorize, is_prime
+from .arith import FactoredInteger, Residue, _Value, euler_phi, factorize, is_prime
 from .bernoulli import p_adic_valuation
 from .errors import (
     EvenModulusError,
@@ -40,6 +49,7 @@ from .quotients import fermat_quotient_mod  # noqa: F401
 __all__ = [
     "HALF",
     "SumSpec",
+    "coprime_sums",
     "exact_sum",
     "half_harmonic",
     "half_rhs",
@@ -222,10 +232,7 @@ def _lemma2_args(n: int, p: int, d: int) -> int:
 
 def half_harmonic(n: int) -> Residue:
     """Sum of 1/r mod n^2 over 1 <= r <= (n-1)/2 with gcd(r, n) = 1."""
-    _require_modulus(n)
-    if n % 2 == 0:
-        raise EvenModulusError(f"the half-range sum needs odd n, got {n}")
-    return modular_sum(SumSpec(n, HALF, None, n * n))
+    return coprime_sums([n], HALF)[0]
 
 
 def lehmer_sum(n: int, d: int) -> Residue:
@@ -235,12 +242,34 @@ def lehmer_sum(n: int, d: int) -> Residue:
     mod n^2: gcd(n - d*r, n) = gcd(d*r, n) = 1 since both d and r are
     coprime to n.
     """
-    _check_d(d)
-    _require_modulus(n)
-    g = gcd(n, d)
-    if g != 1:
-        raise NotCoprimeError(f"gcd({n}, {d}) = {g}; the d-sum needs gcd(n, d) = 1")
-    return modular_sum(SumSpec(n, d, None, n * n))
+    return coprime_sums([n], d)[0]
+
+
+def coprime_sums(ns: Sequence[int], d: int | str) -> list[Residue]:
+    """The gcd(r, n) = 1 sums mod n^2 at every n of ns, in order.
+
+    d = HALF gives half_harmonic(n) and d in {3, 4, 6} gives lehmer_sum(n,
+    d), with the same errors; every n is checked before any sum is formed.
+    One route serves the whole list: modular_sum at each n, or the shared
+    prefix sweep of sweep.swept_sums when sweep.is_cheaper says so.  A
+    single value has nothing to share, so it always takes modular_sum.
+    """
+    if d != HALF:
+        _check_d(d)
+    for n in ns:
+        _require_modulus(n)
+        if d == HALF:
+            if n % 2 == 0:
+                raise EvenModulusError(f"the half-range sum needs odd n, got {n}")
+        elif (g := gcd(n, d)) != 1:
+            raise NotCoprimeError(f"gcd({n}, {d}) = {g}; the d-sum needs gcd(n, d) = 1")
+    if len(ns) > 1:
+        from . import sweep  # compiled only by a process that sums a list
+
+        factored = [factorize(n) for n in ns]
+        if sweep.is_cheaper(ns, d, factored):
+            return sweep.swept_sums(ns, d, factored)
+    return [modular_sum(SumSpec(n, d, None, n * n)) for n in ns]
 
 
 def lemma2_sum(n: int, p: int, d: int) -> Residue:
@@ -374,9 +403,9 @@ def lemma2_rhs_exact(p: int, alpha: int, d: int) -> Fraction:
     )
 
 
-def _moebius_terms(q: int) -> Iterator[tuple[int, int]]:
+def _moebius_terms(q: FactoredInteger) -> Iterator[tuple[int, int]]:
     """(mu(s), s) for every squarefree divisor s of q."""
-    primes = [f for f, _ in factorize(q).factors]
+    primes = [f for f, _ in q.factors]
     for size in range(len(primes) + 1):
         for combo in combinations(primes, size):
             yield (-1) ** size, prod(combo)
@@ -395,7 +424,7 @@ def moebius_decomposition_sides(n: int, p: int, d: int) -> tuple[Residue, Residu
     lhs = modular_sum(SumSpec(n, d, None, modulus))
     total = sum(
         mu * pow(s, -1, modulus) * modular_sum(SumSpec(n // s, d, p, modulus)).rep
-        for mu, s in _moebius_terms(n // p**alpha)
+        for mu, s in _moebius_terms(factorize(n // p**alpha))
     )
     return lhs, Residue(total % modulus, modulus)
 
@@ -413,6 +442,6 @@ def moebius_decomposition_sides_exact(n: int, p: int, d: int) -> tuple[Fraction,
     lhs = exact_sum(SumSpec(n, d, None, modulus))
     total = sum(
         Fraction(mu, s) * exact_sum(SumSpec(n // s, d, p, modulus))
-        for mu, s in _moebius_terms(n // p**alpha)
+        for mu, s in _moebius_terms(factorize(n // p**alpha))
     )
     return lhs, total

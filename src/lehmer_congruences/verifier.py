@@ -12,10 +12,15 @@ several workers it deals those values round-robin to processes forked
 from the caller, one pipe each, and every share (the caller's own
 included) runs through _scan_chunk, looked up here at call time.  Given
 a render function, each share renders its own reports, so a child sends
-back rendered rows with their verdicts, not reports.  The counterexample
-search deliberately relaxes the hypothesis gcd(n, 6) = 1 but keeps the
-modular routes of both sides; the right-hand side cancels what its
-numerator shares with its weights' denominator before it inverts the rest.
+back rendered rows with their verdicts, not reports.  For an identity
+whose spec has a left function (the half-range and d-sum identities,
+prime forms included) a share first takes the left sides of all its
+values from one call to sums.coprime_sums, and its checks then form only
+the right sides; verify forms both sides of its one value.  The
+counterexample search deliberately relaxes the hypothesis gcd(n, 6) = 1
+but keeps the modular routes of both sides; the right-hand side cancels
+what its numerator shares with its weights' denominator before it
+inverts the rest.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .sums import (
     SumSpec,
     _check_d,
     _weighted_rhs,
+    coprime_sums,
     exact_sum,
     half_harmonic,
     half_rhs,
@@ -93,11 +99,14 @@ class IdentitySpec(_Value):
     the exact rationals of both sides given the report's params and modulus
     (None when check already compares exact values).  bernoulli tells
     whether check reads a Bernoulli number, and so whether it takes a cache.
+    left, when not None, forms the left sides at a list of values of var
+    at once; a scan share calls it before its checks and hands check each
+    value's left side as lhs, and check forms its own when lhs is None.
     """
 
     __slots__ = (
         "required", "admissible", "modulus", "check", "exact", "d", "var", "defaults",
-        "bernoulli",
+        "bernoulli", "left",
     )
 
     def __init__(
@@ -105,16 +114,20 @@ class IdentitySpec(_Value):
         required: tuple[str, ...],
         admissible: Callable[[int, Params], bool],
         modulus: Callable[[Params], int | None],
-        check: Callable[[IdentityId, Params, BernoulliCache | None], CongruenceReport],
+        check: Callable[
+            [IdentityId, Params, BernoulliCache | None, Residue | None],
+            CongruenceReport,
+        ],
         exact: Callable[[Params, int], tuple[Fraction, Fraction]] | None,
         d: int | None = None,
         var: str = "n",
         defaults: Params | None = None,
         bernoulli: bool = False,
+        left: Callable[[list[int]], list[Residue]] | None = None,
     ) -> None:
         _Value.__init__(
             self, required, admissible, modulus, check, exact, d, var,
-            {} if defaults is None else defaults, bernoulli,
+            {} if defaults is None else defaults, bernoulli, left,
         )
 
 
@@ -149,11 +162,13 @@ def _localized(n: int, q: Params) -> bool:
 def _half(prime: bool) -> IdentitySpec:
     """The half-range harmonic sum at an odd prime, or at any odd n."""
 
-    def check(identity: IdentityId, q: Params, cache) -> CongruenceReport:
+    def check(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
         n = q["n"]
         if prime and not admissible(n, q):
             raise PreconditionError(f"n = {n} is not an odd prime")
-        return _modular_report(identity, q, half_harmonic(n), half_rhs(n))
+        if lhs is None:
+            lhs = half_harmonic(n)
+        return _modular_report(identity, q, lhs, half_rhs(n))
 
     def admissible(n: int, q: Params) -> bool:
         return n >= 3 and n % 2 == 1 and (not prime or is_prime(n))
@@ -163,18 +178,21 @@ def _half(prime: bool) -> IdentitySpec:
         lambda q, m: (
             exact_sum(SumSpec(q["n"], HALF, None, m)), half_rhs_exact(q["n"])
         ),
+        left=lambda ns: coprime_sums(ns, HALF),
     )
 
 
 def _d_sum(d: int, prime: bool) -> IdentitySpec:
     """The d-sum at a prime p >= 5, or at any n with gcd(n, 6) = 1."""
 
-    def check(identity: IdentityId, q: Params, cache) -> CongruenceReport:
+    def check(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
         n = q["n"]
         if prime and not admissible(n, q):
             raise PreconditionError(f"n = {n} is not a prime >= 5")
         rhs = theorem_rhs(n, d)  # enforces gcd(n, 6) = 1 up front
-        return _modular_report(identity, q, lehmer_sum(n, d), rhs)
+        if lhs is None:
+            lhs = lehmer_sum(n, d)
+        return _modular_report(identity, q, lhs, rhs)
 
     def admissible(n: int, q: Params) -> bool:
         return n >= 5 and is_prime(n) if prime else n > 1 and gcd(n, 6) == 1
@@ -185,13 +203,14 @@ def _d_sum(d: int, prime: bool) -> IdentitySpec:
             exact_sum(SumSpec(q["n"], d, None, m)), theorem_rhs_exact(q["n"], d)
         ),
         d=d,
+        left=lambda ns: coprime_sums(ns, d),
     )
 
 
 def _lemma2(d: int) -> IdentitySpec:
     """The d-sum localized at p^{2 alpha}, alpha = v_p(n)."""
 
-    def check(identity: IdentityId, q: Params, cache) -> CongruenceReport:
+    def check(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
         n, p = q["n"], q["p"]
         lhs = lemma2_sum(n, p, d)
         q = {**q, "alpha": p_adic_valuation(n, p)}
@@ -204,7 +223,7 @@ def _lemma2(d: int) -> IdentitySpec:
     return IdentitySpec(("n", "p"), _localized, _local_modulus, check, exact, d=d)
 
 
-def _moebius(identity: IdentityId, q: Params, cache) -> CongruenceReport:
+def _moebius(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
     n, p = q["n"], q["p"]
     lhs, rhs = moebius_decomposition_sides(n, p, q["d"])
     return _modular_report(identity, {**q, "alpha": p_adic_valuation(n, p)}, lhs, rhs)
@@ -223,7 +242,7 @@ IDENTITIES: dict[IdentityId, IdentitySpec] = {
         ("p",),
         lambda n, q: is_prime(n),
         lambda q: q["p"] ** (2 * q["alpha"]),
-        lambda identity, q, cache: lemma1_check(q["p"], q["alpha"], cache),
+        lambda identity, q, cache, lhs: lemma1_check(q["p"], q["alpha"], cache),
         None,  # the p-adic comparison is already exact
         var="p",
         defaults={"alpha": 1},
@@ -236,14 +255,14 @@ IDENTITIES: dict[IdentityId, IdentitySpec] = {
         ("n", "a"),
         lambda n, q: n > 1 and gcd(n, 6 * q["a"]) == 1,
         _square,
-        lambda identity, q, cache: lemma3_check(q["n"], q["a"]),
+        lambda identity, q, cache, lhs: lemma3_check(q["n"], q["a"]),
         lambda q, m: lemma3_exact_sides(q["n"], q["a"]),
     ),
     IdentityId.LEMMA_4: IdentitySpec(
         ("n", "a", "p"),
         lambda n, q: n > 1 and n % q["p"] == 0 and gcd(q["a"], n) == 1,
         _local_modulus,
-        lambda identity, q, cache: lemma4_check(q["n"], q["a"], q["p"]),
+        lambda identity, q, cache, lhs: lemma4_check(q["n"], q["a"], q["p"]),
         lambda q, m: lemma4_exact_sides(q["n"], q["a"], q["p"]),
     ),
     IdentityId.MOEBIUS_DECOMP: IdentitySpec(
@@ -317,7 +336,19 @@ def verify(
     given = {"n": n, "a": a, "p": p, "d": d, "alpha": alpha}
     if given[spec.var] is None:
         given[spec.var] = given.pop("n")
-    report = spec.check(identity, _params(identity, given, cache), cache)
+    params = _params(identity, given, cache)
+    return _checked(identity, params, cache, exact_oracle, None)
+
+
+def _checked(
+    identity: IdentityId,
+    params: Params,
+    cache: BernoulliCache | None,
+    exact_oracle: bool,
+    lhs: Residue | None,
+) -> CongruenceReport:
+    """verify on validated params, with the left side given or (None) not."""
+    report = IDENTITIES[identity].check(identity, params, cache, lhs)
     if exact_oracle:
         _exact_recheck(report)
     return report
@@ -350,25 +381,37 @@ def _skip_report(identity: IdentityId, params: Params, reason: str) -> Congruenc
     )
 
 
+# a check that raises one of these yields a skip report in a scan
+_SKIPPED = (
+    IndexCapExceeded, FactorizationLimitExceeded, PowerSizeExceeded, TermCountExceeded,
+)
+
+
 def _scan_chunk(args: tuple) -> list:
     """The reports of one share of a scan, in the order of its values.
 
-    args is (identity, values, params, cache, exact_oracle, render).  A
-    value whose check hits a cap or a budget still yields a report, with
+    args is (identity, values, params, cache, exact_oracle, render), with
+    params validated by scan.  When the identity forms its left sides
+    together, the share takes them all from one call first; should that
+    call hit a cap or a budget, every check forms its own.  A value whose
+    check hits a cap or a budget still yields a report, with
     skipped_reason, so every value yields exactly one.  Unless render is
     None, each report is replaced by (render(report), report.holds is True).
     """
     identity, values, params, cache, exact_oracle, render = args
-    var = IDENTITIES[identity].var
-    out: list = []
-    for value in values:
-        row = {**params, var: value}
+    spec = IDENTITIES[identity]
+    lefts: list = [None] * len(values)
+    if spec.left is not None:
         try:
-            report = verify(identity, **row, cache=cache, exact_oracle=exact_oracle)
-        except (
-            IndexCapExceeded, FactorizationLimitExceeded, PowerSizeExceeded,
-            TermCountExceeded,
-        ) as exc:
+            lefts = spec.left(values)
+        except _SKIPPED:
+            pass
+    out: list = []
+    for value, lhs in zip(values, lefts):
+        row = {**params, spec.var: value}
+        try:
+            report = _checked(identity, row, cache, exact_oracle, lhs)
+        except _SKIPPED as exc:
             report = _skip_report(identity, row, str(exc))
         out.append(report if render is None else (render(report), report.holds is True))
     return out

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lehmer_congruences import sums
+from lehmer_congruences import sums, sweep
 from lehmer_congruences.bernoulli import rational_mod
 from lehmer_congruences.errors import (
     EvenModulusError,
@@ -139,6 +139,73 @@ def test_modular_sum_across_the_real_block_edge(d):
             assert spec.bound() == bound
             expected = outcome(reference_modular_sum, spec)
             assert outcome(modular_sum, spec) == expected, (spec, bound)
+
+
+def admissible_for(d):
+    # the n at which half_harmonic(n) or lehmer_sum(n, d) is defined
+    if d == HALF:
+        return lambda n: n >= 3 and n % 2 == 1
+    return lambda n: n >= 2 and gcd(n, d) == 1
+
+
+def swept(ns: list[int], d) -> list[Residue]:
+    return sweep.swept_sums(ns, d, [factorize(n) for n in ns])
+
+
+def looped(ns: list[int], d) -> list[Residue]:
+    return [modular_sum(SumSpec(n, d, None, n * n)) for n in ns]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([HALF, 3, 4, 6]), st.integers(1, 3000), st.integers(0, 300),
+    st.sampled_from(["all", "primes", "share 0", "share 1"]),
+)
+def test_sweep_matches_the_loop_on_sub_ranges(d, lo, width, kind):
+    ns = [n for n in range(lo, min(lo + width, 3000) + 1) if admissible_for(d)(n)]
+    if kind == "primes":
+        ns = [n for n in ns if is_prime(n)]
+    elif kind.startswith("share"):  # a round-robin share of a two-worker scan
+        ns = ns[int(kind[-1]) :: 2]
+    assert swept(ns, d) == looped(ns, d), (d, ns)
+
+
+@pytest.mark.parametrize("d", [HALF, 3, 4, 6])
+def test_sweep_edge_lists(d):
+    admissible = admissible_for(d)
+    assert swept([], d) == [] == sums.coprime_sums([], d)
+    for n in (3, 5, 7):  # K // n = 0: the s = n request reads an empty prefix
+        if admissible(n):
+            assert swept([n], d) == looped([n], d), n
+    small = [n for n in (3, 5, 7) if admissible(n)]
+    assert swept(small, d) == looped(small, d)
+    # high prime powers: n^2 G holds 5^13 or more, or 3^21 or more
+    powers = [5**4 * 7, 5**5] + ([3**7, 3**7 * 5] if d in (HALF, 4) else [])
+    for n in powers:
+        assert swept([n], d) == looped([n], d), n
+    ns = sorted(powers + [11, 4373, 4379])
+    assert swept(ns, d) == looped(ns, d)
+
+
+def test_sweep_refuses_a_quotient_it_cannot_certify(monkeypatch):
+    # with 5 taken out of L, L // j floors at j = 5 and 25, and the sums at
+    # the multiples of 5 are no longer divisible by their G
+    real = sweep._lcm_upto
+    monkeypatch.setattr(sweep, "_lcm_upto", lambda top: real(top) // 5)
+    with pytest.raises(ArithmeticError, match="not divisible by"):
+        swept([25, 35, 55, 65], HALF)
+
+
+def test_coprime_sums_checks_every_value_before_summing():
+    with pytest.raises(InvalidDenominatorError):
+        sums.coprime_sums([], 5)
+    with pytest.raises(EvenModulusError):
+        sums.coprime_sums([3, 5, 8], HALF)
+    with pytest.raises(NotCoprimeError, match=r"gcd\(9, 3\) = 3"):
+        sums.coprime_sums([5, 7, 9], 3)
+    with pytest.raises(PreconditionError):
+        sums.coprime_sums([1, 5], 4)
+    assert sums.coprime_sums([5, 7], 6) == [lehmer_sum(5, 6), lehmer_sum(7, 6)]
 
 
 def test_modular_sum_names_the_first_non_unit_term():

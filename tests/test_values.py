@@ -62,7 +62,7 @@ CASES = [
         _spec("n"), _spec("n"), _spec("p"),
         "IdentitySpec(required=('n',), admissible=<built-in function max>, "
         "modulus=<built-in function len>, check=<built-in function print>, "
-        "exact=None, d=None, var='n', defaults={}, bernoulli=False)",
+        "exact=None, d=None, var='n', defaults={}, bernoulli=False, left=None)",
         False,
     ),
 ]

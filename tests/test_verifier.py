@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lehmer_congruences import quotients, sums, verifier
+from lehmer_congruences import quotients, sums, sweep, verifier
 from lehmer_congruences.arith import Residue
 from lehmer_congruences.bernoulli import BernoulliCache
 from lehmer_congruences.errors import (
     CongruenceError,
+    FactorizationLimitExceeded,
     NoCounterexampleInRange,
     OracleDivergence,
     PreconditionError,
@@ -440,6 +441,66 @@ def test_scan_turns_an_oversized_exact_power_into_a_skip(monkeypatch):
     assert [r.params["n"] for r in reports] == [5, 7, 11, 13, 17, 19]
     assert all(r.holds for r in reports[:4])
     assert all(r.holds is None and "bits" in r.skipped_reason for r in reports[4:])
+
+
+def record_routes(monkeypatch) -> list[str]:
+    """Replace both left-side routes of sums by doubles that log their use."""
+    routes: list[str] = []
+    real_sweep, real_loop = sweep.swept_sums, sums.modular_sum
+
+    def swept(ns, d, factored):
+        routes.append("sweep")
+        return real_sweep(ns, d, factored)
+
+    def loop(spec):
+        routes.append("loop")
+        return real_loop(spec)
+
+    monkeypatch.setattr(sweep, "swept_sums", swept)
+    monkeypatch.setattr(sums, "modular_sum", loop)
+    return routes
+
+
+def test_left_sides_take_the_cheaper_route(monkeypatch):
+    routes = record_routes(monkeypatch)
+    for n in (5, 7, 35, 10007):
+        verify(IdentityId.THM_3, n=n)
+        verify(IdentityId.CAI_HALF, n=n)
+        sums.coprime_sums([n], 6)
+    (report,) = scan(IdentityId.THM_3, 10007, 10008)  # a one-value share
+    assert report.holds and set(routes) == {"loop"}
+    routes.clear()
+    # a narrow window high up: the sweep's L would have about 960 digits
+    assert all(r.holds for r in scan(IdentityId.THM_3, 20000, 20030))
+    assert set(routes) == {"loop"}
+    routes.clear()
+    assert all(r.holds for r in scan(IdentityId.THM_3, 5, 2410))
+    assert routes == ["sweep"]
+
+
+@pytest.mark.parametrize(
+    "identity, lo, hi",
+    [
+        (IdentityId.THM_4, 5, 400),
+        (IdentityId.CAI_HALF, 3, 400),
+        (IdentityId.LEHMER_HALF, 3, 600),
+    ],
+)
+def test_swept_scans_pass_the_exact_oracle(monkeypatch, identity, lo, hi):
+    routes = record_routes(monkeypatch)
+    reports = scan(identity, lo, hi, exact_oracle=True)
+    assert routes == ["sweep"]
+    assert reports and all(r.holds for r in reports)
+
+
+def test_scan_falls_back_to_each_check_when_the_shared_left_sides_fail(monkeypatch):
+    expected = scan(IdentityId.THM_6, 5, 120)
+
+    def capped(ns, d):
+        raise FactorizationLimitExceeded("rho iteration budget exhausted")
+
+    monkeypatch.setattr(verifier, "coprime_sums", capped)
+    assert scan(IdentityId.THM_6, 5, 120) == expected
 
 
 def test_counterexample_thm3_class4():
