@@ -8,12 +8,13 @@ the primes p with (p - 1) | m this is an integer (von Staudt-Clausen);
 integer brackets of pi (Machin), (2 pi)^m and zeta(m) (an Euler product)
 enclose it, and the precision doubles until they hold one integer, so
 every value is certified exact, never estimated.  No float appears here.
+The functions that form a Fraction import the fractions module where they
+run, so a process that reads no Bernoulli number never loads it.
 """
 
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from math import comb, factorial, gcd, inf, prod
 
 from .arith import Residue, divisors, factorize, is_prime
@@ -23,6 +24,12 @@ from .errors import (
     NotInvertibleError,
     PreconditionError,
 )
+
+TYPE_CHECKING = False  # typing is not imported for this alone
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Rational = Fraction | int
 
 __all__ = [
     "BernoulliCache",
@@ -38,8 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_INDEX = 600
-
-Rational = Fraction | int
 
 
 class BernoulliCache:
@@ -68,6 +73,8 @@ class BernoulliCache:
                 f"B_{m} requested, but the cache is capped at index {self.max_index}"
             )
         if m % 2 or m == 0:  # B_0 = 1, B_1 = -1/2; the other odd B_m vanish
+            from fractions import Fraction
+
             return Fraction(1) if m == 0 else Fraction(-1, 2) if m == 1 else Fraction(0)
         if m not in self._table:
             with self._lock:
@@ -76,6 +83,8 @@ class BernoulliCache:
 
     def _extend_to(self, m: int) -> None:
         if m not in self._table:  # another thread may have computed it
+            from fractions import Fraction
+
             den = prod(_clausen_primes(m))
             self._table[m] = Fraction(_numerator(m, den), den)
 
@@ -154,6 +163,8 @@ def bernoulli_number(m: int, cache: BernoulliCache | None = None) -> Fraction:
 
 def bernoulli_poly(m: int, x: Rational, cache: BernoulliCache | None = None) -> Fraction:
     """B_m(x) = sum_k C(m, k) B_{m-k} x^k, evaluated exactly by Horner."""
+    from fractions import Fraction
+
     if m < 0:
         raise PreconditionError(f"polynomial degree must be >= 0, got {m}")
     resolved = _resolve(cache)
@@ -169,6 +180,8 @@ def power_sum(x: Rational, count: int, m: int, cache: BernoulliCache | None = No
 
     Equals (B_{m+1}(x + count) - B_{m+1}(x)) / (m + 1); an empty sum is 0.
     """
+    from fractions import Fraction
+
     if count < 0:
         raise PreconditionError(f"count must be >= 0, got {count}")
     if m < 0:
@@ -182,6 +195,8 @@ def power_sum(x: Rational, count: int, m: int, cache: BernoulliCache | None = No
 
 def special_value(d: int, m: int, cache: BernoulliCache | None = None) -> Fraction:
     """Closed form for B_m(1/d) = B_m((d-1)/d) with d in {3, 4, 6}, even m > 0."""
+    from fractions import Fraction
+
     if d not in (3, 4, 6):
         raise InvalidDenominatorError(f"d must be 3, 4 or 6, got {d}")
     if m <= 0 or m % 2:
@@ -203,6 +218,8 @@ def von_staudt_clausen(m: int, cache: BernoulliCache | None = None) -> tuple[int
     integer z; returns (z, primes).  In particular the denominator of B_m is
     exactly the product of those primes.
     """
+    from fractions import Fraction
+
     if m < 2 or m % 2:
         raise PreconditionError(f"m must be even and >= 2, got {m}")
     primes = _clausen_primes(m)
@@ -213,14 +230,21 @@ def von_staudt_clausen(m: int, cache: BernoulliCache | None = None) -> tuple[int
 
 
 def p_adic_valuation(x: Rational, p: int) -> int | float:
-    """The exponent of p in the rational x; +inf for x = 0."""
+    """The exponent of p in the rational x; +inf for x = 0.
+
+    An int x is read as it is, so the modular routes form no Fraction.
+    """
     if not is_prime(p):
         raise PreconditionError(f"p must be prime, got {p}")
-    value = Fraction(x)
-    if value == 0:
+    if isinstance(x, int):
+        num, den = x, 1
+    else:
+        from fractions import Fraction
+
+        value = Fraction(x)
+        num, den = value.numerator, value.denominator
+    if num == 0:
         return inf
-    num = value.numerator
-    den = value.denominator
     v = 0
     while num % p == 0:
         num //= p
@@ -233,6 +257,8 @@ def p_adic_valuation(x: Rational, p: int) -> int | float:
 
 def padic_congruent(x: Rational, y: Rational, p: int, k: int) -> bool:
     """Whether x and y agree mod p^k in the p-adic sense: v_p(x - y) >= k."""
+    from fractions import Fraction
+
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
     return p_adic_valuation(Fraction(x) - Fraction(y), p) >= k
@@ -240,6 +266,8 @@ def padic_congruent(x: Rational, y: Rational, p: int, k: int) -> bool:
 
 def rational_mod(x: Rational, modulus: int) -> Residue:
     """Reduce a rational to a residue; its denominator must be a unit."""
+    from fractions import Fraction
+
     value = Fraction(x)
     den = value.denominator
     g = gcd(den, modulus)

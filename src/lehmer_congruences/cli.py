@@ -4,7 +4,9 @@ Six subcommands: verify (one check), scan (a range of n), counterexample
 (first failure in a residue class), and the raw computations bernoulli, fq
 and sum.  Reports serialize as JSON lines, CSV or aligned text; every
 potentially large integer is rendered as a decimal string so consumers
-never lose precision to floating point.
+never lose precision to floating point.  A JSON row is written field by
+field; the json module is imported only to escape a skip reason, to parse
+a row back, and for the raw-value records.
 
 Exit status: 0 when everything asked for held (or the value was computed),
 1 when a checked congruence failed, a computational limit was hit, a scan
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from math import inf
 
@@ -87,6 +88,8 @@ def report_to_dict(report: CongruenceReport) -> dict:
 
 def parse_report_json(line: str) -> CongruenceReport:
     """Rebuild a report from one serialized JSON line (the round trip)."""
+    import json  # only here and for raw values: report rows are written directly
+
     obj = json.loads(line)
     identity = IdentityId(obj["identity"])
     params = {key: int(value) for key, value in obj["params"].items()}
@@ -112,20 +115,49 @@ def parse_report_json(line: str) -> CongruenceReport:
 def _csv_row(report: CongruenceReport) -> list[str]:
     """report_to_dict flattened into _CSV_COLUMNS; absent fields are empty.
 
-    Strings stay as they are; numbers and booleans print as in JSON.
+    Strings stay as they are; ints and booleans print as in JSON.
     """
     obj = report_to_dict(report)
     flat = {**obj.pop("params"), **obj}
     cells = (flat.get(key, "") for key in _CSV_COLUMNS)
-    return [cell if isinstance(cell, str) else json.dumps(cell) for cell in cells]
-
-
-_JSON = json.JSONEncoder(separators=(",", ":"))
+    return [
+        cell if isinstance(cell, str)
+        else "true" if cell is True else "false" if cell is False else str(cell)
+        for cell in cells
+    ]
 
 
 def _json_line(report: CongruenceReport) -> str:
-    """One compact JSON line; built by one encoder, not one per row."""
-    return _JSON.encode(report_to_dict(report)) + "\n"
+    """report_to_dict(report) as one compact JSON line, written field by field.
+
+    The bytes are those of json.JSONEncoder(separators=(",", ":")) on that
+    dict.  Every field but skipped_reason is an identity code, a decimal
+    string, an int or a bool, none of which needs escaping, so json is
+    imported only to escape a skip reason.
+    """
+    params = report.params
+    line = '{"identity":"%s","params":{%s}' % (
+        report.identity.value,
+        ",".join(f'"{key}":{params[key]}' for key in _PARAM_COLUMNS if key in params),
+    )
+    if report.modulus is not None:
+        line += f',"modulus":"{report.modulus}"'
+    if report.lhs is not None:
+        line += f',"lhs":"{report.lhs.rep}"'
+    if report.rhs is not None:
+        line += f',"rhs":"{report.rhs.rep}"'
+    if report.holds is not None:
+        line += ',"holds":true' if report.holds else ',"holds":false'
+    if report.skipped_reason is not None:
+        import json
+
+        line += ',"skipped_reason":' + json.dumps(report.skipped_reason)
+    if report.valuation is not None:
+        valuation = '"inf"' if report.valuation == inf else report.valuation
+        line += f',"valuation":{valuation}'
+    if report.required is not None:
+        line += f',"required":{report.required}'
+    return line + "}\n"
 
 
 # the row of one report in each format; a scan share renders its own rows
@@ -287,6 +319,8 @@ def _make_cache(args: argparse.Namespace) -> BernoulliCache | None:
 def _emit_record(record: dict, text: str, fmt: str) -> None:
     """One flat record: a JSON object, a CSV header and row, or its text form."""
     if fmt == "json":
+        import json
+
         print(json.dumps(record, separators=(",", ":")))
     elif fmt == "csv":
         print(",".join(record))

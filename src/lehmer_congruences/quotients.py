@@ -8,7 +8,6 @@ localizes the combination 2 q_n - n q_n^2 at one prime-power part of n.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, log2
 
 from .arith import Residue, _Value, euler_phi, factorize, is_prime
@@ -20,6 +19,10 @@ from .errors import (
     PrimeDivisibilityError,
 )
 from .report import CongruenceReport, IdentityId
+
+TYPE_CHECKING = False  # typing is not imported for this alone
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "QuotientValue",
@@ -203,6 +206,8 @@ def lemma4_check(n: int, a: int, p: int) -> CongruenceReport:
 
 def lemma3_exact_sides(n: int, a: int) -> tuple[Fraction, Fraction]:
     """Both sides of lemma3 from fully materialized quotients (oracle route)."""
+    from fractions import Fraction  # the exact routes alone load it
+
     _require_modulus(n)
     g = gcd(n, 6 * a)
     if g != 1:
@@ -215,6 +220,8 @@ def lemma3_exact_sides(n: int, a: int) -> tuple[Fraction, Fraction]:
 
 def lemma4_exact_sides(n: int, a: int, p: int) -> tuple[Fraction, Fraction]:
     """Both sides of lemma4 from fully materialized quotients (oracle route)."""
+    from fractions import Fraction
+
     _require_modulus(n)
     _require_coprime(a, n)
     if not is_prime(p):

@@ -22,12 +22,18 @@ wins on long scans from small n and the loop on narrow windows far out.
 The right-hand sides are polynomials in Fermat quotients q_n(2), q_n(3).
 Each modular one is a weighted sum of L_n(a) = 2 q_n(a) - n q_n(a)^2 read
 from _RHS_WEIGHTS; each exact-rational twin is written out as stated.
+
+A scan share factors each of its values once and passes the list of
+FactoredIntegers both to coprime_sums (for the route estimate, the
+Moebius terms and the loop's sieve primes) and, value by value, to
+half_rhs or theorem_rhs (for phi(n)); called without them, each of these
+factors n itself.  Only the exact-rational twins form a Fraction, so the
+fractions module is imported where they run.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 from itertools import chain, combinations, compress
 from math import gcd, prod
 
@@ -45,6 +51,10 @@ from .errors import (
 from .quotients import _combination, _require_coprime, _require_modulus, fermat_quotient
 # unused here, but bench/tracer.py wraps sums.fermat_quotient_mod by name
 from .quotients import fermat_quotient_mod  # noqa: F401
+
+TYPE_CHECKING = False  # typing is not imported for this alone
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "HALF",
@@ -112,19 +122,30 @@ class SumSpec(_Value):
 _MASK_BLOCK = 1 << 14
 
 
-def _kept_terms(spec: SumSpec) -> Iterator[int]:
+def _factored(n: int, factored: FactoredInteger | None) -> FactoredInteger:
+    """factored, the caller's factorization of n, or factorize(n) when None."""
+    if factored is None:
+        return factorize(n)
+    if factored.value != n:
+        raise PreconditionError(f"a factorization of {factored.value} was given for n = {n}")
+    return factored
+
+
+def _kept_terms(
+    spec: SumSpec, factored: FactoredInteger | None = None
+) -> Iterator[int]:
     """denominators() again, filtered by a sieve mask instead of a gcd per r.
 
     Each block of r gets a bytearray with the multiples of every excluded
-    prime cleared (the primes of n, or exclude_prime alone) and compress
-    walks the survivors; the terms and their order are those of
-    denominators().
+    prime cleared (the primes of n, from factored when not None, or
+    exclude_prime alone) and compress walks the survivors; the terms and
+    their order are those of denominators().
     """
     bound = spec.bound()
     if bound < 1:  # empty sum; n may be below 1, where factorize refuses
         return iter(())
     if spec.exclude_prime is None:
-        primes = [p for p, _ in factorize(spec.n).factors]
+        primes = [p for p, _ in _factored(spec.n, factored).factors]
     else:
         primes = [spec.exclude_prime]
     return chain.from_iterable(_term_blocks(spec, bound, primes))
@@ -144,7 +165,9 @@ def _term_blocks(
         yield compress(terms, mask)
 
 
-def _inverse_sum(spec: SumSpec) -> tuple[int, int | None]:
+def _inverse_sum(
+    spec: SumSpec, factored: FactoredInteger | None
+) -> tuple[int, int | None]:
     """(sum of the terms' inverses mod m, None), or (0, first non-unit term).
 
     Montgomery's simultaneous inversion: the running sum is one fraction
@@ -154,20 +177,22 @@ def _inverse_sum(spec: SumSpec) -> tuple[int, int | None]:
     """
     m = spec.modulus
     num, den = 0, 1
-    for t in _kept_terms(spec):
+    for t in _kept_terms(spec, factored):
         num = (num * t + den) % m
         den = den * t % m
     if gcd(den, m) == 1:
         return num * pow(den, -1, m) % m, None
-    return 0, next(t for t in _kept_terms(spec) if gcd(t, m) != 1)
+    return 0, next(t for t in _kept_terms(spec, factored) if gcd(t, m) != 1)
 
 
-def modular_sum(spec: SumSpec) -> Residue:
+def modular_sum(spec: SumSpec, factored: FactoredInteger | None = None) -> Residue:
     """Sum of the inverses of the spec's terms mod the spec's modulus.
 
-    Raises NotInvertibleError naming the first term that is not a unit.
+    factored, when given, is the factorization of spec.n, and the gcd
+    filter takes its primes from it instead of factoring n.  Raises
+    NotInvertibleError naming the first term that is not a unit.
     """
-    value, culprit = _inverse_sum(spec)
+    value, culprit = _inverse_sum(spec, factored)
     if culprit is not None:
         g = gcd(culprit, spec.modulus)
         raise NotInvertibleError(
@@ -185,6 +210,8 @@ def exact_sum(spec: SumSpec) -> Fraction:
     before any term is summed, when the sum runs over more than
     MAX_EXACT_TERMS values of r.
     """
+    from fractions import Fraction  # the exact routes alone load it
+
     bound = spec.bound()
     if bound > MAX_EXACT_TERMS:
         raise TermCountExceeded(
@@ -245,7 +272,11 @@ def lehmer_sum(n: int, d: int) -> Residue:
     return coprime_sums([n], d)[0]
 
 
-def coprime_sums(ns: Sequence[int], d: int | str) -> list[Residue]:
+def coprime_sums(
+    ns: Sequence[int],
+    d: int | str,
+    factored: Sequence[FactoredInteger] | None = None,
+) -> list[Residue]:
     """The gcd(r, n) = 1 sums mod n^2 at every n of ns, in order.
 
     d = HALF gives half_harmonic(n) and d in {3, 4, 6} gives lehmer_sum(n,
@@ -253,6 +284,9 @@ def coprime_sums(ns: Sequence[int], d: int | str) -> list[Residue]:
     One route serves the whole list: modular_sum at each n, or the shared
     prefix sweep of sweep.swept_sums when sweep.is_cheaper says so.  A
     single value has nothing to share, so it always takes modular_sum.
+    factored, when given, holds the factorization of every n of ns, in
+    order, and no n is factored again; else each n of a longer list is
+    factored once here.
     """
     if d != HALF:
         _check_d(d)
@@ -263,13 +297,16 @@ def coprime_sums(ns: Sequence[int], d: int | str) -> list[Residue]:
                 raise EvenModulusError(f"the half-range sum needs odd n, got {n}")
         elif (g := gcd(n, d)) != 1:
             raise NotCoprimeError(f"gcd({n}, {d}) = {g}; the d-sum needs gcd(n, d) = 1")
+    if factored is None:
+        factored = [factorize(n) for n in ns] if len(ns) > 1 else [None] * len(ns)
+    elif len(factored) != len(ns) or any(f.value != n for n, f in zip(ns, factored)):
+        raise PreconditionError("factored must hold the factorization of every n, in order")
     if len(ns) > 1:
         from . import sweep  # compiled only by a process that sums a list
 
-        factored = [factorize(n) for n in ns]
         if sweep.is_cheaper(ns, d, factored):
             return sweep.swept_sums(ns, d, factored)
-    return [modular_sum(SumSpec(n, d, None, n * n)) for n in ns]
+    return [modular_sum(SumSpec(n, d, None, n * n), f) for n, f in zip(ns, factored)]
 
 
 def lemma2_sum(n: int, p: int, d: int) -> Residue:
@@ -312,20 +349,23 @@ def _weighted_rhs(n: int, d: int | str, m: int, phi: int) -> Residue:
     return Residue(total * pow(rest, -1, m) % m, m)
 
 
-def half_rhs(n: int) -> Residue:
+def half_rhs(n: int, *, factored: FactoredInteger | None = None) -> Residue:
     """-2 q_n(2) + n q_n(2)^2 mod n^2 for odd n > 1.
 
     Integer coefficients only, so this side needs no inverses and exists
-    for every odd n, prime or not.
+    for every odd n, prime or not.  factored, when given, must be the
+    factorization of n, and n is not factored again.
     """
     _require_modulus(n)
     if n % 2 == 0:
         raise EvenModulusError(f"the half-range identity needs odd n, got {n}")
-    return _weighted_rhs(n, HALF, n * n, euler_phi(factorize(n)))
+    return _weighted_rhs(n, HALF, n * n, euler_phi(_factored(n, factored)))
 
 
 def half_rhs_exact(n: int) -> Fraction:
     """half_rhs from the fully materialized quotient (oracle route)."""
+    from fractions import Fraction
+
     _require_modulus(n)
     if n % 2 == 0:
         raise EvenModulusError(f"the half-range identity needs odd n, got {n}")
@@ -333,7 +373,7 @@ def half_rhs_exact(n: int) -> Fraction:
     return Fraction(-2 * q2 + n * q2 * q2)
 
 
-def theorem_rhs(n: int, d: int) -> Residue:
+def theorem_rhs(n: int, d: int, *, factored: FactoredInteger | None = None) -> Residue:
     """The quotient polynomial congruent to the d-sum mod n^2.
 
     d=3:  q_n(3)/2 - n q_n(3)^2/4
@@ -341,13 +381,15 @@ def theorem_rhs(n: int, d: int) -> Residue:
     d=6:  q_n(2)/3 + q_n(3)/4 - n (q_n(2)^2/6 + q_n(3)^2/8)
 
     The constant denominators are inverted mod n^2, hence gcd(n, 6) = 1.
+    factored, when given, must be the factorization of n, and n is not
+    factored again.
     """
     _check_d(d)
     _require_modulus(n)
     g = gcd(n, 6)
     if g != 1:
         raise NotCoprimeError(f"gcd({n}, 6) = {g}; need gcd(n, 6) = 1")
-    return _weighted_rhs(n, d, n * n, euler_phi(factorize(n)))
+    return _weighted_rhs(n, d, n * n, euler_phi(_factored(n, factored)))
 
 
 def theorem_rhs_exact(n: int, d: int) -> Fraction:
@@ -357,6 +399,8 @@ def theorem_rhs_exact(n: int, d: int) -> Fraction:
     the constant denominators are not units mod n^2; callers reduce or
     compare p-adically themselves.
     """
+    from fractions import Fraction
+
     _check_d(d)
     _require_modulus(n)
     if d == 3:
@@ -388,6 +432,8 @@ def lemma2_rhs(p: int, alpha: int, d: int) -> Residue:
 
 def lemma2_rhs_exact(p: int, alpha: int, d: int) -> Fraction:
     """lemma2_rhs from fully materialized quotients (oracle route)."""
+    from fractions import Fraction
+
     _check_d(d)
     if alpha < 1:
         raise PreconditionError(f"alpha must be >= 1, got {alpha}")
@@ -437,6 +483,8 @@ def moebius_decomposition_check(n: int, p: int, d: int) -> bool:
 
 def moebius_decomposition_sides_exact(n: int, p: int, d: int) -> tuple[Fraction, Fraction]:
     """Exact-rational twins of both decomposition sides (oracle route)."""
+    from fractions import Fraction
+
     alpha = _lemma2_args(n, p, d)
     modulus = p ** (2 * alpha)
     lhs = exact_sum(SumSpec(n, d, None, modulus))

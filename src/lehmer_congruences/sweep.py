@@ -100,21 +100,29 @@ def swept_sums(
     modulus, bounds = _shape(ns, d)
     top = max(bounds, default=0)
     lcm = _lcm_upto(top)
+    units = [gcd(c, modulus) == 1 for c in range(modulus)]
+    # the inverse of every unit class mod D; s | n is a unit, as gcd(n, D) = 1
+    inverse = [pow(c, -1, modulus) if unit else 0 for c, unit in enumerate(units)]
+    tops: dict[int, int] = {}  # p -> _top_power(p, top), each p worked out once
     # k -> the requests at k: (index of n, class c, mu(s) R/s, n^2 G)
     wanted: dict[int, list[tuple[int, int, int, int]]] = {}
     scales = []  # (G, the p-part of L) at every n
     for i, (n, f, bound) in enumerate(zip(ns, factored, bounds)):
         primes = [p for p, _ in f.factors]
         rad = prod(primes)
-        local = prod(_top_power(p, top) for p in primes)
+        local = 1
+        for p in primes:
+            if p not in tops:
+                tops[p] = _top_power(p, top)
+            local *= tops[p]
         g = rad * local
         scales.append((g, local))
+        ng = n * n * g
         for mu, s in _moebius_terms(f):
             k = bound // s
             if k:
-                c = n * pow(s, -1, modulus) % modulus
-                wanted.setdefault(k, []).append((i, c, mu * (rad // s), n * n * g))
-    units = [gcd(c, modulus) == 1 for c in range(modulus)]
+                c = n * inverse[s % modulus] % modulus
+                wanted.setdefault(k, []).append((i, c, mu * (rad // s), ng))
     partial = [0] * modulus
     totals = [0] * len(ns)
     for j in range(1, top + 1):
@@ -129,6 +137,7 @@ def swept_sums(
         total %= nsq * g
         if total % g:
             raise ArithmeticError(f"the swept sum at n = {n} is not divisible by {g}")
-        unit = lcm // local % nsq
+        # (L / local) mod n^2, without forming the full-size quotient L / local
+        unit = lcm % (nsq * local) // local
         out.append(Residue(total // g * pow(unit, -1, nsq) % nsq, nsq))
     return out

@@ -14,9 +14,12 @@ included) runs through _scan_chunk, looked up here at call time.  Given
 a render function, each share renders its own reports, so a child sends
 back rendered rows with their verdicts, not reports.  For an identity
 whose spec has a left function (the half-range and d-sum identities,
-prime forms included) a share first takes the left sides of all its
-values from one call to sums.coprime_sums, and its checks then form only
-the right sides; verify forms both sides of its one value.  The
+prime forms included) a share first factors each of its values once and
+takes the left sides of all of them from one call to sums.coprime_sums
+on those factorizations; its checks then form only the right sides, and
+read phi(n) from the same factorizations.  So a scanned value is factored
+once, inside the share's cap-and-budget fallback, while verify forms and
+factors both sides of its one value on its own.  The
 counterexample search deliberately relaxes the hypothesis gcd(n, 6) = 1
 but keeps the modular routes of both sides; the right-hand side cancels
 what its numerator shares with its weights' denominator before it
@@ -27,10 +30,11 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from fractions import Fraction
 from math import gcd
 
-from .arith import Residue, _Value, crt_combine, euler_phi, factorize, is_prime
+from .arith import (
+    FactoredInteger, Residue, _Value, crt_combine, euler_phi, factorize, is_prime,
+)
 from .bernoulli import BernoulliCache, p_adic_valuation, rational_mod
 from .errors import (
     CongruenceError,
@@ -73,6 +77,10 @@ from .sums import (
     theorem_rhs_exact,
 )
 
+TYPE_CHECKING = False  # typing is not imported for this alone
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 __all__ = [
     "CongruenceReport",
     "IDENTITIES",
@@ -100,8 +108,10 @@ class IdentitySpec(_Value):
     (None when check already compares exact values).  bernoulli tells
     whether check reads a Bernoulli number, and so whether it takes a cache.
     left, when not None, forms the left sides at a list of values of var
-    at once; a scan share calls it before its checks and hands check each
-    value's left side as lhs, and check forms its own when lhs is None.
+    at once from their factorizations; a scan share factors its values,
+    calls it before its checks and hands check each value's left side as
+    lhs and its factorization as factored.  check forms its own left side
+    when lhs is None and factors n itself when factored is None.
     """
 
     __slots__ = (
@@ -115,7 +125,10 @@ class IdentitySpec(_Value):
         admissible: Callable[[int, Params], bool],
         modulus: Callable[[Params], int | None],
         check: Callable[
-            [IdentityId, Params, BernoulliCache | None, Residue | None],
+            [
+                IdentityId, Params, BernoulliCache | None, Residue | None,
+                FactoredInteger | None,
+            ],
             CongruenceReport,
         ],
         exact: Callable[[Params, int], tuple[Fraction, Fraction]] | None,
@@ -123,7 +136,7 @@ class IdentitySpec(_Value):
         var: str = "n",
         defaults: Params | None = None,
         bernoulli: bool = False,
-        left: Callable[[list[int]], list[Residue]] | None = None,
+        left: Callable[[list[int], list[FactoredInteger]], list[Residue]] | None = None,
     ) -> None:
         _Value.__init__(
             self, required, admissible, modulus, check, exact, d, var,
@@ -162,13 +175,13 @@ def _localized(n: int, q: Params) -> bool:
 def _half(prime: bool) -> IdentitySpec:
     """The half-range harmonic sum at an odd prime, or at any odd n."""
 
-    def check(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
+    def check(identity: IdentityId, q: Params, cache, lhs, factored) -> CongruenceReport:
         n = q["n"]
         if prime and not admissible(n, q):
             raise PreconditionError(f"n = {n} is not an odd prime")
         if lhs is None:
             lhs = half_harmonic(n)
-        return _modular_report(identity, q, lhs, half_rhs(n))
+        return _modular_report(identity, q, lhs, half_rhs(n, factored=factored))
 
     def admissible(n: int, q: Params) -> bool:
         return n >= 3 and n % 2 == 1 and (not prime or is_prime(n))
@@ -178,18 +191,18 @@ def _half(prime: bool) -> IdentitySpec:
         lambda q, m: (
             exact_sum(SumSpec(q["n"], HALF, None, m)), half_rhs_exact(q["n"])
         ),
-        left=lambda ns: coprime_sums(ns, HALF),
+        left=lambda ns, factored: coprime_sums(ns, HALF, factored),
     )
 
 
 def _d_sum(d: int, prime: bool) -> IdentitySpec:
     """The d-sum at a prime p >= 5, or at any n with gcd(n, 6) = 1."""
 
-    def check(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
+    def check(identity: IdentityId, q: Params, cache, lhs, factored) -> CongruenceReport:
         n = q["n"]
         if prime and not admissible(n, q):
             raise PreconditionError(f"n = {n} is not a prime >= 5")
-        rhs = theorem_rhs(n, d)  # enforces gcd(n, 6) = 1 up front
+        rhs = theorem_rhs(n, d, factored=factored)  # enforces gcd(n, 6) = 1 up front
         if lhs is None:
             lhs = lehmer_sum(n, d)
         return _modular_report(identity, q, lhs, rhs)
@@ -203,14 +216,14 @@ def _d_sum(d: int, prime: bool) -> IdentitySpec:
             exact_sum(SumSpec(q["n"], d, None, m)), theorem_rhs_exact(q["n"], d)
         ),
         d=d,
-        left=lambda ns: coprime_sums(ns, d),
+        left=lambda ns, factored: coprime_sums(ns, d, factored),
     )
 
 
 def _lemma2(d: int) -> IdentitySpec:
     """The d-sum localized at p^{2 alpha}, alpha = v_p(n)."""
 
-    def check(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
+    def check(identity: IdentityId, q: Params, cache, lhs, factored) -> CongruenceReport:
         n, p = q["n"], q["p"]
         lhs = lemma2_sum(n, p, d)
         q = {**q, "alpha": p_adic_valuation(n, p)}
@@ -223,7 +236,7 @@ def _lemma2(d: int) -> IdentitySpec:
     return IdentitySpec(("n", "p"), _localized, _local_modulus, check, exact, d=d)
 
 
-def _moebius(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
+def _moebius(identity: IdentityId, q: Params, cache, lhs, factored) -> CongruenceReport:
     n, p = q["n"], q["p"]
     lhs, rhs = moebius_decomposition_sides(n, p, q["d"])
     return _modular_report(identity, {**q, "alpha": p_adic_valuation(n, p)}, lhs, rhs)
@@ -242,7 +255,7 @@ IDENTITIES: dict[IdentityId, IdentitySpec] = {
         ("p",),
         lambda n, q: is_prime(n),
         lambda q: q["p"] ** (2 * q["alpha"]),
-        lambda identity, q, cache, lhs: lemma1_check(q["p"], q["alpha"], cache),
+        lambda identity, q, cache, lhs, factored: lemma1_check(q["p"], q["alpha"], cache),
         None,  # the p-adic comparison is already exact
         var="p",
         defaults={"alpha": 1},
@@ -255,14 +268,14 @@ IDENTITIES: dict[IdentityId, IdentitySpec] = {
         ("n", "a"),
         lambda n, q: n > 1 and gcd(n, 6 * q["a"]) == 1,
         _square,
-        lambda identity, q, cache, lhs: lemma3_check(q["n"], q["a"]),
+        lambda identity, q, cache, lhs, factored: lemma3_check(q["n"], q["a"]),
         lambda q, m: lemma3_exact_sides(q["n"], q["a"]),
     ),
     IdentityId.LEMMA_4: IdentitySpec(
         ("n", "a", "p"),
         lambda n, q: n > 1 and n % q["p"] == 0 and gcd(q["a"], n) == 1,
         _local_modulus,
-        lambda identity, q, cache, lhs: lemma4_check(q["n"], q["a"], q["p"]),
+        lambda identity, q, cache, lhs, factored: lemma4_check(q["n"], q["a"], q["p"]),
         lambda q, m: lemma4_exact_sides(q["n"], q["a"], q["p"]),
     ),
     IdentityId.MOEBIUS_DECOMP: IdentitySpec(
@@ -337,7 +350,7 @@ def verify(
     if given[spec.var] is None:
         given[spec.var] = given.pop("n")
     params = _params(identity, given, cache)
-    return _checked(identity, params, cache, exact_oracle, None)
+    return _checked(identity, params, cache, exact_oracle, None, None)
 
 
 def _checked(
@@ -346,9 +359,14 @@ def _checked(
     cache: BernoulliCache | None,
     exact_oracle: bool,
     lhs: Residue | None,
+    factored: FactoredInteger | None,
 ) -> CongruenceReport:
-    """verify on validated params, with the left side given or (None) not."""
-    report = IDENTITIES[identity].check(identity, params, cache, lhs)
+    """verify on validated params.
+
+    lhs, the left side, and factored, the factorization of the scanned
+    value, come from a scan share; the check forms each one that is None.
+    """
+    report = IDENTITIES[identity].check(identity, params, cache, lhs, factored)
     if exact_oracle:
         _exact_recheck(report)
     return report
@@ -392,25 +410,29 @@ def _scan_chunk(args: tuple) -> list:
 
     args is (identity, values, params, cache, exact_oracle, render), with
     params validated by scan.  When the identity forms its left sides
-    together, the share takes them all from one call first; should that
-    call hit a cap or a budget, every check forms its own.  A value whose
-    check hits a cap or a budget still yields a report, with
-    skipped_reason, so every value yields exactly one.  Unless render is
-    None, each report is replaced by (render(report), report.holds is True).
+    together, the share factors every value once and takes all the left
+    sides from one call on those factorizations, and each check reuses its
+    value's factorization for the right side.  Should the factoring or
+    that call hit a cap or a budget, every check forms what it lacks
+    itself.  A value whose check hits a cap or a budget still yields a
+    report, with skipped_reason, so every value yields exactly one.
+    Unless render is None, each report is replaced by (render(report),
+    report.holds is True).
     """
     identity, values, params, cache, exact_oracle, render = args
     spec = IDENTITIES[identity]
-    lefts: list = [None] * len(values)
+    lefts = factors = [None] * len(values)  # replaced below, never changed in place
     if spec.left is not None:
         try:
-            lefts = spec.left(values)
+            factors = [factorize(value) for value in values]
+            lefts = spec.left(values, factors)
         except _SKIPPED:
             pass
     out: list = []
-    for value, lhs in zip(values, lefts):
+    for value, lhs, factored in zip(values, lefts, factors):
         row = {**params, spec.var: value}
         try:
-            report = _checked(identity, row, cache, exact_oracle, lhs)
+            report = _checked(identity, row, cache, exact_oracle, lhs, factored)
         except _SKIPPED as exc:
             report = _skip_report(identity, row, str(exc))
         out.append(report if render is None else (render(report), report.holds is True))

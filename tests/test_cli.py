@@ -18,8 +18,12 @@ import lehmer_congruences
 from lehmer_congruences import quotients, sums, verifier
 from lehmer_congruences.arith import Residue
 from lehmer_congruences.cli import (
+    _CSV_COLUMNS,
+    _csv_row,
+    _json_line,
     main,
     parse_report_json,
+    report_to_dict,
     serialize_report,
     serialize_reports,
 )
@@ -138,6 +142,53 @@ def test_json_round_trip_property(report):
     assert parse_report_json(serialize_report(report, "json")) == report
 
 
+# quotes, backslashes, control characters, DEL, a line separator, non-ASCII
+_ESCAPED = st.text(st.sampled_from('"\\/\x00\x08\t\n\x0c\r\x1f\x7f \u2028aé€😀'))
+
+
+@st.composite
+def rows(draw) -> CongruenceReport:
+    """Reports of every shape: each identity with the params its rows carry."""
+    identity = draw(st.sampled_from(IdentityId))
+    spec = verifier.IDENTITIES[identity]
+    names = [*spec.required, *spec.defaults, *(["d"] if spec.d is not None else [])]
+    if draw(st.booleans()):  # lemma2, lemma4 and moebius rows add alpha
+        names.append("alpha")
+    params = {name: draw(st.integers(-(10**30), 10**30)) for name in names}
+    modulus = draw(st.none() | st.integers(1, 10**40))
+    sides = [None, None]
+    if modulus is not None:
+        residues = st.builds(Residue, st.integers(0, modulus - 1), st.just(modulus))
+        sides = [draw(st.none() | residues) for _ in sides]
+    return CongruenceReport(
+        identity=identity,
+        params=params,
+        modulus=modulus,
+        lhs=sides[0],
+        rhs=sides[1],
+        holds=draw(st.none() | st.booleans()),
+        skipped_reason=draw(st.none() | _ESCAPED | st.text()),
+        valuation=draw(st.none() | st.integers(0, 10**6) | st.just(inf)),
+        required=draw(st.none() | st.integers(0, 10**6)),
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rows())
+def test_json_line_writes_what_the_json_module_writes(report):
+    expected = json.dumps(report_to_dict(report), separators=(",", ":")) + "\n"
+    assert _json_line(report) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows())
+def test_csv_cells_print_ints_and_booleans_as_json_does(report):
+    obj = report_to_dict(report)
+    flat = {**obj.pop("params"), **obj}
+    cells = [flat.get(key, "") for key in _CSV_COLUMNS]
+    assert _csv_row(report) == [c if isinstance(c, str) else json.dumps(c) for c in cells]
+
+
 def test_text_format_alignment(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--identity", "cai", "--n", "9", "--format", "text"
@@ -195,8 +246,8 @@ def test_exit_code_failure(capsys):
     # a corrupted right side must flip the scan exit code to 1
     real = verifier.theorem_rhs
 
-    def corrupt(n, d):
-        value = real(n, d)
+    def corrupt(n, d, *, factored=None):
+        value = real(n, d, factored=factored)
         if n == 25:
             return Residue((value.rep + 1) % value.modulus, value.modulus)
         return value
@@ -594,6 +645,32 @@ def test_import_loads_no_process_pool():
         "print(*before, *pools())"
     )
     assert _probe(probe) == ["False"] * 4
+
+
+def _imported(*args: str) -> set[str]:
+    """The modules a fresh interpreter run with args imports; it must exit 0."""
+    err = _interpreter("-X", "importtime", *args).stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in err.splitlines() if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["--identity", "thm3"],
+    ["--identity", "lemma4", "--a", "2", "--p", "5"],
+], ids=["thm3", "lemma4"])
+def test_modular_scans_load_no_fractions_decimal_or_json(argv):
+    # no modular check forms a Fraction and JSON rows are written directly;
+    # what a bare interpreter loads (a .pth file in site, say) is not counted
+    heavy = {"fractions", "decimal", "json"}
+    baseline = _imported("-c", "pass")
+    scan = ["-m", "lehmer_congruences", "scan", *argv, "--from", "5", "--to", "60"]
+    loaded = _imported(*scan, "--format", "json")
+    assert "lehmer_congruences.cli" in loaded
+    assert loaded & heavy <= baseline
+    exact = _imported(*scan, "--format", "json", "--exact-oracle")
+    assert "fractions" in exact | baseline
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

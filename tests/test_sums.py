@@ -208,6 +208,24 @@ def test_coprime_sums_checks_every_value_before_summing():
     assert sums.coprime_sums([5, 7], 6) == [lehmer_sum(5, 6), lehmer_sum(7, 6)]
 
 
+def test_a_given_factorization_is_used_and_must_be_of_n():
+    ns = [35, 37, 41]
+    factored = [factorize(n) for n in ns]
+    assert sums.coprime_sums(ns, 4, factored) == sums.coprime_sums(ns, 4)
+    assert modular_sum(SumSpec(35, 6, None, 35**2), factored[0]) == lehmer_sum(35, 6)
+    assert theorem_rhs(35, 6, factored=factored[0]) == theorem_rhs(35, 6)
+    assert half_rhs(35, factored=factored[0]) == half_rhs(35)
+    with pytest.raises(PreconditionError, match="of 37 was given for n = 35"):
+        theorem_rhs(35, 6, factored=factored[1])
+    with pytest.raises(PreconditionError, match="of 37 was given for n = 35"):
+        half_rhs(35, factored=factored[1])
+    with pytest.raises(PreconditionError, match="of 37 was given for n = 35"):
+        modular_sum(SumSpec(35, 6, None, 35**2), factored[1])
+    for wrong in (factored[:2], factored[::-1]):
+        with pytest.raises(PreconditionError, match="factorization of every n"):
+            sums.coprime_sums(ns, 4, wrong)
+
+
 def test_modular_sum_names_the_first_non_unit_term():
     # n = 9, d = 3 keeps r = 1, 2: terms 6 and 3, both sharing 3 with 81
     message = r"^gcd\(6, 81\) = 3; 6 is not a unit$"

@@ -1,12 +1,13 @@
 """verify/scan orchestration, counterexample search and CRT reassembly."""
 
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lehmer_congruences import quotients, sums, sweep, verifier
+from lehmer_congruences import arith, quotients, sums, sweep, verifier
 from lehmer_congruences.arith import Residue
 from lehmer_congruences.bernoulli import BernoulliCache
 from lehmer_congruences.errors import (
@@ -452,9 +453,9 @@ def record_routes(monkeypatch) -> list[str]:
         routes.append("sweep")
         return real_sweep(ns, d, factored)
 
-    def loop(spec):
+    def loop(spec, factored=None):
         routes.append("loop")
-        return real_loop(spec)
+        return real_loop(spec, factored)
 
     monkeypatch.setattr(sweep, "swept_sums", swept)
     monkeypatch.setattr(sums, "modular_sum", loop)
@@ -496,11 +497,59 @@ def test_swept_scans_pass_the_exact_oracle(monkeypatch, identity, lo, hi):
 def test_scan_falls_back_to_each_check_when_the_shared_left_sides_fail(monkeypatch):
     expected = scan(IdentityId.THM_6, 5, 120)
 
-    def capped(ns, d):
+    def capped(ns, d, factored=None):
         raise FactorizationLimitExceeded("rho iteration budget exhausted")
 
     monkeypatch.setattr(verifier, "coprime_sums", capped)
     assert scan(IdentityId.THM_6, 5, 120) == expected
+
+
+def replace_factorize(monkeypatch, double) -> None:
+    """Put double in place of factorize wherever the package looks it up."""
+    real = arith.factorize
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lehmer_congruences") and getattr(module, "factorize", None) is real:
+            monkeypatch.setattr(module, "factorize", double)
+
+
+@pytest.mark.parametrize("identity", [IdentityId.THM_3, IdentityId.THM_6, IdentityId.CAI_HALF])
+def test_a_scan_share_factors_each_value_once(monkeypatch, identity):
+    real = arith.factorize
+    calls: list[int] = []
+
+    def recording(n):
+        calls.append(n)
+        return real(n)
+
+    replace_factorize(monkeypatch, recording)
+    reports = scan(identity, 5, 400)
+    assert all(r.holds for r in reports)
+    assert sorted(calls) == [r.params["n"] for r in reports]
+    calls.clear()
+    verify(identity, n=35)  # verify factors n for each side, as before
+    assert calls == [35, 35]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_value_the_share_cannot_factor_becomes_its_own_skip_row(monkeypatch, workers):
+    expected = scan(IdentityId.THM_6, 5, 120)
+    real = arith.factorize
+
+    def capped(n):
+        if n == 35:
+            raise FactorizationLimitExceeded(f"rho iteration budget exhausted while splitting {n}")
+        return real(n)
+
+    replace_factorize(monkeypatch, capped)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    reports = scan(IdentityId.THM_6, 5, 120, workers=workers)
+    assert [r.params for r in reports] == [r.params for r in expected]
+    (skipped,) = [r for r in reports if r.holds is None]
+    assert skipped.params == {"n": 35, "d": 6} and skipped.modulus == 35 * 35
+    assert skipped.skipped_reason == "rho iteration budget exhausted while splitting 35"
+    assert [r for r in reports if r is not skipped] == [
+        r for r in expected if r.params["n"] != 35
+    ]
 
 
 def test_counterexample_thm3_class4():
