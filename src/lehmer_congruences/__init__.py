@@ -18,7 +18,6 @@ from .arith import (
     euler_phi,
     factorize,
     is_prime,
-    mod_inv,
     moebius,
 )
 from .bernoulli import (
@@ -124,7 +123,6 @@ __all__ = [
     "lemma2_sum",
     "lemma3_check",
     "lemma4_check",
-    "mod_inv",
     "modular_sum",
     "moebius",
     "moebius_decomposition_check",

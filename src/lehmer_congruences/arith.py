@@ -4,20 +4,18 @@ Everything works on plain Python ints (arbitrary precision) and is a pure
 function of its inputs.  Residue and FactoredInteger are immutable value
 types on _Value, the slotted base that every value type of the package
 shares.  The factorizer is deterministic: trial division up to 1000,
-then Brent's rho driven by a fixed-seed generator on whatever cofactor
-is left, with every reported prime certified by Miller-Rabin.
+then Brent's rho with fixed constants on whatever cofactor is left,
+with every reported prime certified by Miller-Rabin.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 from math import gcd
 
 from .errors import (
     FactorizationLimitExceeded,
     ModuliNotCoprimeError,
-    NotInvertibleError,
     PreconditionError,
 )
 
@@ -29,7 +27,6 @@ __all__ = [
     "euler_phi",
     "factorize",
     "is_prime",
-    "mod_inv",
     "moebius",
 ]
 
@@ -130,22 +127,6 @@ class FactoredInteger(_Value):
         return self.value // p ** self.exponent_of(p)
 
 
-def mod_inv(a: int, modulus: int) -> Residue:
-    """The inverse of a mod modulus, by the built-in pow(a, -1, modulus).
-
-    Raises NotInvertibleError when gcd(a, modulus) > 1; the message names
-    the offending gcd.  Modulo 1 every a has the inverse 0.
-    """
-    if modulus < 1:
-        raise PreconditionError(f"modulus must be >= 1, got {modulus}")
-    try:
-        return Residue(pow(a, -1, modulus), modulus)
-    except ValueError:
-        raise NotInvertibleError(
-            f"gcd({a}, {modulus}) = {gcd(a, modulus)}; {a} is not a unit"
-        ) from None
-
-
 # Deterministic Miller-Rabin base set; correct for all n < 3.3e24, which
 # covers every modulus this package touches.  Larger inputs get the same
 # bases and a probable-prime verdict.
@@ -179,7 +160,6 @@ def is_prime(n: int) -> bool:
 # about sqrt(f) steps against f/3 divisions, is the cheaper route: on 1,031
 # integers near 10^11 a bound of 10^6 made factorize 15 times slower.
 _TRIAL_BOUND = 1000
-_RHO_SEED = 0x6A09E667  # fixed so factorizations are reproducible
 _RHO_BUDGET = 2_000_000  # rho steps one factorize call may take
 
 
@@ -187,9 +167,9 @@ def factorize(n: int) -> FactoredInteger:
     """Factor n completely: trial division up to 1000, then Brent's rho.
 
     Every n below 10^6 is factored by trial division alone.  The rho
-    stage is seeded with a package constant, so repeated calls give
-    identical traces.  _RHO_BUDGET bounds the total number of rho steps
-    per call; running out raises FactorizationLimitExceeded.
+    stage starts each cofactor at y = 2 with c = 1, 2, ..., so repeated
+    calls give identical traces.  _RHO_BUDGET bounds the total number of
+    rho steps per call; running out raises FactorizationLimitExceeded.
     """
     if n < 1:
         raise PreconditionError(f"cannot factor {n}; need n >= 1")
@@ -216,53 +196,54 @@ def factorize(n: int) -> FactoredInteger:
 
 
 def _rho_factor(m: int, counts: dict[int, int], budget: int) -> None:
-    rng = random.Random(_RHO_SEED)
     stack = [m]
     while stack:
         m = stack.pop()
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        factor, budget = _brent_rho(m, rng, budget)
+        factor, c = m, 0
+        while factor == m:  # c = 1, then the next c after a collapsed cycle
+            c += 1
+            factor, budget = _brent_rho(m, c, budget)
         stack.append(factor)
         stack.append(m // factor)
 
 
-def _brent_rho(m: int, rng: random.Random, budget: int) -> tuple[int, int]:
-    # m is odd, composite, and has no prime factor <= 1000 here.
-    while True:
-        y = rng.randrange(1, m)
-        c = rng.randrange(1, m)
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
+def _brent_rho(m: int, c: int, budget: int) -> tuple[int, int]:
+    """One run of Brent's rho on y -> y^2 + c from y = 2: (divisor, budget).
+
+    The divisor is m itself when the whole cycle collapsed.  m is odd,
+    composite, and has no prime factor <= 1000 here.
+    """
+    y = 2
+    g = r = q = 1
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % m
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            limit = min(128, r - k)
+            for _ in range(limit):
                 y = (y * y + c) % m
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                limit = min(128, r - k)
-                for _ in range(limit):
-                    y = (y * y + c) % m
-                    q = q * abs(x - y) % m
-                g = gcd(q, m)
-                k += limit
-                budget -= limit
-                if budget <= 0 and g == 1:
-                    raise FactorizationLimitExceeded(
-                        f"rho iteration budget exhausted while splitting {m}"
-                    )
-            r *= 2
-        if g == m:
-            # batched gcd overshot the collision; replay one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % m
-                g = gcd(abs(x - ys), m)
-        if g != m:
-            return g, budget
-        # the whole cycle collapsed; retry with fresh parameters
+                q = q * abs(x - y) % m
+            g = gcd(q, m)
+            k += limit
+            budget -= limit
+            if budget <= 0 and g == 1:
+                raise FactorizationLimitExceeded(
+                    f"rho iteration budget exhausted while splitting {m}"
+                )
+        r *= 2
+    if g == m:
+        # batched gcd overshot the collision; replay one step at a time
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % m
+            g = gcd(abs(x - ys), m)
+    return g, budget
 
 
 def euler_phi(n: FactoredInteger) -> int:

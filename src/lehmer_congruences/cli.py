@@ -398,16 +398,16 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # output is exact at any size
+    # output is exact at any size; the caller's int-to-str limit comes back
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return _dispatch(args)
     except SystemExit as exc:  # argparse already printed the message
         code = exc.code
         return code if isinstance(code, int) else 2
-    try:
-        return _dispatch(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -417,6 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     except CongruenceError as exc:  # a limit, an exhausted search, a lost worker
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

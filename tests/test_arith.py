@@ -16,13 +16,11 @@ from lehmer_congruences.arith import (
     euler_phi,
     factorize,
     is_prime,
-    mod_inv,
     moebius,
 )
 from lehmer_congruences.errors import (
     FactorizationLimitExceeded,
     ModuliNotCoprimeError,
-    NotInvertibleError,
     PreconditionError,
 )
 
@@ -51,28 +49,6 @@ def test_factored_integer_validates():
         FactoredInteger(12, ((2, 2),))  # wrong product
     with pytest.raises(PreconditionError):
         FactoredInteger(12, ((2, 0), (3, 1)))  # zero exponent
-
-
-def test_mod_inv_values():
-    assert mod_inv(2, 25).rep == 13
-    assert mod_inv(7, 25).rep == 18
-    assert mod_inv(8, 25).rep == 22
-    assert mod_inv(3, 1).rep == 0  # the zero ring
-    with pytest.raises(NotInvertibleError, match=r"^gcd\(5, 25\) = 5; 5 is not a unit$"):
-        mod_inv(5, 25)
-    with pytest.raises(NotInvertibleError):
-        mod_inv(0, 7)
-
-
-def test_mod_inv_is_total_on_units():
-    for m in (2, 9, 25, 49, 121, 169, 1225):
-        for a in range(1, m):
-            if gcd(a, m) != 1:
-                continue
-            assert a * mod_inv(a, m).rep % m == 1
-    # negative and oversized inputs reduce first
-    assert (-3) * mod_inv(-3, 25).rep % 25 == 1
-    assert mod_inv(27, 25) == mod_inv(2, 25)
 
 
 def test_is_prime_small_and_carmichael():
@@ -121,6 +97,27 @@ def test_factorize_rho_path():
     assert f.factors == ((p, 1), (q, 1))
     # deterministic: repeated calls agree
     assert factorize(p * q) == f
+
+
+def test_factorize_rho_retries_a_collapsed_cycle(monkeypatch):
+    # from y = 2 the whole cycle collapses mod 1031 * 2389 for c = 1 and
+    # c = 2, so the split comes from c = 3
+    runs = []
+    brent_rho = arith._brent_rho
+
+    def recording(m, c, budget):
+        divisor, budget = brent_rho(m, c, budget)
+        runs.append((c, divisor))
+        return divisor, budget
+
+    monkeypatch.setattr(arith, "_brent_rho", recording)
+    n = 1031 * 2389
+    f = factorize(n)
+    assert f.factors == ((1031, 1), (2389, 1))
+    assert [c for c, _ in runs] == [1, 2, 3]
+    assert runs[0][1] == runs[1][1] == n and runs[2][1] in (1031, 2389)
+    # deterministic: a repeated call takes the same runs to the same result
+    assert factorize(n) == f and runs[3:] == runs[:3]
 
 
 def test_factorize_budget_exhaustion(monkeypatch):

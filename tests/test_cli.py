@@ -609,6 +609,31 @@ def test_integers_past_the_decimal_conversion_limit():
     assert all("capped" in row["skipped_reason"] for row in rows)
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit"
+)
+def test_main_restores_the_callers_int_max_str_digits(capsys):
+    # main lifts the limit while it runs and puts the caller's value back on
+    # every exit path: success, usage error, precondition error, other error
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        for argv, code in [
+            (["fq", "--n", "20011", "--a", "2"], 0),  # prints 6,020 digits
+            (["scan", "--identity", "thm3", "--from", "5", "--to", "7",
+              "--format", "json"], 0),
+            (["scan", "--identity", "nope"], 2),
+            (["sum", "--n", "10", "--d", "half"], 2),
+            (["verify", "--identity", "lemma1", "--p", "13",
+              "--bernoulli-cap", "100"], 1),
+        ]:
+            assert main(argv) == code, argv
+            assert sys.get_int_max_str_digits() == 5000, argv
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(capsys.readouterr().out.splitlines()[0]) == 6020
+
+
 def _readme_examples() -> list[tuple[list[str], str]]:
     """(argv, stdout) for every `$ lehmer-congruences` line of README.md."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -654,6 +679,12 @@ def _imported(*args: str) -> set[str]:
         line.rsplit("|", 1)[1].strip()
         for line in err.splitlines() if line.startswith("import time:")
     }
+
+
+def test_cli_import_loads_no_random():
+    # Brent's rho runs on fixed constants; -S keeps what site imports
+    # (which may include random) out of the result
+    assert "random" not in _imported("-S", "-c", "import lehmer_congruences.cli")
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lehmer_congruences.arith import euler_phi, factorize, mod_inv
+from lehmer_congruences.arith import euler_phi, factorize
 from lehmer_congruences.bernoulli import BernoulliCache, bernoulli_number, rational_mod
 from lehmer_congruences.errors import (
     IndexCapExceeded,
