@@ -49,7 +49,6 @@ from .errors import (
     TermCountExceeded,
 )
 from .quotients import (
-    QuotientValue,
     fermat_quotient,
     fermat_quotient_mod,
     lemma1_check,
@@ -99,7 +98,6 @@ __all__ = [
     "PowerSizeExceeded",
     "PreconditionError",
     "PrimeDivisibilityError",
-    "QuotientValue",
     "Residue",
     "SumSpec",
     "TermCountExceeded",

@@ -268,6 +268,8 @@ def rational_mod(x: Rational, modulus: int) -> Residue:
     """Reduce a rational to a residue; its denominator must be a unit."""
     from fractions import Fraction
 
+    if modulus < 1:
+        raise PreconditionError(f"modulus must be >= 1, got {modulus}")
     value = Fraction(x)
     den = value.denominator
     g = gcd(den, modulus)
@@ -275,6 +277,4 @@ def rational_mod(x: Rational, modulus: int) -> Residue:
         raise NotInvertibleError(
             f"denominator {den} shares the factor {g} with modulus {modulus}"
         )
-    if modulus < 1:
-        raise PreconditionError(f"modulus must be >= 1, got {modulus}")
     return Residue(value.numerator * pow(den, -1, modulus) % modulus, modulus)

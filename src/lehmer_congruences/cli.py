@@ -371,9 +371,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         _emit_record({"m": args.m, "value": value}, value, args.format)
         return 0
     if args.command == "fq":
-        quotient = fermat_quotient(args.n, args.a)
-        value = str(quotient.value)
-        _emit_record({"n": quotient.n, "a": quotient.a, "value": value}, value, args.format)
+        value = str(fermat_quotient(args.n, args.a))
+        _emit_record({"n": args.n, "a": args.a, "value": value}, value, args.format)
         return 0
     if args.command == "sum":
         if args.d == HALF:

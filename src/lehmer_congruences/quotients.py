@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import gcd, log2
 
-from .arith import Residue, _Value, euler_phi, factorize, is_prime
+from .arith import FactoredInteger, Residue, euler_phi, factorize, is_prime
 from .bernoulli import BernoulliCache, bernoulli_number, p_adic_valuation, rational_mod
 from .errors import (
     NotCoprimeError,
@@ -18,14 +18,13 @@ from .errors import (
     PreconditionError,
     PrimeDivisibilityError,
 )
-from .report import CongruenceReport, IdentityId
+from .report import CongruenceReport, IdentityId, _modular_report
 
 TYPE_CHECKING = False  # typing is not imported for this alone
 if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "QuotientValue",
     "fermat_quotient",
     "fermat_quotient_mod",
     "lemma1_check",
@@ -36,15 +35,6 @@ __all__ = [
 # fermat_quotient refuses to build a^phi(n) beyond this many bits; 3**(2**22),
 # about 6.6 million bits, takes about a second in CPython.
 MAX_POWER_BITS = 1 << 23
-
-
-class QuotientValue(_Value):
-    """q_n(a), held exactly: n * value == a^phi(n) - 1."""
-
-    __slots__ = ("n", "a", "value")
-
-    def __init__(self, n: int, a: int, value: int) -> None:
-        _Value.__init__(self, n, a, value)
 
 
 def _require_modulus(n: int) -> None:
@@ -58,7 +48,7 @@ def _require_coprime(a: int, n: int) -> None:
         raise NotCoprimeError(f"gcd({a}, {n}) = {g}; need coprime arguments")
 
 
-def fermat_quotient(n: int, a: int) -> QuotientValue:
+def fermat_quotient(n: int, a: int) -> int:
     """The exact Euler-Fermat quotient (a^phi(n) - 1) / n.
 
     Integrality is Euler's theorem.  This path materializes a^phi(n) in
@@ -77,9 +67,9 @@ def fermat_quotient(n: int, a: int) -> QuotientValue:
             f"{MAX_POWER_BITS} bits for an exact power"
         )
     quotient, remainder = divmod(a**phi - 1, n)
-    if remainder:  # unreachable for coprime a; guards the type invariant
+    if remainder:  # unreachable for coprime a; enforces n * q == a^phi(n) - 1
         raise ArithmeticError(f"{n} does not divide {a}^{phi} - 1")
-    return QuotientValue(n, a, quotient)
+    return quotient
 
 
 def fermat_quotient_mod(n: int, a: int, m: int) -> Residue:
@@ -147,27 +137,36 @@ def lemma1_check(
     )
 
 
+def _lemma3_args(n: int, a: int) -> None:
+    """Validate the lemma3 hypotheses n > 1 and gcd(n, 6a) = 1."""
+    _require_modulus(n)
+    g = gcd(n, 6 * a)
+    if g != 1:
+        raise NotCoprimeError(f"gcd({n}, 6*{a}) = {g}; need gcd(n, 6a) = 1")
+
+
+def _lemma4_args(n: int, a: int, p: int) -> FactoredInteger:
+    """Validate the lemma4 hypotheses; returns the factorization of n."""
+    _require_modulus(n)
+    _require_coprime(a, n)
+    if not is_prime(p):
+        raise PreconditionError(f"p must be prime, got {p}")
+    if n % p:
+        raise PrimeDivisibilityError(f"{p} does not divide {n}")
+    return factorize(n)
+
+
 def lemma3_check(n: int, a: int) -> CongruenceReport:
     """Check the lift q_{n^2}(a) == q_n(a) - (n/2) q_n(a)^2 mod n^2.
 
     Stated for gcd(n, 6a) = 1, so both 2 and the quotients exist mod n^2.
     """
-    _require_modulus(n)
-    g = gcd(n, 6 * a)
-    if g != 1:
-        raise NotCoprimeError(f"gcd({n}, 6*{a}) = {g}; need gcd(n, 6a) = 1")
+    _lemma3_args(n, a)
     nsq = n * n
     phi = euler_phi(factorize(n))
     lhs = Residue(_quotient_mod(nsq, a, nsq, n * phi), nsq)  # phi(n^2) = n phi(n)
     rhs = pow(2, -1, nsq) * _combination(n, a, nsq, phi) % nsq
-    return CongruenceReport(
-        identity=IdentityId.LEMMA_3,
-        params={"n": n, "a": a},
-        modulus=nsq,
-        lhs=lhs,
-        rhs=Residue(rhs, nsq),
-        holds=lhs.rep == rhs,
-    )
+    return _modular_report(IdentityId.LEMMA_3, {"n": n, "a": a}, lhs, Residue(rhs, nsq))
 
 
 def lemma4_check(n: int, a: int, p: int) -> CongruenceReport:
@@ -177,13 +176,7 @@ def lemma4_check(n: int, a: int, p: int) -> CongruenceReport:
     congruent to (phi(q)/q) * (2 q_{p^alpha}(a) - p^alpha q_{p^alpha}(a)^2)
     mod p^{2 alpha}.  alpha is derived from n and p.
     """
-    _require_modulus(n)
-    _require_coprime(a, n)
-    if not is_prime(p):
-        raise PreconditionError(f"p must be prime, got {p}")
-    if n % p:
-        raise PrimeDivisibilityError(f"{p} does not divide {n}")
-    factored = factorize(n)
+    factored = _lemma4_args(n, a, p)
     alpha = factored.exponent_of(p)
     q = factored.cofactor(p)
     modulus = p ** (2 * alpha)
@@ -194,13 +187,11 @@ def lemma4_check(n: int, a: int, p: int) -> CongruenceReport:
     local = _combination(prime_power, a, modulus, phi_p)
     phi_q = phi_n // phi_p  # phi is multiplicative and gcd(p^alpha, q) = 1
     rhs = phi_q * pow(q, -1, modulus) % modulus * local % modulus
-    return CongruenceReport(
-        identity=IdentityId.LEMMA_4,
-        params={"n": n, "a": a, "p": p, "alpha": alpha},
-        modulus=modulus,
-        lhs=Residue(lhs, modulus),
-        rhs=Residue(rhs, modulus),
-        holds=lhs == rhs,
+    return _modular_report(
+        IdentityId.LEMMA_4,
+        {"n": n, "a": a, "p": p, "alpha": alpha},
+        Residue(lhs, modulus),
+        Residue(rhs, modulus),
     )
 
 
@@ -208,12 +199,9 @@ def lemma3_exact_sides(n: int, a: int) -> tuple[Fraction, Fraction]:
     """Both sides of lemma3 from fully materialized quotients (oracle route)."""
     from fractions import Fraction  # the exact routes alone load it
 
-    _require_modulus(n)
-    g = gcd(n, 6 * a)
-    if g != 1:
-        raise NotCoprimeError(f"gcd({n}, 6*{a}) = {g}; need gcd(n, 6a) = 1")
-    lhs = Fraction(fermat_quotient(n * n, a).value)
-    q = Fraction(fermat_quotient(n, a).value)
+    _lemma3_args(n, a)
+    lhs = Fraction(fermat_quotient(n * n, a))
+    q = Fraction(fermat_quotient(n, a))
     rhs = q - Fraction(n, 2) * q * q
     return lhs, rhs
 
@@ -222,19 +210,13 @@ def lemma4_exact_sides(n: int, a: int, p: int) -> tuple[Fraction, Fraction]:
     """Both sides of lemma4 from fully materialized quotients (oracle route)."""
     from fractions import Fraction
 
-    _require_modulus(n)
-    _require_coprime(a, n)
-    if not is_prime(p):
-        raise PreconditionError(f"p must be prime, got {p}")
-    if n % p:
-        raise PrimeDivisibilityError(f"{p} does not divide {n}")
-    factored = factorize(n)
+    factored = _lemma4_args(n, a, p)
     alpha = factored.exponent_of(p)
     q = factored.cofactor(p)
-    qn = Fraction(fermat_quotient(n, a).value)
+    qn = Fraction(fermat_quotient(n, a))
     lhs = 2 * qn - n * qn * qn
     prime_power = p**alpha
-    qp = Fraction(fermat_quotient(prime_power, a).value)
+    qp = Fraction(fermat_quotient(prime_power, a))
     local = 2 * qp - prime_power * qp * qp
     rhs = Fraction(euler_phi(factorize(q)), q) * local
     return lhs, rhs

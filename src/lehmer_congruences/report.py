@@ -64,3 +64,19 @@ class CongruenceReport(_Value):
             self, identity, params, modulus, lhs, rhs, holds,
             skipped_reason, valuation, required,
         )
+
+
+def _modular_report(
+    identity: IdentityId, params: dict[str, int], lhs: Residue, rhs: Residue
+) -> CongruenceReport:
+    """The report of a check whose two sides are residues mod one modulus."""
+    if lhs.modulus != rhs.modulus:
+        raise ArithmeticError("left and right sides use different moduli")
+    return CongruenceReport(
+        identity=identity,
+        params=params,
+        modulus=lhs.modulus,
+        lhs=lhs,
+        rhs=rhs,
+        holds=lhs.rep == rhs.rep,
+    )

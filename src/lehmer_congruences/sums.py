@@ -369,7 +369,7 @@ def half_rhs_exact(n: int) -> Fraction:
     _require_modulus(n)
     if n % 2 == 0:
         raise EvenModulusError(f"the half-range identity needs odd n, got {n}")
-    q2 = fermat_quotient(n, 2).value
+    q2 = fermat_quotient(n, 2)
     return Fraction(-2 * q2 + n * q2 * q2)
 
 
@@ -404,14 +404,24 @@ def theorem_rhs_exact(n: int, d: int) -> Fraction:
     _check_d(d)
     _require_modulus(n)
     if d == 3:
-        q3 = Fraction(fermat_quotient(n, 3).value)
+        q3 = Fraction(fermat_quotient(n, 3))
         return q3 / 2 - n * q3 * q3 / 4
     if d == 4:
-        q2 = Fraction(fermat_quotient(n, 2).value)
+        q2 = Fraction(fermat_quotient(n, 2))
         return 3 * q2 / 4 - 3 * n * q2 * q2 / 8
-    q2 = Fraction(fermat_quotient(n, 2).value)
-    q3 = Fraction(fermat_quotient(n, 3).value)
+    q2 = Fraction(fermat_quotient(n, 2))
+    q3 = Fraction(fermat_quotient(n, 3))
     return q2 / 3 + q3 / 4 - n * (q2 * q2 / 6 + q3 * q3 / 8)
+
+
+def _lemma2_rhs_args(p: int, alpha: int, d: int) -> int:
+    """Validate the lemma2 right-side arguments; returns p^{2 alpha}."""
+    _check_d(d)
+    if alpha < 1:
+        raise PreconditionError(f"alpha must be >= 1, got {alpha}")
+    if p < 5 or not is_prime(p):
+        raise PreconditionError(f"p must be a prime >= 5, got {p}")
+    return p ** (2 * alpha)
 
 
 def lemma2_rhs(p: int, alpha: int, d: int) -> Residue:
@@ -420,12 +430,7 @@ def lemma2_rhs(p: int, alpha: int, d: int) -> Residue:
     Quotients are taken at n = p^{2 alpha} itself:
     d=3: q(3)/2;  d=4: 3 q(2)/4;  d=6: q(2)/3 + q(3)/4.
     """
-    _check_d(d)
-    if alpha < 1:
-        raise PreconditionError(f"alpha must be >= 1, got {alpha}")
-    if p < 5 or not is_prime(p):
-        raise PreconditionError(f"p must be a prime >= 5, got {p}")
-    m = p ** (2 * alpha)
+    m = _lemma2_rhs_args(p, alpha, d)
     # phi(p^{2 alpha}) needs no factorization, and n q^2 vanishes mod m = n
     return _weighted_rhs(m, d, m, m // p * (p - 1))
 
@@ -434,19 +439,12 @@ def lemma2_rhs_exact(p: int, alpha: int, d: int) -> Fraction:
     """lemma2_rhs from fully materialized quotients (oracle route)."""
     from fractions import Fraction
 
-    _check_d(d)
-    if alpha < 1:
-        raise PreconditionError(f"alpha must be >= 1, got {alpha}")
-    if p < 5 or not is_prime(p):
-        raise PreconditionError(f"p must be a prime >= 5, got {p}")
-    m = p ** (2 * alpha)
+    m = _lemma2_rhs_args(p, alpha, d)
     if d == 3:
-        return Fraction(fermat_quotient(m, 3).value, 2)
+        return Fraction(fermat_quotient(m, 3), 2)
     if d == 4:
-        return Fraction(3 * fermat_quotient(m, 2).value, 4)
-    return Fraction(fermat_quotient(m, 2).value, 3) + Fraction(
-        fermat_quotient(m, 3).value, 4
-    )
+        return Fraction(3 * fermat_quotient(m, 2), 4)
+    return Fraction(fermat_quotient(m, 2), 3) + Fraction(fermat_quotient(m, 3), 4)
 
 
 def _moebius_terms(q: FactoredInteger) -> Iterator[tuple[int, int]]:

@@ -55,7 +55,7 @@ from .quotients import (
     lemma4_check,
     lemma4_exact_sides,
 )
-from .report import CongruenceReport, IdentityId
+from .report import CongruenceReport, IdentityId, _modular_report
 from .sums import (
     HALF,
     SumSpec,
@@ -142,21 +142,6 @@ class IdentitySpec(_Value):
             self, required, admissible, modulus, check, exact, d, var,
             {} if defaults is None else defaults, bernoulli, left,
         )
-
-
-def _modular_report(
-    identity: IdentityId, params: Params, lhs: Residue, rhs: Residue
-) -> CongruenceReport:
-    if lhs.modulus != rhs.modulus:
-        raise ArithmeticError("left and right sides use different moduli")
-    return CongruenceReport(
-        identity=identity,
-        params=params,
-        modulus=lhs.modulus,
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs.rep == rhs.rep,
-    )
 
 
 def _square(q: Params) -> int:

@@ -152,9 +152,7 @@ def test_criterion_05_restricted_sum_localization():
                 if verify(identity, n=n, p=p).holds is not True:
                     failures += 1
     pinned = verify(IdentityId.LEMMA_2_D3, n=35, p=5)
-    half_quotient = rational_mod(
-        Fraction(fermat_quotient(25, 3).value, 2), 25
-    )
+    half_quotient = rational_mod(Fraction(fermat_quotient(25, 3), 2), 25)
     pinned_ok = (
         pinned.lhs.rep == 13
         and pinned.rhs.rep == 13

@@ -316,3 +316,8 @@ def test_rational_mod():
     assert rational_mod(7, 5).rep == 2
     with pytest.raises(NotInvertibleError):
         rational_mod(Fraction(1, 5), 25)
+    # the modulus is checked before the denominator
+    with pytest.raises(PreconditionError, match=r"^modulus must be >= 1, got 0$"):
+        rational_mod(Fraction(1, 3), 0)
+    with pytest.raises(PreconditionError, match=r"^modulus must be >= 1, got -4$"):
+        rational_mod(Fraction(1, 2), -4)

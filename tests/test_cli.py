@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -655,6 +656,18 @@ def test_readme_examples():
     for argv, out in examples:
         done = _cli(*argv)
         assert (done.returncode, done.stdout, done.stderr) == (0, out, ""), argv
+
+
+def test_readme_library_names_are_package_exports():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("Lower-level pieces are exported too:")
+    listed = readme[start:readme.index("value types.", start)]
+    names = []
+    for name in re.findall(r"`([A-Za-z_]\w*(?:\(_\w+\))?)`", listed):
+        stem, _, suffix = name.partition("(")  # x(_y) names x and x_y
+        names += [stem, stem + suffix.rstrip(")")] if suffix else [stem]
+    assert len(names) == 19
+    assert [name for name in names if not hasattr(lehmer_congruences, name)] == []
 
 
 def test_import_loads_no_process_pool():

@@ -12,6 +12,7 @@ from lehmer_congruences.arith import euler_phi, factorize
 from lehmer_congruences.bernoulli import BernoulliCache, bernoulli_number, rational_mod
 from lehmer_congruences.errors import (
     IndexCapExceeded,
+    InvalidDenominatorError,
     NotCoprimeError,
     PowerSizeExceeded,
     PreconditionError,
@@ -19,7 +20,6 @@ from lehmer_congruences.errors import (
 )
 from lehmer_congruences import quotients
 from lehmer_congruences.quotients import (
-    QuotientValue,
     fermat_quotient,
     fermat_quotient_mod,
     lemma1_check,
@@ -28,17 +28,18 @@ from lehmer_congruences.quotients import (
     lemma4_check,
     lemma4_exact_sides,
 )
+from lehmer_congruences.sums import lemma2_rhs, lemma2_rhs_exact
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def test_fermat_quotient_values():
-    assert fermat_quotient(5, 2) == QuotientValue(5, 2, 3)
-    assert fermat_quotient(5, 3).value == 16
-    assert fermat_quotient(25, 2).value == 41943
-    assert fermat_quotient(9, 2).value == 7
-    assert fermat_quotient(7, 1).value == 0
-    assert fermat_quotient(2, 3).value == 1
+    assert fermat_quotient(5, 2) == 3 and type(fermat_quotient(5, 2)) is int
+    assert fermat_quotient(5, 3) == 16
+    assert fermat_quotient(25, 2) == 41943
+    assert fermat_quotient(9, 2) == 7
+    assert fermat_quotient(7, 1) == 0
+    assert fermat_quotient(2, 3) == 1
     with pytest.raises(NotCoprimeError):
         fermat_quotient(6, 2)
     with pytest.raises(PreconditionError):
@@ -52,9 +53,9 @@ def test_fermat_quotient_refuses_an_oversized_power(monkeypatch):
         fermat_quotient(101, 2)
     with pytest.raises(PowerSizeExceeded):
         lemma3_exact_sides(11, 2)  # q_{121}(2) needs 2^110
-    assert fermat_quotient(101, 1).value == 0  # log2(1) = 0
+    assert fermat_quotient(101, 1) == 0  # log2(1) = 0
     monkeypatch.setattr(quotients, "MAX_POWER_BITS", 100)
-    assert fermat_quotient(101, 2).value == (2**100 - 1) // 101
+    assert fermat_quotient(101, 2) == (2**100 - 1) // 101
 
 
 def test_fermat_quotient_exactness_invariant():
@@ -63,8 +64,7 @@ def test_fermat_quotient_exactness_invariant():
         for a in (2, 3, 5, 7):
             if gcd(a, n) != 1:
                 continue
-            q = fermat_quotient(n, a)
-            assert n * q.value == a**phi - 1, (n, a)
+            assert n * fermat_quotient(n, a) == a**phi - 1, (n, a)
 
 
 def test_euler_divisibility_sweep():
@@ -81,7 +81,7 @@ def test_fermat_quotient_mod_agrees_with_exact():
         for a in (2, 3):
             if gcd(a, n) != 1:
                 continue
-            exact = fermat_quotient(n, a).value
+            exact = fermat_quotient(n, a)
             for m in (n, n * n, 7):
                 assert fermat_quotient_mod(n, a, m).rep == exact % m, (n, a, m)
 
@@ -256,3 +256,25 @@ def test_lemma4_check_matches_its_exact_sides(n, a, data):
     assume(gcd(a, n) == 1)
     p = data.draw(st.sampled_from([p for p, _ in factorize(n).factors]))  # p = 2 too
     _exact_matches(lemma4_check(n, a, p), lemma4_exact_sides(n, a, p))
+
+
+@pytest.mark.parametrize(
+    "modular, exact, args, error",
+    [
+        (lemma3_check, lemma3_exact_sides, (1, 2), PreconditionError),
+        (lemma3_check, lemma3_exact_sides, (9, 2), NotCoprimeError),  # 3 divides n
+        (lemma3_check, lemma3_exact_sides, (5, 5), NotCoprimeError),  # a shares 5
+        (lemma4_check, lemma4_exact_sides, (35, 7, 5), NotCoprimeError),
+        (lemma4_check, lemma4_exact_sides, (35, 2, 9), PreconditionError),
+        (lemma4_check, lemma4_exact_sides, (35, 2, 11), PrimeDivisibilityError),
+        (lemma2_rhs, lemma2_rhs_exact, (5, 0, 3), PreconditionError),  # alpha = 0
+        (lemma2_rhs, lemma2_rhs_exact, (3, 1, 3), PreconditionError),  # p = 3
+        (lemma2_rhs, lemma2_rhs_exact, (5, 1, 5), InvalidDenominatorError),  # d = 5
+    ],
+)
+def test_exact_twin_refuses_as_its_modular_route(modular, exact, args, error):
+    with pytest.raises(error) as refused:
+        modular(*args)
+    with pytest.raises(error) as twin:
+        exact(*args)
+    assert (type(twin.value), str(twin.value)) == (type(refused.value), str(refused.value))

@@ -12,7 +12,6 @@ import pytest
 
 from lehmer_congruences.arith import FactoredInteger, Residue
 from lehmer_congruences.errors import PreconditionError
-from lehmer_congruences.quotients import QuotientValue
 from lehmer_congruences.report import CongruenceReport, IdentityId
 from lehmer_congruences.sums import HALF, SumSpec
 from lehmer_congruences.verifier import IdentitySpec
@@ -38,10 +37,6 @@ CASES = [
         FactoredInteger(13, ((13, 1),)),
         "FactoredInteger(value=12, factors=((2, 2), (3, 1)))",
         True,
-    ),
-    (
-        QuotientValue(5, 2, 3), QuotientValue(5, 2, 3), QuotientValue(5, 3, 16),
-        "QuotientValue(n=5, a=2, value=3)", True,
     ),
     (
         SumSpec(35, HALF, None, 1225),

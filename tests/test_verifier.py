@@ -1,5 +1,6 @@
 """verify/scan orchestration, counterexample search and CRT reassembly."""
 
+import errno
 import os
 import sys
 
@@ -433,6 +434,30 @@ def test_scan_worker_that_dies_raises_a_typed_error(monkeypatch):
     with pytest.raises(CongruenceError, match="exited with status 3"):
         scan(IdentityId.THM_3, 5, 60, workers=2)
     assert os.getpid() == parent
+
+
+def test_scan_fork_failure_kills_and_reaps_the_started_workers(monkeypatch):
+    real_fork = os.fork
+    calls = []
+
+    def failing_fork():  # the second fork finds no process slot
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    fds = "/proc/self/fd"
+    open_fds = len(os.listdir(fds)) if os.path.isdir(fds) else None
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 3)
+    with pytest.raises(OSError) as info:
+        scan(IdentityId.THM_3, 5, 600, workers=3)
+    assert info.value.errno == errno.EAGAIN and len(calls) == 2
+    with pytest.raises(ChildProcessError):  # the one real worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+    if open_fds is not None:  # both pipes are closed
+        assert len(os.listdir(fds)) == open_fds
+    assert AFFINITY(0) == START_CPUS
 
 
 def test_scan_turns_an_oversized_exact_power_into_a_skip(monkeypatch):
