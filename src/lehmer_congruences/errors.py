@@ -5,6 +5,23 @@ catch one base class.  Precondition violations additionally derive from
 ValueError and carry a message naming the violated predicate.
 """
 
+__all__ = [
+    "CongruenceError",
+    "EvenModulusError",
+    "FactorizationLimitExceeded",
+    "IndexCapExceeded",
+    "InvalidDenominatorError",
+    "ModuliNotCoprimeError",
+    "NoCounterexampleInRange",
+    "NotCoprimeError",
+    "NotInvertibleError",
+    "OracleDivergence",
+    "PowerSizeExceeded",
+    "PreconditionError",
+    "PrimeDivisibilityError",
+    "TermCountExceeded",
+]
+
 
 class CongruenceError(Exception):
     """Base class for all errors raised by this package."""

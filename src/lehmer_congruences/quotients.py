@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import gcd, log2
 
-from .arith import FactoredInteger, Residue, euler_phi, factorize, is_prime
+from .arith import Residue, euler_phi, factorize, is_prime
 from .bernoulli import BernoulliCache, bernoulli_number, p_adic_valuation, rational_mod
 from .errors import (
     NotCoprimeError,
@@ -59,7 +59,14 @@ def fermat_quotient(n: int, a: int) -> int:
     """
     _require_modulus(n)
     _require_coprime(a, n)
-    phi = euler_phi(factorize(n))
+    return _exact_quotient(n, a, euler_phi(factorize(n)))
+
+
+def _exact_quotient(n: int, a: int, phi: int) -> int:
+    """fermat_quotient's value, given phi = phi(n) and gcd(a, n) = 1.
+
+    For the exact twins of the lemma checks, which hold phi(n) already.
+    """
     bits = phi * log2(abs(a))
     if bits > MAX_POWER_BITS:
         raise PowerSizeExceeded(
@@ -137,23 +144,30 @@ def lemma1_check(
     )
 
 
-def _lemma3_args(n: int, a: int) -> None:
-    """Validate the lemma3 hypotheses n > 1 and gcd(n, 6a) = 1."""
+def _lemma3_args(n: int, a: int) -> int:
+    """Validate the lemma3 hypotheses n > 1 and gcd(n, 6a) = 1; returns phi(n)."""
     _require_modulus(n)
     g = gcd(n, 6 * a)
     if g != 1:
         raise NotCoprimeError(f"gcd({n}, 6*{a}) = {g}; need gcd(n, 6a) = 1")
+    return euler_phi(factorize(n))
 
 
-def _lemma4_args(n: int, a: int, p: int) -> FactoredInteger:
-    """Validate the lemma4 hypotheses; returns the factorization of n."""
+def _lemma4_args(n: int, a: int, p: int) -> tuple[int, int, int, int]:
+    """Validate the lemma4 hypotheses; returns alpha, q, phi(n) and phi(p^alpha).
+
+    n = p^alpha * q with p not dividing q; all four come from one
+    factorization of n.
+    """
     _require_modulus(n)
     _require_coprime(a, n)
     if not is_prime(p):
         raise PreconditionError(f"p must be prime, got {p}")
     if n % p:
         raise PrimeDivisibilityError(f"{p} does not divide {n}")
-    return factorize(n)
+    factored = factorize(n)
+    alpha = factored.exponent_of(p)
+    return alpha, factored.cofactor(p), euler_phi(factored), p ** (alpha - 1) * (p - 1)
 
 
 def lemma3_check(n: int, a: int) -> CongruenceReport:
@@ -161,9 +175,8 @@ def lemma3_check(n: int, a: int) -> CongruenceReport:
 
     Stated for gcd(n, 6a) = 1, so both 2 and the quotients exist mod n^2.
     """
-    _lemma3_args(n, a)
+    phi = _lemma3_args(n, a)
     nsq = n * n
-    phi = euler_phi(factorize(n))
     lhs = Residue(_quotient_mod(nsq, a, nsq, n * phi), nsq)  # phi(n^2) = n phi(n)
     rhs = pow(2, -1, nsq) * _combination(n, a, nsq, phi) % nsq
     return _modular_report(IdentityId.LEMMA_3, {"n": n, "a": a}, lhs, Residue(rhs, nsq))
@@ -176,14 +189,10 @@ def lemma4_check(n: int, a: int, p: int) -> CongruenceReport:
     congruent to (phi(q)/q) * (2 q_{p^alpha}(a) - p^alpha q_{p^alpha}(a)^2)
     mod p^{2 alpha}.  alpha is derived from n and p.
     """
-    factored = _lemma4_args(n, a, p)
-    alpha = factored.exponent_of(p)
-    q = factored.cofactor(p)
+    alpha, q, phi_n, phi_p = _lemma4_args(n, a, p)
     modulus = p ** (2 * alpha)
-    phi_n = euler_phi(factored)
     lhs = _combination(n, a, modulus, phi_n)
     prime_power = p**alpha
-    phi_p = prime_power // p * (p - 1)
     local = _combination(prime_power, a, modulus, phi_p)
     phi_q = phi_n // phi_p  # phi is multiplicative and gcd(p^alpha, q) = 1
     rhs = phi_q * pow(q, -1, modulus) % modulus * local % modulus
@@ -199,9 +208,9 @@ def lemma3_exact_sides(n: int, a: int) -> tuple[Fraction, Fraction]:
     """Both sides of lemma3 from fully materialized quotients (oracle route)."""
     from fractions import Fraction  # the exact routes alone load it
 
-    _lemma3_args(n, a)
-    lhs = Fraction(fermat_quotient(n * n, a))
-    q = Fraction(fermat_quotient(n, a))
+    phi = _lemma3_args(n, a)
+    lhs = Fraction(_exact_quotient(n * n, a, n * phi))  # phi(n^2) = n phi(n)
+    q = Fraction(_exact_quotient(n, a, phi))
     rhs = q - Fraction(n, 2) * q * q
     return lhs, rhs
 
@@ -210,13 +219,11 @@ def lemma4_exact_sides(n: int, a: int, p: int) -> tuple[Fraction, Fraction]:
     """Both sides of lemma4 from fully materialized quotients (oracle route)."""
     from fractions import Fraction
 
-    factored = _lemma4_args(n, a, p)
-    alpha = factored.exponent_of(p)
-    q = factored.cofactor(p)
-    qn = Fraction(fermat_quotient(n, a))
+    alpha, q, phi_n, phi_p = _lemma4_args(n, a, p)
+    qn = Fraction(_exact_quotient(n, a, phi_n))
     lhs = 2 * qn - n * qn * qn
     prime_power = p**alpha
-    qp = Fraction(fermat_quotient(prime_power, a))
+    qp = Fraction(_exact_quotient(prime_power, a, phi_p))
     local = 2 * qp - prime_power * qp * qp
-    rhs = Fraction(euler_phi(factorize(q)), q) * local
+    rhs = Fraction(phi_n // phi_p, q) * local  # phi(q) = phi(n) / phi(p^alpha)
     return lhs, rhs

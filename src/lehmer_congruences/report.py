@@ -6,6 +6,8 @@ from enum import Enum, unique
 
 from .arith import Residue, _Value
 
+__all__ = ["CongruenceReport", "IdentityId"]
+
 
 @unique
 class IdentityId(Enum):

@@ -82,9 +82,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "CongruenceReport",
     "IDENTITIES",
-    "IdentityId",
     "IdentitySpec",
     "counterexample_search",
     "crt_reassembly_check",

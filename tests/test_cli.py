@@ -717,6 +717,18 @@ def test_modular_scans_load_no_fractions_decimal_or_json(argv):
     assert "fractions" in exact | baseline
 
 
+@pytest.mark.parametrize("argv, loads", [
+    (["--help"], False),
+    (["verify", "--identity", "thm3", "--n", "35"], False),
+    (["scan", "--identity", "lemma3", "--a", "2", "--from", "5", "--to", "60"], False),
+    (["scan", "--identity", "thm3", "--from", "5", "--to", "60"], True),
+], ids=["help", "verify", "lemma-scan", "sum-scan"])
+def test_only_a_scan_that_sums_a_list_loads_sweep(argv, loads):
+    # the package import leaves sweep out, so start-up does not compile it
+    loaded = _imported("-m", "lehmer_congruences", *argv)
+    assert ("lehmer_congruences.sweep" in loaded) is loads
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_json_scan_loads_no_dataclasses_inspect_or_csv(workers):
     # start-up time: dataclasses pulls in inspect, ast, dis and tokenize, and

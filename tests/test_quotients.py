@@ -200,6 +200,15 @@ def test_lemma_checks_factorize_n_once(monkeypatch):
     calls.clear()
     assert lemma4_check(5**2 * 7 * 11, 2, 5).holds
     assert calls == [1925]
+    # the exact twins read phi of n^2, p^alpha and q from that one factorization
+    calls.clear()
+    lhs, rhs = lemma3_exact_sides(5 * 7 * 11, 2)
+    assert rational_mod(lhs - rhs, (5 * 7 * 11) ** 2).rep == 0
+    assert calls == [385]
+    calls.clear()
+    lhs, rhs = lemma4_exact_sides(5**2 * 7 * 11, 2, 5)
+    assert rational_mod(lhs - rhs, 5**4).rep == 0
+    assert calls == [1925]
 
 
 def test_lemma4_pinned():
