@@ -27,7 +27,7 @@ from .errors import CongruenceError, OracleDivergence, PreconditionError
 from .quotients import fermat_quotient
 from .report import CongruenceReport, IdentityId
 from .sums import HALF, half_harmonic, lehmer_sum, lemma2_sum
-from .verifier import IDENTITIES, counterexample_search, scan, verify
+from .verifier import counterexample_search, scan, verify
 
 __all__ = [
     "build_parser",
@@ -198,21 +198,18 @@ def serialize_report(report: CongruenceReport, fmt: str = "json") -> str:
 
 
 def _resolve_identity(code: str, d: int | None) -> IdentityId:
+    """The identity a code names; whether it takes d is the table's rule."""
     code = code.lower()
     if code == "lemma2":
-        if d not in (3, 4, 6):
+        if d is None:
             raise PreconditionError("lemma2 needs --d 3, 4 or 6")
         return IdentityId(f"lemma2-d{d}")
     try:
-        identity = IdentityId(code)
+        return IdentityId(code)
     except ValueError:
         raise PreconditionError(
             f"unknown identity {code!r}; see --help for the code table"
         ) from None
-    embedded = IDENTITIES[identity].d
-    if embedded is not None and d is not None and d != embedded:
-        raise PreconditionError(f"--d {d} conflicts with identity {code}")
-    return identity
 
 
 def _workers(text: str) -> int:
@@ -246,7 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
         "only the bernoulli command and the lemma1 identity read Bernoulli numbers, "
         "so verify and scan refuse the flag for any other identity",
     )
+    # verify and scan share every flag but the values they check
     check = argparse.ArgumentParser(add_help=False)
+    check.add_argument("--identity", required=True)
+    check.add_argument("--a", type=int)
+    check.add_argument("--p", type=int)
+    check.add_argument("--d", type=int, choices=(3, 4, 6))
+    check.add_argument("--alpha", type=int)
     check.add_argument(
         "--workers", type=_workers, default=1,
         help="processes a scan deals its values to, at most the usable CPUs "
@@ -260,23 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", parents=[fmt, cap, check], help="run one check")
-    p_verify.add_argument("--identity", required=True)
     p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--a", type=int)
-    p_verify.add_argument("--p", type=int)
-    p_verify.add_argument("--d", type=int, choices=(3, 4, 6))
-    p_verify.add_argument("--alpha", type=int)
 
-    p_scan = sub.add_parser(
-        "scan", parents=[fmt, cap, check], help="check a range of n"
-    )
-    p_scan.add_argument("--identity", required=True)
+    p_scan = sub.add_parser("scan", parents=[fmt, cap, check], help="check a range of n")
     p_scan.add_argument("--from", dest="n_from", type=int, required=True)
     p_scan.add_argument("--to", dest="n_to", type=int, required=True)
-    p_scan.add_argument("--a", type=int)
-    p_scan.add_argument("--p", type=int)
-    p_scan.add_argument("--d", type=int, choices=(3, 4, 6))
-    p_scan.add_argument("--alpha", type=int)
 
     p_counter = sub.add_parser(
         "counterexample", parents=[fmt],
@@ -304,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sum", parents=[fmt], help="print one restricted inverse sum"
     )
     p_sum.add_argument("--n", type=int, required=True)
-    p_sum.add_argument("--d", required=True, help="3, 4, 6 or half")
+    p_sum.add_argument("--d", required=True, choices=("3", "4", "6", HALF))
     p_sum.add_argument("--p", type=int, help="localize a d-sum at this prime")
 
     return parser
@@ -330,34 +321,19 @@ def _emit_record(record: dict, text: str, fmt: str) -> None:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "verify":
+    if args.command in ("verify", "scan"):
         identity = _resolve_identity(args.identity, args.d)
-        report = verify(
-            identity,
-            n=args.n,
-            a=args.a,
-            p=args.p,
-            d=args.d,
-            alpha=args.alpha,
-            cache=_make_cache(args),
-            exact_oracle=args.exact_oracle,
+        given = dict(
+            a=args.a, p=args.p, d=args.d, alpha=args.alpha,
+            cache=_make_cache(args), exact_oracle=args.exact_oracle,
         )
-        sys.stdout.write(serialize_report(report, args.format))
-        return 0 if report.holds else 1
-    if args.command == "scan":
-        identity = _resolve_identity(args.identity, args.d)
+        if args.command == "verify":
+            report = verify(identity, n=args.n, **given)
+            sys.stdout.write(serialize_report(report, args.format))
+            return 0 if report.holds else 1
         rows = scan(
-            identity,
-            args.n_from,
-            args.n_to,
-            a=args.a,
-            p=args.p,
-            d=args.d,
-            alpha=args.alpha,
-            workers=args.workers,
-            cache=_make_cache(args),
-            exact_oracle=args.exact_oracle,
-            render=_RENDERERS[args.format],
+            identity, args.n_from, args.n_to,
+            workers=args.workers, render=_RENDERERS[args.format], **given,
         )
         sys.stdout.write(_document([row for row, _ in rows], args.format))
         return 0 if rows and all(held for _, held in rows) else 1
@@ -379,17 +355,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             if args.p is not None:
                 raise PreconditionError("--p localizes a d-sum; --d half takes none")
             value = half_harmonic(args.n)
+        elif args.p is not None:
+            value = lemma2_sum(args.n, args.p, int(args.d))
         else:
-            try:
-                d = int(args.d)
-            except ValueError:
-                raise PreconditionError(
-                    f"--d must be 3, 4, 6 or half, got {args.d!r}"
-                ) from None
-            if args.p is not None:
-                value = lemma2_sum(args.n, args.p, d)
-            else:
-                value = lehmer_sum(args.n, d)
+            value = lehmer_sum(args.n, int(args.d))
         record = {"rep": str(value.rep), "modulus": str(value.modulus)}
         _emit_record(record, str(value), args.format)
         return 0

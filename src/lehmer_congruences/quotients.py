@@ -29,7 +29,9 @@ __all__ = [
     "fermat_quotient_mod",
     "lemma1_check",
     "lemma3_check",
+    "lemma3_exact_sides",
     "lemma4_check",
+    "lemma4_exact_sides",
 ]
 
 # fermat_quotient refuses to build a^phi(n) beyond this many bits; 3**(2**22),

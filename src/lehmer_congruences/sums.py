@@ -71,6 +71,7 @@ __all__ = [
     "modular_sum",
     "moebius_decomposition_check",
     "moebius_decomposition_sides",
+    "moebius_decomposition_sides_exact",
     "theorem_rhs",
     "theorem_rhs_exact",
 ]

@@ -590,8 +590,9 @@ def counterexample_search(
         nsq = n * n
         params = {"n": n, "d": d}
         try:
-            lhs = modular_sum(SumSpec(n, d, None, nsq))
-            rhs = _weighted_rhs(n, d, nsq, euler_phi(factorize(n)))
+            factored = factorize(n)
+            lhs = modular_sum(SumSpec(n, d, None, nsq), factored)
+            rhs = _weighted_rhs(n, d, nsq, euler_phi(factored))
         except (NotCoprimeError, NotInvertibleError) as exc:
             trail.append(_skip_report(identity, params, str(exc)))
             continue

@@ -291,7 +291,7 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--identity", "lemma2", "--n", "35")
     assert code == 2 and "--d" in err
     code, _, err = run_cli(capsys, "verify", "--identity", "thm3", "--n", "5", "--d", "4")
-    assert code == 2 and "conflicts" in err
+    assert code == 2 and "thm3 does not take d = 4" in err
     code, _, err = run_cli(capsys, "verify", "--identity", "thm3")
     assert code == 2 and "required" in err
     code, _, _ = run_cli(capsys, "scan", "--identity", "thm3", "--from", "5")
@@ -329,12 +329,32 @@ def test_unread_parameter_is_usage_error(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("command", [
+    ("verify", "--n", "35"), ("scan", "--from", "5", "--to", "40"),
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("code, d", [("thm3", "4"), ("thm4", "3"), ("lehmer-p6", "3")])
+def test_a_d_the_identity_does_not_embed_is_refused_before_any_check(
+    capsys, monkeypatch, command, code, d
+):
+    # the identity table judges --d, as it judges every other parameter
+    checked = []
+    monkeypatch.setattr(verifier, "_checked", lambda *args: checked.append(args))
+    verb, *rest = command
+    exit_code, out, err = run_cli(capsys, verb, "--identity", code, *rest, "--d", d)
+    assert (exit_code, out, checked) == (2, "", [])
+    assert f"{code} does not take d = {d}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--identity", "thm4", "--n", "49", "--d", "4"),
     ("verify", "--identity", "lemma2", "--d", "3", "--n", "35", "--p", "5"),
     ("verify", "--identity", "lemma1", "--n", "7"),
     ("scan", "--identity", "lemma1", "--from", "3", "--to", "7", "--p", "5"),
-], ids=["embedded-d", "lemma2-d", "lemma1-n", "scan-lemma1-p"])
+    ("scan", "--identity", "thm4", "--from", "5", "--to", "40", "--d", "4"),
+    ("scan", "--identity", "lemma2", "--d", "3", "--from", "5", "--to", "40", "--p", "5"),
+], ids=[
+    "embedded-d", "lemma2-d", "lemma1-n", "scan-lemma1-p", "scan-embedded-d", "scan-lemma2-d",
+])
 def test_parameters_that_stand_for_a_read_one_are_accepted(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0 and out
@@ -401,8 +421,9 @@ def test_raw_value_commands(capsys):
         capsys, "sum", "--n", "5", "--d", "3", "--format", "json"
     )
     assert json.loads(out) == {"rep": "13", "modulus": "25"}
-    code, _, err = run_cli(capsys, "sum", "--n", "5", "--d", "7")
-    assert code == 2
+    for d in ("7", "x"):
+        code, out, err = run_cli(capsys, "sum", "--n", "5", "--d", d)
+        assert (code, out) == (2, "") and "invalid choice" in err
     # --p localizes a d-sum; the half-range sum has no such form
     code, out, err = run_cli(capsys, "sum", "--n", "5", "--d", "half", "--p", "5")
     assert (code, out) == (2, "") and "--d half takes none" in err

@@ -381,6 +381,25 @@ def test_scan_without_fork_runs_serially(monkeypatch):
     assert scan(IdentityId.THM_4, 5, 101, workers=4) == scan(IdentityId.THM_4, 5, 101)
 
 
+def test_scan_fans_out_unpinned_without_the_affinity_calls(monkeypatch):
+    # as on macOS, where os.fork exists and os.sched_getaffinity does not
+    serial = scan(IdentityId.THM_3, 5, 60)
+    real_fork = os.fork
+    forks = []
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert verifier._usable_cpus() == 2
+    assert scan(IdentityId.THM_3, 5, 60, workers=2) == serial
+    assert len(forks) == 1
+
+
 @pytest.mark.parametrize("where", ["parent", "worker"])
 def test_scan_failure_in_any_share_reaches_the_caller(monkeypatch, where):
     parent = os.getpid()
@@ -553,6 +572,20 @@ def test_a_scan_share_factors_each_value_once(monkeypatch, identity):
     calls.clear()
     verify(identity, n=35)  # verify factors n for each side, as before
     assert calls == [35, 35]
+
+
+def test_the_counterexample_search_factors_each_value_once(monkeypatch):
+    real = arith.factorize
+    calls: list[int] = []
+
+    def recording(n):
+        calls.append(n)
+        return real(n)
+
+    replace_factorize(monkeypatch, recording)
+    with pytest.raises(NoCounterexampleInRange):
+        counterexample_search(IdentityId.THM_3, 1, n_to=200)
+    assert calls == list(range(7, 201, 6))  # 33 values, each factored once
 
 
 @pytest.mark.parametrize("workers", [1, 2])
