@@ -27,7 +27,6 @@ __all__ = [
     "euler_phi",
     "factorize",
     "is_prime",
-    "moebius",
 ]
 
 
@@ -252,14 +251,6 @@ def euler_phi(n: FactoredInteger) -> int:
     for p, alpha in n.factors:
         result *= p ** (alpha - 1) * (p - 1)
     return result
-
-
-def moebius(n: FactoredInteger) -> int:
-    """The Moebius function: 0 on non-squarefree n, else (-1)^(#primes)."""
-    for _, alpha in n.factors:
-        if alpha >= 2:
-            return 0
-    return -1 if len(n.factors) % 2 else 1
 
 
 def divisors(n: FactoredInteger) -> list[int]:

@@ -388,11 +388,13 @@ _SKIPPED = (
 )
 
 
-def _scan_chunk(args: tuple) -> list:
+def _scan_chunk(
+    identity: IdentityId, values: list[int], params: Params, cache: BernoulliCache | None,
+    exact_oracle: bool, render: Callable[[CongruenceReport], object] | None,
+) -> list:
     """The reports of one share of a scan, in the order of its values.
 
-    args is (identity, values, params, cache, exact_oracle, render), with
-    params validated by scan.  When the identity forms its left sides
+    params are validated by scan.  When the identity forms its left sides
     together, the share factors every value once and takes all the left
     sides from one call on those factorizations, and each check reuses its
     value's factorization for the right side.  Should the factoring or
@@ -402,7 +404,6 @@ def _scan_chunk(args: tuple) -> list:
     Unless render is None, each report is replaced by (render(report),
     report.holds is True).
     """
-    identity, values, params, cache, exact_oracle, render = args
     spec = IDENTITIES[identity]
     lefts = factors = [None] * len(values)  # replaced below, never changed in place
     if spec.left is not None:
@@ -429,86 +430,83 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fan_out(args: tuple, workers: int) -> list:
-    """_scan_chunk over args, its values dealt round-robin to workers processes.
+def _fan_out(
+    workers: int, identity: IdentityId, values: list[int], params: Params,
+    cache: BernoulliCache | None, exact_oracle: bool,
+    render: Callable[[CongruenceReport], object] | None,
+) -> list:
+    """_scan_chunk over values dealt round-robin to workers processes.
 
-    Share k is values[k::workers]; the parent forks a child for every share
-    but the first, computes that one itself, and merges the shares back in
-    value order.  Where the platform allows, share k runs on the k-th CPU
-    this process may use, and the parent gets its own affinity back when
-    the shares are in.  A child sends one pickled (ok, rows or exception)
-    through a pipe and leaves by os._exit, so it never returns into the
-    caller; its rows are what _scan_chunk returned there, so with a render
-    function they are the rendered rows with their verdicts, and no report
-    crosses the pipe.  The first failing share, in share order, raises in
-    the parent.
+    Share k is values[k::workers], run where the platform allows on the
+    k-th CPU this process may use.  The caller forks a child for every
+    share but the first and computes that one itself, so a given cache is
+    filled by that share alone.  A child pickles (ok, rows or exception)
+    into a pipe and leaves by os._exit, never returning into the caller.
+    The caller reads each child's whole payload, reaps it and merges its
+    rows in value order, raising the first failing share in share order.
+    However the call ends, interrupts included, one finally closes every
+    pipe and kills and reaps every child not yet reaped, so no worker
+    outlives it, and gives the caller its CPU affinity back.
     """
     import pickle
 
-    values = args[1]
     # Left to the scheduler, a forked child stayed on its parent's CPU for
     # a whole 0.15 s scan on a 2-vCPU Linux VM, so the shares ran one after
     # the other; pinning each share to a CPU of its own makes them overlap.
     saved = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
 
-    def take_share(k: int) -> tuple:
-        """Pin this process to share k's CPU; return share k's _scan_chunk args."""
+    def share(k: int) -> list:
+        """Pin this process to share k's CPU and compute share k."""
         if saved is not None:
             cpus = sorted(saved)
             os.sched_setaffinity(0, {cpus[k % len(cpus)]})
-        return (args[0], values[k::workers], *args[2:])
+        return _scan_chunk(identity, values[k::workers], params, cache, exact_oracle, render)
 
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    pipes: list = []  # the read end of every child's pipe, in share order
+    pids: list[int] = []  # the children not yet reaped, in share order
     try:
         for k in range(1, workers):
             read_end, write_end = os.pipe()
-            try:
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as sink:  # the caller's copy closes once forked
                 pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                status = 1
-                try:
+                if pid == 0:
+                    status = 1
                     try:
-                        payload = pickle.dumps((True, _scan_chunk(take_share(k))))
-                    except Exception as exc:
-                        payload = pickle.dumps((False, exc))
-                    with open(write_end, "wb") as pipe:
-                        pipe.write(payload)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_end)
-            children.append((pid, read_end))
+                        try:
+                            payload = pickle.dumps((True, share(k)))
+                        except Exception as exc:
+                            payload = pickle.dumps((False, exc))
+                        sink.write(payload)
+                        sink.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+                pids.append(pid)
         out: list = [None] * len(values)
-        out[0::workers] = _scan_chunk(take_share(0))
-    except BaseException:
-        import signal
-
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
+        out[0::workers] = share(0)
+        for k, pipe in enumerate(pipes, start=1):
+            payload = pipe.read()  # all of it first: a child blocks on a full pipe
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            pid = pids.pop(0)  # reaped, so the finally leaves it be
+            if code:  # a child exits 0 only once its whole payload is written
+                raise CongruenceError(
+                    f"scan worker {pid} exited with status {code} before sending its share"
+                )
+            ok, part = pickle.loads(payload)
+            if not ok:
+                raise part
+            out[k::workers] = part
+        return out
     finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:  # left only when the call raises
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         if saved is not None:
             os.sched_setaffinity(0, saved)
-        received = []
-        for pid, read_end in children:
-            with open(read_end, "rb") as pipe:
-                payload = pipe.read()
-            received.append((pid, payload, os.waitpid(pid, 0)[1]))
-    for k, (pid, payload, status) in enumerate(received, start=1):
-        code = os.waitstatus_to_exitcode(status)
-        if code:  # a child exits 0 only once its whole payload is written
-            raise CongruenceError(
-                f"scan worker {pid} exited with status {code} before sending its share"
-            )
-        ok, part = pickle.loads(payload)
-        if not ok:
-            raise part
-        out[k::workers] = part
-    return out
 
 
 def scan(
@@ -538,8 +536,10 @@ def scan(
     instead of disappearing.
     With workers > 1 the retained values are dealt round-robin to
     min(workers, retained values, usable CPUs) processes forked from this
-    one; the merged result is identical to the single-process one.  Where
-    os.fork does not exist the scan runs in this process.
+    one; the merged result is identical to the single-process one, only
+    this process's share fills a given cache, and no worker outlives the
+    call, even when it raises or is interrupted.  Where os.fork does not
+    exist the scan runs in this process.
     With render, each report becomes (render(report), report.holds is True)
     in the process that computed it, so a share sends back its rows and
     verdicts rather than its reports.
@@ -557,11 +557,10 @@ def scan(
     if workers < 1:
         raise PreconditionError(f"workers must be >= 1, got {workers}")
     values = [v for v in range(n_from, n_to + 1) if spec.admissible(v, params)]
-    args = (identity, values, params, cache, exact_oracle, render)
     workers = min(workers, len(values), _usable_cpus())
     if workers > 1 and hasattr(os, "fork"):
-        return _fan_out(args, workers)
-    return _scan_chunk(args)
+        return _fan_out(workers, identity, values, params, cache, exact_oracle, render)
+    return _scan_chunk(identity, values, params, cache, exact_oracle, render)
 
 
 def counterexample_search(

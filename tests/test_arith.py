@@ -16,7 +16,6 @@ from lehmer_congruences.arith import (
     euler_phi,
     factorize,
     is_prime,
-    moebius,
 )
 from lehmer_congruences.errors import (
     FactorizationLimitExceeded,
@@ -209,29 +208,6 @@ def test_euler_phi_counting_oracle():
     for n in range(1, 2001):
         counted = sum(1 for r in range(1, n + 1) if gcd(r, n) == 1)
         assert euler_phi(factorize(n)) == counted, n
-
-
-def test_moebius_values_and_indicator():
-    assert moebius(factorize(1)) == 1
-    assert moebius(factorize(30)) == -1
-    assert moebius(factorize(35)) == 1
-    assert moebius(factorize(12)) == 0
-    # sum of mu over divisors is the indicator of n = 1
-    for n in range(1, 2001):
-        total = sum(moebius(factorize(s)) for s in divisors(factorize(n)))
-        assert total == (1 if n == 1 else 0), n
-
-
-def test_moebius_phi_ratio():
-    # sum over squarefree divisors of mu(s)/s equals phi(q)/q
-    from fractions import Fraction
-
-    for q in (1, 7, 11, 77, 91, 143, 1001):
-        f = factorize(q)
-        total = sum(
-            Fraction(moebius(factorize(s)), s) for s in divisors(f)
-        )
-        assert total == Fraction(euler_phi(f), q)
 
 
 def test_divisors_sorted_complete():

@@ -21,7 +21,7 @@ from lehmer_congruences.errors import (
     TermCountExceeded,
 )
 from lehmer_congruences.quotients import fermat_quotient_mod
-from lehmer_congruences.arith import Residue, euler_phi, factorize, is_prime
+from lehmer_congruences.arith import Residue, divisors, euler_phi, factorize, is_prime
 from lehmer_congruences.sums import (
     HALF,
     SumSpec,
@@ -474,3 +474,25 @@ def test_moebius_decomposition():
                 assert moebius_decomposition_check(n, p, d), (n, p, d)
     with pytest.raises(NotCoprimeError):
         moebius_decomposition_check(15, 5, 3)
+
+
+def test_moebius_terms_values_and_indicator():
+    assert list(sums._moebius_terms(factorize(1))) == [(1, 1)]
+    assert list(sums._moebius_terms(factorize(12))) == [(1, 1), (-1, 2), (-1, 3), (1, 6)]
+    for n in range(1, 2001):
+        f = factorize(n)
+        terms = list(sums._moebius_terms(f))
+        # every squarefree divisor s of n once, with mu(s) = (-1)^(primes of s)
+        squarefree = [s for s in divisors(f) if all(s % (p * p) for p, _ in f.factors)]
+        assert sorted(s for _, s in terms) == squarefree, n
+        assert all(mu == (-1) ** len(factorize(s).factors) for mu, s in terms), n
+        # sum of mu over the squarefree divisors is the indicator of n = 1
+        assert sum(mu for mu, _ in terms) == (1 if n == 1 else 0), n
+
+
+def test_moebius_terms_phi_ratio():
+    # sum over squarefree divisors of mu(s)/s equals phi(q)/q
+    for q in (1, 7, 11, 77, 91, 143, 1001):
+        f = factorize(q)
+        total = sum(Fraction(mu, s) for mu, s in sums._moebius_terms(f))
+        assert total == Fraction(euler_phi(f), q)

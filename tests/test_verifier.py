@@ -363,11 +363,11 @@ def test_scan_pins_each_share_to_a_cpu_of_its_own(monkeypatch):
     real = verifier._scan_chunk
     first, second = sorted(START_CPUS)[:2]
 
-    def checking(args):
+    def checking(*args):
         expected = {first} if os.getpid() == parent else {second}
         if os.sched_getaffinity(0) != expected:
             raise AssertionError(f"share ran on {os.sched_getaffinity(0)}, not {expected}")
-        return real(args)
+        return real(*args)
 
     monkeypatch.setattr(verifier, "_scan_chunk", checking)
     monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
@@ -443,10 +443,10 @@ def test_scan_worker_that_dies_raises_a_typed_error(monkeypatch):
     parent = os.getpid()
     real = verifier._scan_chunk
 
-    def dying(args):
+    def dying(*args):
         if os.getpid() != parent:
             os._exit(3)
-        return real(args)
+        return real(*args)
 
     monkeypatch.setattr(verifier, "_scan_chunk", dying)
     monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
@@ -475,6 +475,30 @@ def test_scan_fork_failure_kills_and_reaps_the_started_workers(monkeypatch):
     with pytest.raises(ChildProcessError):  # the one real worker was reaped
         os.waitpid(-1, os.WNOHANG)
     if open_fds is not None:  # both pipes are closed
+        assert len(os.listdir(fds)) == open_fds
+    assert AFFINITY(0) == START_CPUS
+
+
+def test_scan_interrupted_while_reaping_leaves_no_worker_behind(monkeypatch):
+    real_waitpid = os.waitpid
+    interrupted = []
+
+    def interrupting_waitpid(pid, options):  # as if Ctrl-C struck the first reap
+        if pid > 0 and not interrupted:
+            interrupted.append(pid)
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    fds = "/proc/self/fd"
+    open_fds = len(os.listdir(fds)) if os.path.isdir(fds) else None
+    monkeypatch.setattr(os, "waitpid", interrupting_waitpid)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    with pytest.raises(KeyboardInterrupt):
+        scan(IdentityId.THM_3, 5, 60, workers=2)
+    assert len(interrupted) == 1
+    with pytest.raises(ChildProcessError):  # the worker was reaped, not left a zombie
+        os.waitpid(-1, os.WNOHANG)
+    if open_fds is not None:  # its pipe is closed
         assert len(os.listdir(fds)) == open_fds
     assert AFFINITY(0) == START_CPUS
 
