@@ -5,7 +5,8 @@ function of its inputs.  Residue and FactoredInteger are immutable value
 types on _Value, the slotted base that every value type of the package
 shares.  The factorizer is deterministic: trial division up to 1000,
 then Brent's rho with fixed constants on whatever cofactor is left,
-with every reported prime certified by Miller-Rabin.
+with every reported prime certified: by trial division below 10^6, by
+Miller-Rabin below _MR_EXACT_BELOW, and a larger cofactor is refused.
 """
 
 from __future__ import annotations
@@ -126,10 +127,12 @@ class FactoredInteger(_Value):
         return self.value // p ** self.exponent_of(p)
 
 
-# Deterministic Miller-Rabin base set; correct for all n < 3.3e24, which
-# covers every modulus this package touches.  Larger inputs get the same
-# bases and a probable-prime verdict.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes.  The least strong pseudoprime to all of them is
+# psi_13 = 3317044064679887385961981, so is_prime is exact below it (the
+# 12 primes to 37 pass psi_12 = 399165290221 * 798330580441); above it the
+# verdict is probable-prime only, and factorize refuses such a cofactor.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
@@ -168,7 +171,8 @@ def factorize(n: int) -> FactoredInteger:
     Every n below 10^6 is factored by trial division alone.  The rho
     stage starts each cofactor at y = 2 with c = 1, 2, ..., so repeated
     calls give identical traces.  _RHO_BUDGET bounds the total number of
-    rho steps per call; running out raises FactorizationLimitExceeded.
+    rho steps per call; running out raises FactorizationLimitExceeded, as
+    does a cofactor of at least _MR_EXACT_BELOW that Miller-Rabin passes.
     """
     if n < 1:
         raise PreconditionError(f"cannot factor {n}; need n >= 1")
@@ -199,6 +203,8 @@ def _rho_factor(m: int, counts: dict[int, int], budget: int) -> None:
     while stack:
         m = stack.pop()
         if is_prime(m):
+            if m >= _MR_EXACT_BELOW:  # Miller-Rabin certifies no prime this large
+                raise FactorizationLimitExceeded(f"{m} is a probable prime, not a certified one")
             counts[m] = counts.get(m, 0) + 1
             continue
         factor, c = m, 0

@@ -5,7 +5,9 @@ so a process that only verifies single values never compiles it.
 is_cheaper weighs the sweep against sums.modular_sum at every n, and
 swept_sums is the sweep: one ascending pass over j adds the exact
 integers L // j, L = lcm(1..top), to one prefix sum per unit class mod
-D, and every n reads those prefix sums at its Moebius cut points.  Its
+D, and every n reads those prefix sums at its Moebius cut points.  L is
+the product of _top_powers(top), and each n reads its part of L from
+that same map.  Its
 result is certified: a quotient that does not divide out exactly raises
 instead of returning a value.
 """
@@ -63,22 +65,20 @@ def _shape(ns: Sequence[int], d: int | str) -> tuple[int, list[int]]:
     return d, [n - 1 for n in ns]
 
 
-def _lcm_upto(top: int) -> int:
-    """lcm(1, ..., top): every prime up to top to its largest power <= top."""
+def _top_powers(top: int) -> dict[int, int]:
+    """{p: its largest power <= top} for every prime p <= top: the parts of L."""
     sieve = bytearray([1]) * (top + 1)
     sieve[:2] = bytes(min(2, top + 1))
     for p in range(2, isqrt(top) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
-    return prod(_top_power(p, top) for p in compress(range(top + 1), sieve))
-
-
-def _top_power(p: int, top: int) -> int:
-    """The largest power of p that is at most top: p^(v_p(lcm(1..top)))."""
-    q = 1
-    while q * p <= top:
-        q *= p
-    return q
+    powers = {}
+    for p in compress(range(top + 1), sieve):
+        q = p
+        while q * p <= top:
+            q *= p
+        powers[p] = q
+    return powers
 
 
 def swept_sums(
@@ -99,22 +99,18 @@ def swept_sums(
     """
     modulus, bounds = _shape(ns, d)
     top = max(bounds, default=0)
-    lcm = _lcm_upto(top)
+    powers = _top_powers(top)
+    lcm = prod(powers.values())
     units = [gcd(c, modulus) == 1 for c in range(modulus)]
     # the inverse of every unit class mod D; s | n is a unit, as gcd(n, D) = 1
     inverse = [pow(c, -1, modulus) if unit else 0 for c, unit in enumerate(units)]
-    tops: dict[int, int] = {}  # p -> _top_power(p, top), each p worked out once
     # k -> the requests at k: (index of n, class c, mu(s) R/s, n^2 G)
     wanted: dict[int, list[tuple[int, int, int, int]]] = {}
     scales = []  # (G, the p-part of L) at every n
     for i, (n, f, bound) in enumerate(zip(ns, factored, bounds)):
         primes = [p for p, _ in f.factors]
         rad = prod(primes)
-        local = 1
-        for p in primes:
-            if p not in tops:
-                tops[p] = _top_power(p, top)
-            local *= tops[p]
+        local = prod(powers.get(p, 1) for p in primes)  # a p above top is not in L
         g = rad * local
         scales.append((g, local))
         ng = n * n * g

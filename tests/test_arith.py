@@ -66,6 +66,25 @@ def test_is_prime_small_and_carmichael():
     assert not is_prime(2**67 - 1)
 
 
+# the least strong pseudoprimes to the first 12 and the first 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_is_exact_below_psi_13():
+    assert not is_prime(PSI_12)
+    assert factorize(PSI_12).factors == ((399165290221, 1), (798330580441, 1))
+
+
+def test_factorize_refuses_a_prime_it_cannot_certify():
+    q = 10**25 + 13  # the least prime above 10^25; it passes Miller-Rabin
+    assert is_prime(q)
+    with pytest.raises(FactorizationLimitExceeded, match=f"{q} is a probable prime"):
+        factorize(7 * q)
+    with pytest.raises(FactorizationLimitExceeded, match=f"{PSI_13} is a probable prime"):
+        factorize(PSI_13)
+
+
 def test_factorize_values():
     assert factorize(1).factors == ()
     assert factorize(35).factors == ((5, 1), (7, 1))

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from math import inf
 from pathlib import Path
 
@@ -531,6 +532,19 @@ def test_term_count_limit_exit_1(capsys, monkeypatch):
     rows = [json.loads(line) for line in out.splitlines()]
     assert code == 1 and [row.get("holds") for row in rows] == [True, True, None, None]
     assert "over the budget of 10 terms" in rows[-1]["skipped_reason"]
+
+
+def test_a_modular_sum_over_its_budget_exits_1_at_once(capsys):
+    # about 3.3 * 10^11 terms, a day of summing, refused before the first
+    over = (
+        "a modular sum over 333333333346 values of r is over the budget of "
+        f"{sums.MAX_MODULAR_TERMS} terms"
+    )
+    for argv in (["verify", "--identity", "thm3"], ["sum", "--d", "3"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--n", "1000000000039")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "") and over in err
 
 
 def test_power_size_limit_exit_1(capsys, monkeypatch):

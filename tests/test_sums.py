@@ -200,8 +200,8 @@ def test_sweep_edge_lists(d):
 def test_sweep_refuses_a_quotient_it_cannot_certify(monkeypatch):
     # with 5 taken out of L, L // j floors at j = 5 and 25, and the sums at
     # the multiples of 5 are no longer divisible by their G
-    real = sweep._lcm_upto
-    monkeypatch.setattr(sweep, "_lcm_upto", lambda top: real(top) // 5)
+    real = sweep._top_powers
+    monkeypatch.setattr(sweep, "_top_powers", lambda top: {**real(top), 5: real(top)[5] // 5})
     with pytest.raises(ArithmeticError, match="not divisible by"):
         swept([25, 35, 55, 65], HALF)
 
@@ -344,6 +344,26 @@ def test_exact_sum_term_budget(monkeypatch):
     for spec in (SumSpec(23, HALF, None, 529), SumSpec(35, 3, 5, 49)):
         with pytest.raises(TermCountExceeded, match="11 values of r is over the budget"):
             exact_sum(spec)
+
+
+def test_modular_sum_term_budget(monkeypatch):
+    monkeypatch.setattr(sums, "MAX_MODULAR_TERMS", 10)
+    at_budget = SumSpec(21, HALF, None, 441)  # r runs over 1..10
+    assert modular_sum(at_budget) == Residue(brute_sum(at_budget), 441)
+
+    def no_terms(spec, factored=None):
+        raise AssertionError("a term was formed")
+
+    monkeypatch.setattr(sums, "_kept_terms", no_terms)
+    for call in (
+        lambda: half_harmonic(23),
+        lambda: lehmer_sum(35, 3),
+        lambda: sums.coprime_sums([10007, 10009], 3),  # far out, a list takes the loop
+        lambda: lemma2_sum(35, 5, 3),
+        lambda: moebius_decomposition_sides(35, 5, 3),
+    ):
+        with pytest.raises(TermCountExceeded, match="r is over the budget of 10 terms"):
+            call()
 
 
 def test_lemma2_sum_values():

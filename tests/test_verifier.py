@@ -17,6 +17,7 @@ from lehmer_congruences.errors import (
     NoCounterexampleInRange,
     OracleDivergence,
     PreconditionError,
+    TermCountExceeded,
 )
 from lehmer_congruences.report import CongruenceReport, IdentityId
 from lehmer_congruences.verifier import (
@@ -570,6 +571,22 @@ def test_scan_falls_back_to_each_check_when_the_shared_left_sides_fail(monkeypat
 
     monkeypatch.setattr(verifier, "coprime_sums", capped)
     assert scan(IdentityId.THM_6, 5, 120) == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_loop_route_scan_skips_each_value_over_the_term_budget(monkeypatch, workers):
+    # a narrow window high up takes the loop, and n // 6 > 3338 from n = 20034
+    expected = scan(IdentityId.THM_6, 20000, 20060)
+    monkeypatch.setattr(sums, "MAX_MODULAR_TERMS", 3338)
+    reports = scan(IdentityId.THM_6, 20000, 20060, workers=workers)
+    assert [r.params for r in reports] == [r.params for r in expected]
+    for got, want in zip(reports, expected):
+        if got.params["n"] < 20034:
+            assert got == want
+        else:
+            assert got.holds is None and "over the budget of 3338" in got.skipped_reason
+    with pytest.raises(TermCountExceeded, match="over the budget of 3338"):
+        counterexample_search(IdentityId.THM_6, 5, n_to=20060)
 
 
 def replace_factorize(monkeypatch, double) -> None:
