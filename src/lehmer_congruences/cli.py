@@ -265,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[fmt, cap, check], help="run one check")
     p_verify.add_argument("--n", type=int)
 
-    p_scan = sub.add_parser("scan", parents=[fmt, cap, check], help="check a range of n")
+    p_scan = sub.add_parser(
+        "scan", parents=[fmt, cap, check], help="check a range of n (of p for lemma1)"
+    )
     p_scan.add_argument("--from", dest="n_from", type=int, required=True)
     p_scan.add_argument("--to", dest="n_to", type=int, required=True)
 

@@ -28,8 +28,10 @@ A scan share factors each of its values once and passes the list of
 FactoredIntegers both to coprime_sums (for the route estimate, the
 Moebius terms and the loop's sieve primes) and, value by value, to
 half_rhs or theorem_rhs (for phi(n)); called without them, each of these
-factors n itself, coprime_sums every n of its list up front.  Only the exact-rational twins form a Fraction, so the
-fractions module is imported where they run.
+factors n itself, coprime_sums every n of its list up front.
+
+Only the exact-rational twins form a Fraction, so the fractions module is
+imported where they run.
 """
 
 from __future__ import annotations
@@ -281,7 +283,8 @@ def coprime_sums(
     d), with the same errors; every n is checked before any sum is formed.
     One route serves the whole list: modular_sum at each n, or the shared
     prefix sweep of sweep.swept_sums when sweep.is_cheaper says so.  A
-    single value has nothing to share, so it always takes modular_sum.
+    single value has nothing to share, so it always takes modular_sum.  The
+    loop route checks every n's term budget before its first term.
     factored, when given, holds the factorization of every n of ns, in
     order, and no n is factored again; else each n is factored once here.
     """
@@ -303,7 +306,10 @@ def coprime_sums(
 
         if sweep.is_cheaper(ns, d, factored):
             return sweep.swept_sums(ns, d, factored)
-    return [modular_sum(SumSpec(n, d, None, n * n), f) for n, f in zip(ns, factored)]
+    specs = [SumSpec(n, d, None, n * n) for n in ns]
+    for spec in specs:
+        _check_terms(spec, MAX_MODULAR_TERMS, "a modular")
+    return [modular_sum(spec, f) for spec, f in zip(specs, factored)]
 
 
 def lemma2_sum(n: int, p: int, d: int) -> Residue:

@@ -7,9 +7,8 @@ swept_sums is the sweep: one ascending pass over j adds the exact
 integers L // j, L = lcm(1..top), to one prefix sum per unit class mod
 D, and every n reads those prefix sums at its Moebius cut points.  L is
 the product of _top_powers(top), and each n reads its part of L from
-that same map.  Its
-result is certified: a quotient that does not divide out exactly raises
-instead of returning a value.
+that same map.  Its result is certified: a quotient that does not divide
+out exactly raises instead of returning a value.
 """
 
 from __future__ import annotations

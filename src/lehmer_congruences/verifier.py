@@ -96,25 +96,25 @@ Params = dict[str, int]
 class IdentitySpec(_Value):
     """What verify, scan and the oracle need to know about one identity.
 
-    required names the parameters the check reads, in the order a missing
-    one is reported, and defaults the optional ones with their values; d is
-    the denominator the identity embeds (None when it takes none, or takes
-    it as a parameter) and var the parameter a scan walks.  admissible is
-    scan's filter for a value of var, modulus gives the modulus a
-    skipped check reports, check runs the modular route, and exact returns
-    the exact rationals of both sides given the report's params and modulus
-    (None when check already compares exact values).  bernoulli tells
-    whether check reads a Bernoulli number, and so whether it takes a cache.
-    left, when not None, forms the left sides at a list of values of var
-    at once from their factorizations; a scan share factors its values,
-    calls it before its checks and hands check each value's left side as
-    lhs and its factorization as factored.  check forms its own left side
-    when lhs is None and factors n itself when factored is None.
+    The table is the one list of parameters: verify and scan declare none.
+    required names those the check reads, in the order a missing one is
+    reported, and a scan walks the first; defaults names the optional ones
+    with their values, and d is the denominator the identity embeds (None
+    when it takes none, or takes it as a parameter).  admissible is scan's
+    filter for a walked value, modulus gives the modulus a skipped check
+    reports, check runs the modular route, and exact returns the exact
+    rationals of both sides given the report's params and modulus (None
+    when check already compares exact values).  bernoulli tells whether
+    check reads a Bernoulli number, and so whether it takes a cache.  left,
+    when not None, forms the left sides at a list of walked values from
+    their factorizations; a scan share factors its values, calls it before
+    its checks and hands check each value's left side as lhs and its
+    factorization as factored.  check forms what it is not handed itself.
     """
 
     __slots__ = (
-        "required", "admissible", "modulus", "check", "exact", "d", "var", "defaults",
-        "bernoulli", "left",
+        "required", "admissible", "modulus", "check", "exact", "d", "defaults", "bernoulli",
+        "left",
     )
 
     def __init__(
@@ -131,13 +131,12 @@ class IdentitySpec(_Value):
         ],
         exact: Callable[[Params, int], tuple[Fraction, Fraction]] | None,
         d: int | None = None,
-        var: str = "n",
         defaults: Params | None = None,
         bernoulli: bool = False,
         left: Callable[[list[int], list[FactoredInteger]], list[Residue]] | None = None,
     ) -> None:
         _Value.__init__(
-            self, required, admissible, modulus, check, exact, d, var,
+            self, required, admissible, modulus, check, exact, d,
             {} if defaults is None else defaults, bernoulli, left,
         )
 
@@ -240,7 +239,6 @@ IDENTITIES: dict[IdentityId, IdentitySpec] = {
         lambda q: q["p"] ** (2 * q["alpha"]),
         lambda identity, q, cache, lhs, factored: lemma1_check(q["p"], q["alpha"], cache),
         None,  # the p-adic comparison is already exact
-        var="p",
         defaults={"alpha": 1},
         bernoulli=True,
     ),
@@ -276,16 +274,22 @@ def _params(
 ) -> Params:
     """The parameters identity reads, taken from given.
 
-    Raises PreconditionError when a required one is missing, naming the
-    first given value (not None) that the identity does not read, or when
-    a cache is given to an identity that reads no Bernoulli number; a d
-    equal to the identity's embedded d is accepted.
+    Raises PreconditionError naming the first given value (not None) that
+    the identity does not read, then the first required one missing, or
+    when a cache is given to an identity that reads no Bernoulli number; a
+    d equal to the identity's embedded d is accepted.
     """
     spec = IDENTITIES[identity]
     if cache is not None and not spec.bernoulli:
         raise PreconditionError(
             f"{identity.value} reads no Bernoulli number, so it takes no Bernoulli cap"
         )
+    reads = (*spec.required, *spec.defaults)
+    for name, value in given.items():
+        if value is not None and name not in reads and (name, value) != ("d", spec.d):
+            raise PreconditionError(
+                f"{identity.value} does not take {name} = {value}; it reads {', '.join(reads)}"
+            )
     params: Params = {}
     for name in spec.required:
         if given.get(name) is None:
@@ -296,42 +300,26 @@ def _params(
         params[name] = default if value is None else value
     if spec.d is not None:
         params["d"] = spec.d
-    for name, value in given.items():
-        if value is not None and params.get(name) != value:
-            reads = ", ".join((*spec.required, *spec.defaults))
-            raise PreconditionError(
-                f"{identity.value} does not take {name} = {value}; it reads {reads}"
-            )
     return params
 
 
 def verify(
     identity: IdentityId,
     *,
-    n: int | None = None,
-    a: int | None = None,
-    p: int | None = None,
-    d: int | None = None,
-    alpha: int | None = None,
     cache: BernoulliCache | None = None,
     exact_oracle: bool = False,
+    **given: int | None,
 ) -> CongruenceReport:
     """Run one congruence check and report both sides.
 
-    Which keyword parameters are required depends on the identity; the
-    lemma2 variants and the theorem/prime identities carry their d in the
-    identity itself (a d equal to it is accepted), while the Moebius
-    decomposition takes d explicitly.  lemma1 takes its prime as n when p
-    is not given; any other parameter the identity does not read raises
-    PreconditionError, and so does a cache given to an identity that reads
-    no Bernoulli number (only lemma1 does).  With exact_oracle=True both
-    sides are recomputed over the exact rationals and any disagreement with
-    the modular route raises OracleDivergence.
+    given holds the parameters by name; IDENTITIES lists which ones each
+    identity reads.  A missing required one, a given one (not None) that
+    the identity does not read, and a cache given to an identity that reads
+    no Bernoulli number (only lemma1 does) raise PreconditionError; a d
+    equal to the identity's embedded d is accepted.  With exact_oracle=True
+    both sides are recomputed over the exact rationals and any
+    disagreement with the modular route raises OracleDivergence.
     """
-    spec = IDENTITIES[identity]
-    given = {"n": n, "a": a, "p": p, "d": d, "alpha": alpha}
-    if given[spec.var] is None:
-        given[spec.var] = given.pop("n")
     params = _params(identity, given, cache)
     return _checked(identity, params, cache, exact_oracle, None, None)
 
@@ -414,7 +402,7 @@ def _scan_chunk(
             pass
     out: list = []
     for value, lhs, factored in zip(values, lefts, factors):
-        row = {**params, spec.var: value}
+        row = {**params, spec.required[0]: value}
         try:
             report = _checked(identity, row, cache, exact_oracle, lhs, factored)
         except _SKIPPED as exc:
@@ -514,26 +502,23 @@ def scan(
     n_from: int,
     n_to: int,
     *,
-    a: int | None = None,
-    p: int | None = None,
-    d: int | None = None,
-    alpha: int | None = None,
     workers: int = 1,
     cache: BernoulliCache | None = None,
     exact_oracle: bool = False,
     render: Callable[[CongruenceReport], object] | None = None,
+    **given: int | None,
 ) -> list:
     """One report per retained value in [n_from, n_to], in ascending order.
 
-    The scanned value is n, or p for lemma1 (a p given for lemma1 is
-    ignored); every other parameter the identity requires must be given,
-    none that it does not read may be, nor a cache unless its check reads
-    Bernoulli numbers, a fixed p must be prime, a fixed alpha and workers
-    must be at least 1, else PreconditionError is raised before any check
-    runs.  A value is retained when the identity's admissibility filter
-    accepts it.  A retained value whose check hits a cap or a budget, for
-    instance a tight Bernoulli cap, produces a report with skipped_reason
-    instead of disappearing.
+    The scan walks the first parameter IDENTITIES requires of the identity
+    (n, or p for lemma1), and given holds the others by name.  Giving the
+    walked one, leaving out another required one, giving one the identity
+    does not read, or a cache unless its check reads Bernoulli numbers, a
+    fixed p that is not prime, or a fixed alpha or workers below 1 raises
+    PreconditionError before any check runs.  A value is retained when the
+    identity's admissibility filter accepts it.  A retained value whose
+    check hits a cap or a budget, for instance a tight Bernoulli cap,
+    produces a report with skipped_reason instead of disappearing.
     With workers > 1 the retained values are dealt round-robin to
     min(workers, retained values, usable CPUs) processes forked from this
     one; the merged result is identical to the single-process one, only
@@ -545,11 +530,13 @@ def scan(
     verdicts rather than its reports.
     """
     spec = IDENTITIES[identity]
-    # the scanned variable takes each value in turn; n_from stands in for it
-    given = {"a": a, "p": p, "d": d, "alpha": alpha}
-    params = _params(identity, {**given, spec.var: n_from}, cache)
-    if "p" in spec.required and spec.var != "p" and not is_prime(p):
-        raise PreconditionError(f"p must be prime for {identity.value}, got {p}")
+    var, *fixed = spec.required
+    if given.get(var) is not None:
+        raise PreconditionError(f"a {identity.value} scan walks {var}; it takes no fixed {var}")
+    # n_from stands in for the walked value, which each row replaces
+    params = _params(identity, {**given, var: n_from}, cache)
+    if "p" in fixed and not is_prime(params["p"]):
+        raise PreconditionError(f"p must be prime for {identity.value}, got {params['p']}")
     if params.get("alpha", 1) < 1:
         raise PreconditionError(
             f"alpha must be >= 1 for {identity.value}, got {params['alpha']}"

@@ -349,16 +349,25 @@ def test_a_d_the_identity_does_not_embed_is_refused_before_any_check(
 @pytest.mark.parametrize("argv", [
     ("verify", "--identity", "thm4", "--n", "49", "--d", "4"),
     ("verify", "--identity", "lemma2", "--d", "3", "--n", "35", "--p", "5"),
-    ("verify", "--identity", "lemma1", "--n", "7"),
-    ("scan", "--identity", "lemma1", "--from", "3", "--to", "7", "--p", "5"),
     ("scan", "--identity", "thm4", "--from", "5", "--to", "40", "--d", "4"),
     ("scan", "--identity", "lemma2", "--d", "3", "--from", "5", "--to", "40", "--p", "5"),
-], ids=[
-    "embedded-d", "lemma2-d", "lemma1-n", "scan-lemma1-p", "scan-embedded-d", "scan-lemma2-d",
-])
+], ids=["embedded-d", "lemma2-d", "scan-embedded-d", "scan-lemma2-d"])
 def test_parameters_that_stand_for_a_read_one_are_accepted(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--identity", "lemma1", "--n", "7"),
+     "lemma1 does not take n = 7; it reads p, alpha"),
+    (("scan", "--identity", "lemma1", "--from", "3", "--to", "7", "--p", "5"),
+     "a lemma1 scan walks p; it takes no fixed p"),
+], ids=["lemma1-n", "scan-lemma1-p"])
+def test_lemma1_takes_its_prime_as_p_alone(capsys, argv, message):
+    # n is no alias for p, and a scan refuses a fixed value of what it walks
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("alpha", ["0", "-1"])

@@ -1,7 +1,12 @@
-"""The export rule: the package exports exactly its modules' __all__ lists."""
+"""The export rule: the package exports exactly its modules' __all__ lists.
+
+Also the preconditions of public functions that no other test reaches.
+"""
 
 import re
 from pathlib import Path
+
+import pytest
 
 import lehmer_congruences
 from lehmer_congruences import arith, bernoulli, errors, quotients, report, sums, verifier
@@ -29,3 +34,21 @@ def test_package_exports_each_public_name_once_and_uses_it():
         definition = re.compile(rf"^(?:\s*(?:def|class) {name}\b|{name}\b.*=)", re.M)
         uses = sum(len(word.findall(t)) - len(definition.findall(t)) for t in texts)
         assert uses > 0, name
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: arith.FactoredInteger(0, ()), errors.PreconditionError,
+     "value must be >= 1, got 0"),
+    (lambda: bernoulli.bernoulli_poly(-1, 0), errors.PreconditionError,
+     "polynomial degree must be >= 0, got -1"),
+    (lambda: bernoulli.power_sum(0, -1, 2), errors.PreconditionError,
+     "count must be >= 0, got -1"),
+    (lambda: bernoulli.power_sum(0, 1, -1), errors.PreconditionError,
+     "exponent must be >= 0, got -1"),
+    (lambda: sums.half_rhs_exact(4), errors.EvenModulusError,
+     "the half-range identity needs odd n, got 4"),
+], ids=["factored-zero", "poly-degree", "power-sum-count", "power-sum-exponent", "half-rhs-even"])
+def test_public_preconditions(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message

@@ -24,9 +24,9 @@ def _lemma1_report(rhs: int) -> CongruenceReport:
     )
 
 
-def _spec(var: str) -> IdentitySpec:
+def _spec(d: int | None) -> IdentitySpec:
     # builtins pickle by reference, unlike the lambdas of the identity table
-    return IdentitySpec(("n",), max, len, print, None, var=var)
+    return IdentitySpec(("n",), max, len, print, None, d=d)
 
 
 CASES = [
@@ -54,10 +54,10 @@ CASES = [
         False,
     ),
     (
-        _spec("n"), _spec("n"), _spec("p"),
+        _spec(None), _spec(None), _spec(3),
         "IdentitySpec(required=('n',), admissible=<built-in function max>, "
         "modulus=<built-in function len>, check=<built-in function print>, "
-        "exact=None, d=None, var='n', defaults={}, bernoulli=False, left=None)",
+        "exact=None, d=None, defaults={}, bernoulli=False, left=None)",
         False,
     ),
 ]

@@ -108,9 +108,9 @@ def test_registry_names_every_required_parameter(identity):
         rest = {k: v for k, v in kwargs.items() if k != name}
         with pytest.raises(PreconditionError, match=f"{name} is required"):
             verify(identity, **rest)
-        if name == spec.var:
+        if name == spec.required[0]:
             continue  # scan supplies the scanned variable itself
-        fixed = {k: v for k, v in rest.items() if k != spec.var}
+        fixed = {k: v for k, v in rest.items() if k != spec.required[0]}
         with pytest.raises(PreconditionError, match=f"{name} is required"):
             scan(identity, 1, 60, **fixed)
 
@@ -129,7 +129,7 @@ def test_unread_parameter_raises(identity):
         with pytest.raises(PreconditionError, match=f"does not take {name} = {value}"):
             verify(identity, **kwargs, **{name: value})
         if name != "n":  # scan has no n to take
-            fixed = {k: v for k, v in kwargs.items() if k != spec.var}
+            fixed = {k: v for k, v in kwargs.items() if k != spec.required[0]}
             with pytest.raises(PreconditionError, match=f"does not take {name}"):
                 scan(identity, 1, 60, **fixed, **{name: value})
     if spec.d is not None:  # the embedded d itself is accepted
@@ -140,7 +140,7 @@ def test_unread_parameter_raises(identity):
 def test_cache_for_an_identity_that_reads_no_bernoulli_number_raises(identity):
     spec = IDENTITIES[identity]
     kwargs = ADMISSIBLE[identity]
-    fixed = {k: v for k, v in kwargs.items() if k != spec.var}
+    fixed = {k: v for k, v in kwargs.items() if k != spec.required[0]}
     cache = BernoulliCache(max_index=100)
     if spec.bernoulli:
         assert verify(identity, **kwargs, cache=cache).holds
@@ -240,10 +240,29 @@ def test_scan_missing_parameter_raises_before_any_check():
 
 
 def test_scan_lemma1_walks_p():
-    # the scanned value is the prime, whatever fixed p is passed
-    reports = scan(IdentityId.LEMMA_1, 3, 13, p=5)
+    reports = scan(IdentityId.LEMMA_1, 3, 13)
     assert [r.params["p"] for r in reports] == [3, 5, 7, 11, 13]
-    assert verify(IdentityId.LEMMA_1, n=7) == verify(IdentityId.LEMMA_1, p=7)
+    # p is the one name of lemma1's prime: a fixed p is refused, and so is n
+    with pytest.raises(PreconditionError, match="a lemma1 scan walks p; it takes no fixed p"):
+        scan(IdentityId.LEMMA_1, 3, 13, p=5)
+    with pytest.raises(PreconditionError, match="lemma1 does not take n = 7; it reads p, alpha"):
+        verify(IdentityId.LEMMA_1, n=7)
+
+
+@pytest.mark.parametrize("identity", ALL_IDENTITIES, ids=lambda i: i.value)
+def test_scan_refuses_the_parameter_it_walks(identity):
+    spec = IDENTITIES[identity]
+    var = spec.required[0]
+    fixed = {k: v for k, v in ADMISSIBLE[identity].items() if k != var}
+    with pytest.raises(PreconditionError, match=f"scan walks {var}; it takes no fixed {var}"):
+        scan(identity, 1, 60, **fixed, **{var: ADMISSIBLE[identity][var]})
+
+
+def test_a_name_no_identity_reads_is_the_table_refusal():
+    with pytest.raises(PreconditionError, match="thm3 does not take m = 35; it reads n"):
+        verify(IdentityId.THM_3, m=35)
+    with pytest.raises(PreconditionError, match="lemma3 does not take m = 2; it reads n, a"):
+        scan(IdentityId.LEMMA_3, 5, 20, a=2, m=2)
 
 
 @pytest.mark.parametrize("alpha", [0, -1])
@@ -574,10 +593,21 @@ def test_scan_falls_back_to_each_check_when_the_shared_left_sides_fail(monkeypat
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_loop_route_scan_skips_each_value_over_the_term_budget(monkeypatch, workers):
+def test_a_loop_route_scan_skips_each_value_over_the_term_budget(
+    monkeypatch, tmp_path, workers
+):
     # a narrow window high up takes the loop, and n // 6 > 3338 from n = 20034
     expected = scan(IdentityId.THM_6, 20000, 20060)
     monkeypatch.setattr(sums, "MAX_MODULAR_TERMS", 3338)
+    log = tmp_path / "sums.log"  # a forked share appends to it too
+    real = sums.modular_sum
+
+    def logged(spec, factored=None):
+        with open(log, "a") as sink:
+            sink.write(f"{spec.n}\n")
+        return real(spec, factored)
+
+    monkeypatch.setattr(sums, "modular_sum", logged)
     reports = scan(IdentityId.THM_6, 20000, 20060, workers=workers)
     assert [r.params for r in reports] == [r.params for r in expected]
     for got, want in zip(reports, expected):
@@ -585,6 +615,9 @@ def test_a_loop_route_scan_skips_each_value_over_the_term_budget(monkeypatch, wo
             assert got == want
         else:
             assert got.holds is None and "over the budget of 3338" in got.skipped_reason
+    # each share checks every budget before its first sum, so no value is summed twice
+    summed = sorted(map(int, log.read_text().split()))
+    assert summed == [r.params["n"] for r in expected if r.params["n"] < 20034]
     with pytest.raises(TermCountExceeded, match="over the budget of 3338"):
         counterexample_search(IdentityId.THM_6, 5, n_to=20060)
 
