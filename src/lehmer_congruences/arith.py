@@ -1,12 +1,14 @@
 """Integer and modular arithmetic primitives.
 
 Everything works on plain Python ints (arbitrary precision) and is a pure
-function of its inputs.  Residue and FactoredInteger are immutable value
-types on _Value, the slotted base that every value type of the package
-shares.  The factorizer is deterministic: trial division up to 1000,
-then Brent's rho with fixed constants on whatever cofactor is left,
-with every reported prime certified: by trial division below 10^6, by
-Miller-Rabin below _MR_EXACT_BELOW, and a larger cofactor is refused.
+function of its inputs.  Residue is an immutable value type on _Value,
+the slotted base of the package's value types.  FactoredInteger is an int
+that carries its factorization, and factorize returns one unchanged, so
+a value factored once is passed on as itself and never factored again.
+The factorizer is deterministic: trial division up to 1000, then Brent's
+rho with fixed constants on whatever cofactor is left, with every reported
+prime certified: by trial division below 10^6, by Miller-Rabin below
+_MR_EXACT_BELOW, and a larger cofactor is refused.
 """
 
 from __future__ import annotations
@@ -91,16 +93,16 @@ class Residue(_Value):
         return f"{self.rep} (mod {self.modulus})"
 
 
-class FactoredInteger(_Value):
-    """A positive integer together with its complete prime factorization.
+class FactoredInteger(int):
+    """A positive int that carries its complete prime factorization.
 
-    factors holds (prime, exponent) pairs with strictly increasing primes
-    and positive exponents; their product must equal value.
+    It compares, hashes, prints and formats as its value.  factors holds
+    (prime, exponent) pairs with strictly increasing primes and positive
+    exponents; their product must equal the value.  As on _Value, fields
+    cannot be assigned or deleted, and unpickling re-validates.
     """
 
-    __slots__ = ("value", "factors")
-
-    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]) -> None:
+    def __new__(cls, value: int, factors: tuple[tuple[int, int], ...]) -> FactoredInteger:
         if value < 1:
             raise PreconditionError(f"value must be >= 1, got {value}")
         product = 1
@@ -114,7 +116,15 @@ class FactoredInteger(_Value):
             previous = p
         if product != value:
             raise PreconditionError(f"factors multiply to {product}, not {value}")
-        _Value.__init__(self, value, factors)
+        self = int.__new__(cls, value)
+        object.__setattr__(self, "factors", factors)
+        return self
+
+    __setattr__ = _Value.__setattr__
+    __delattr__ = _Value.__delattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), (int(self), self.factors)
 
     def exponent_of(self, p: int) -> int:
         for q, alpha in self.factors:
@@ -123,8 +133,8 @@ class FactoredInteger(_Value):
         return 0
 
     def cofactor(self, p: int) -> int:
-        """The part of value coprime to p, i.e. value / p^exponent_of(p)."""
-        return self.value // p ** self.exponent_of(p)
+        """The part of the value coprime to p, i.e. n / p^exponent_of(p)."""
+        return self // p ** self.exponent_of(p)
 
 
 # The first 13 primes.  The least strong pseudoprime to all of them is
@@ -168,12 +178,15 @@ _RHO_BUDGET = 2_000_000  # rho steps one factorize call may take
 def factorize(n: int) -> FactoredInteger:
     """Factor n completely: trial division up to 1000, then Brent's rho.
 
-    Every n below 10^6 is factored by trial division alone.  The rho
-    stage starts each cofactor at y = 2 with c = 1, 2, ..., so repeated
-    calls give identical traces.  _RHO_BUDGET bounds the total number of
-    rho steps per call; running out raises FactorizationLimitExceeded, as
-    does a cofactor of at least _MR_EXACT_BELOW that Miller-Rabin passes.
+    A FactoredInteger is returned as it is.  Every n below 10^6 is
+    factored by trial division alone.  The rho stage starts each cofactor
+    at y = 2 with c = 1, 2, ..., so repeated calls give identical traces.
+    _RHO_BUDGET bounds the total number of rho steps per call; running out
+    raises FactorizationLimitExceeded, as does a cofactor of at least
+    _MR_EXACT_BELOW that Miller-Rabin passes.
     """
+    if isinstance(n, FactoredInteger):
+        return n
     if n < 1:
         raise PreconditionError(f"cannot factor {n}; need n >= 1")
     value = n

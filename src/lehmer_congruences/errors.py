@@ -56,7 +56,7 @@ class InvalidDenominatorError(PreconditionError):
 
 
 class FactorizationLimitExceeded(CongruenceError):
-    """Factorization gave up within the configured iteration budget."""
+    """Factorization ran out of rho steps, or met a probable prime >= psi_13."""
 
 
 class IndexCapExceeded(CongruenceError):
@@ -68,7 +68,7 @@ class PowerSizeExceeded(CongruenceError):
 
 
 class TermCountExceeded(CongruenceError):
-    """An exact-rational sum would run over more terms than its budget."""
+    """A modular or exact-rational sum would run over more terms than its budget."""
 
 
 class NoCounterexampleInRange(CongruenceError):

@@ -24,11 +24,11 @@ The right-hand sides are polynomials in Fermat quotients q_n(2), q_n(3).
 Each modular one is a weighted sum of L_n(a) = 2 q_n(a) - n q_n(a)^2 read
 from _RHS_WEIGHTS; each exact-rational twin is written out as stated.
 
-A scan share factors each of its values once and passes the list of
-FactoredIntegers both to coprime_sums (for the route estimate, the
-Moebius terms and the loop's sieve primes) and, value by value, to
-half_rhs or theorem_rhs (for phi(n)); called without them, each of these
-factors n itself, coprime_sums every n of its list up front.
+Every n is read through arith.factorize: coprime_sums factors each n
+of its list once (for the route estimate, the Moebius terms and the
+loop's sieve primes), and half_rhs and theorem_rhs factor n for phi(n).
+An n that is already a FactoredInteger, as a scan share passes them, is
+not factored again.
 
 Only the exact-rational twins form a Fraction, so the fractions module is
 imported where they run.
@@ -131,30 +131,19 @@ class SumSpec(_Value):
 _MASK_BLOCK = 1 << 14
 
 
-def _factored(n: int, factored: FactoredInteger | None) -> FactoredInteger:
-    """factored, the caller's factorization of n, or factorize(n) when None."""
-    if factored is None:
-        return factorize(n)
-    if factored.value != n:
-        raise PreconditionError(f"a factorization of {factored.value} was given for n = {n}")
-    return factored
-
-
-def _kept_terms(
-    spec: SumSpec, factored: FactoredInteger | None = None
-) -> Iterator[int]:
+def _kept_terms(spec: SumSpec) -> Iterator[int]:
     """denominators() again, filtered by a sieve mask instead of a gcd per r.
 
     Each block of r gets a bytearray with the multiples of every excluded
-    prime cleared (the primes of n, from factored when not None, or
-    exclude_prime alone) and compress walks the survivors; the terms and
-    their order are those of denominators().
+    prime cleared (the primes of n, or exclude_prime alone) and compress
+    walks the survivors; the terms and their order are those of
+    denominators().
     """
     bound = spec.bound()
     if bound < 1:  # empty sum; n may be below 1, where factorize refuses
         return iter(())
     if spec.exclude_prime is None:
-        primes = [p for p, _ in _factored(spec.n, factored).factors]
+        primes = [p for p, _ in factorize(spec.n).factors]
     else:
         primes = [spec.exclude_prime]
     return chain.from_iterable(_term_blocks(spec, bound, primes))
@@ -174,25 +163,24 @@ def _term_blocks(
         yield compress(terms, mask)
 
 
-def modular_sum(spec: SumSpec, factored: FactoredInteger | None = None) -> Residue:
+def modular_sum(spec: SumSpec) -> Residue:
     """Sum of the inverses of the spec's terms mod the spec's modulus.
 
     Montgomery's simultaneous inversion: the running sum is one fraction
-    num/den mod m, so one inverse of den replaces one per term.  factored,
-    when given, is the factorization of spec.n, whose primes the gcd filter
-    reads.  Raises TermCountExceeded before any term when the sum runs over
-    more than MAX_MODULAR_TERMS values of r, and NotInvertibleError naming
-    the first non-unit term: den is a unit exactly when every term is, so
-    only a failed sum rescans the terms.
+    num/den mod m, so one inverse of den replaces one per term.  Raises
+    TermCountExceeded before any term when the sum runs over more than
+    MAX_MODULAR_TERMS values of r, and NotInvertibleError naming the first
+    non-unit term: den is a unit exactly when every term is, so only a
+    failed sum rescans the terms.
     """
     _check_terms(spec, MAX_MODULAR_TERMS, "a modular")
     m = spec.modulus
     num, den = 0, 1
-    for t in _kept_terms(spec, factored):
+    for t in _kept_terms(spec):
         num = (num * t + den) % m
         den = den * t % m
     if gcd(den, m) != 1:
-        t = next(t for t in _kept_terms(spec, factored) if gcd(t, m) != 1)
+        t = next(t for t in _kept_terms(spec) if gcd(t, m) != 1)
         raise NotInvertibleError(f"gcd({t}, {m}) = {gcd(t, m)}; {t} is not a unit")
     return Residue(num * pow(den, -1, m) % m, m)
 
@@ -272,11 +260,7 @@ def lehmer_sum(n: int, d: int) -> Residue:
     return coprime_sums([n], d)[0]
 
 
-def coprime_sums(
-    ns: Sequence[int],
-    d: int | str,
-    factored: Sequence[FactoredInteger] | None = None,
-) -> list[Residue]:
+def coprime_sums(ns: Sequence[int], d: int | str) -> list[Residue]:
     """The gcd(r, n) = 1 sums mod n^2 at every n of ns, in order.
 
     d = HALF gives half_harmonic(n) and d in {3, 4, 6} gives lehmer_sum(n,
@@ -284,9 +268,8 @@ def coprime_sums(
     One route serves the whole list: modular_sum at each n, or the shared
     prefix sweep of sweep.swept_sums when sweep.is_cheaper says so.  A
     single value has nothing to share, so it always takes modular_sum.  The
-    loop route checks every n's term budget before its first term.
-    factored, when given, holds the factorization of every n of ns, in
-    order, and no n is factored again; else each n is factored once here.
+    loop route checks every n's term budget before its first term.  Each
+    n is factored once here, unless it already is a FactoredInteger.
     """
     if d != HALF:
         _check_d(d)
@@ -297,19 +280,16 @@ def coprime_sums(
                 raise EvenModulusError(f"the half-range sum needs odd n, got {n}")
         elif (g := gcd(n, d)) != 1:
             raise NotCoprimeError(f"gcd({n}, {d}) = {g}; the d-sum needs gcd(n, d) = 1")
-    if factored is None:
-        factored = [factorize(n) for n in ns]
-    elif len(factored) != len(ns) or any(f.value != n for n, f in zip(ns, factored)):
-        raise PreconditionError("factored must hold the factorization of every n, in order")
+    ns = [factorize(n) for n in ns]
     if len(ns) > 1:
         from . import sweep  # compiled only by a process that sums a list
 
-        if sweep.is_cheaper(ns, d, factored):
-            return sweep.swept_sums(ns, d, factored)
+        if sweep.is_cheaper(ns, d):
+            return sweep.swept_sums(ns, d)
     specs = [SumSpec(n, d, None, n * n) for n in ns]
     for spec in specs:
         _check_terms(spec, MAX_MODULAR_TERMS, "a modular")
-    return [modular_sum(spec, f) for spec, f in zip(specs, factored)]
+    return [modular_sum(spec) for spec in specs]
 
 
 def lemma2_sum(n: int, p: int, d: int) -> Residue:
@@ -352,17 +332,16 @@ def _weighted_rhs(n: int, d: int | str, m: int, phi: int) -> Residue:
     return Residue(total * pow(rest, -1, m) % m, m)
 
 
-def half_rhs(n: int, *, factored: FactoredInteger | None = None) -> Residue:
+def half_rhs(n: int) -> Residue:
     """-2 q_n(2) + n q_n(2)^2 mod n^2 for odd n > 1.
 
     Integer coefficients only, so this side needs no inverses and exists
-    for every odd n, prime or not.  factored, when given, must be the
-    factorization of n, and n is not factored again.
+    for every odd n, prime or not.
     """
     _require_modulus(n)
     if n % 2 == 0:
         raise EvenModulusError(f"the half-range identity needs odd n, got {n}")
-    return _weighted_rhs(n, HALF, n * n, euler_phi(_factored(n, factored)))
+    return _weighted_rhs(n, HALF, n * n, euler_phi(factorize(n)))
 
 
 def half_rhs_exact(n: int) -> Fraction:
@@ -376,7 +355,7 @@ def half_rhs_exact(n: int) -> Fraction:
     return Fraction(-2 * q2 + n * q2 * q2)
 
 
-def theorem_rhs(n: int, d: int, *, factored: FactoredInteger | None = None) -> Residue:
+def theorem_rhs(n: int, d: int) -> Residue:
     """The quotient polynomial congruent to the d-sum mod n^2.
 
     d=3:  q_n(3)/2 - n q_n(3)^2/4
@@ -384,15 +363,13 @@ def theorem_rhs(n: int, d: int, *, factored: FactoredInteger | None = None) -> R
     d=6:  q_n(2)/3 + q_n(3)/4 - n (q_n(2)^2/6 + q_n(3)^2/8)
 
     The constant denominators are inverted mod n^2, hence gcd(n, 6) = 1.
-    factored, when given, must be the factorization of n, and n is not
-    factored again.
     """
     _check_d(d)
     _require_modulus(n)
     g = gcd(n, 6)
     if g != 1:
         raise NotCoprimeError(f"gcd({n}, 6) = {g}; need gcd(n, 6) = 1")
-    return _weighted_rhs(n, d, n * n, euler_phi(_factored(n, factored)))
+    return _weighted_rhs(n, d, n * n, euler_phi(factorize(n)))
 
 
 def theorem_rhs_exact(n: int, d: int) -> Fraction:

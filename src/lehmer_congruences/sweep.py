@@ -7,8 +7,9 @@ swept_sums is the sweep: one ascending pass over j adds the exact
 integers L // j, L = lcm(1..top), to one prefix sum per unit class mod
 D, and every n reads those prefix sums at its Moebius cut points.  L is
 the product of _top_powers(top), and each n reads its part of L from
-that same map.  Its result is certified: a quotient that does not divide
-out exactly raises instead of returning a value.
+that same map.  Both take every n as an arith.FactoredInteger and read
+its primes from n.factors.  The sweep's result is certified: a quotient
+that does not divide out exactly raises instead of returning a value.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ _SWEEP_STEP_NS = 11
 _SWEEP_REQUEST_NS = 40
 
 
-def is_cheaper(
-    ns: Sequence[int], d: int | str, factored: list[FactoredInteger]
-) -> bool:
+def is_cheaper(ns: Sequence[FactoredInteger], d: int | str) -> bool:
     """Whether swept_sums(ns, d) should cost less than sums.modular_sum at each n.
 
     The loop costs _LOOP_NS per kept term, about K phi(n) / (D n) at n;
@@ -42,12 +41,10 @@ def is_cheaper(
     Chebyshev function psi(top) ~ top).
     """
     modulus, bounds = _shape(ns, d)
-    kept = sum(
-        k * euler_phi(f) / (modulus * n) for n, f, k in zip(ns, factored, bounds)
-    )
+    kept = sum(k * euler_phi(n) / (modulus * n) for n, k in zip(ns, bounds))
     top = max(bounds)
     steps = top * sum(gcd(c, modulus) == 1 for c in range(modulus)) // modulus
-    requests = sum(1 << len(f.factors) for f in factored)
+    requests = sum(1 << len(n.factors) for n in ns)
     digits = top // 21 + 1
     sweep = (steps * _SWEEP_STEP_NS + requests * _SWEEP_REQUEST_NS) * digits
     return sweep < kept * _LOOP_NS
@@ -80,9 +77,7 @@ def _top_powers(top: int) -> dict[int, int]:
     return powers
 
 
-def swept_sums(
-    ns: Sequence[int], d: int | str, factored: list[FactoredInteger]
-) -> list[Residue]:
+def swept_sums(ns: Sequence[FactoredInteger], d: int | str) -> list[Residue]:
     """sums.coprime_sums(ns, d) from one ascending sweep of exact prefix sums.
 
     The sum at n is that of 1/t over 0 < t <= K, t = n mod D, gcd(t, n) = 1
@@ -106,14 +101,14 @@ def swept_sums(
     # k -> the requests at k: (index of n, class c, mu(s) R/s, n^2 G)
     wanted: dict[int, list[tuple[int, int, int, int]]] = {}
     scales = []  # (G, the p-part of L) at every n
-    for i, (n, f, bound) in enumerate(zip(ns, factored, bounds)):
-        primes = [p for p, _ in f.factors]
+    for i, (n, bound) in enumerate(zip(ns, bounds)):
+        primes = [p for p, _ in n.factors]
         rad = prod(primes)
         local = prod(powers.get(p, 1) for p in primes)  # a p above top is not in L
         g = rad * local
         scales.append((g, local))
         ng = n * n * g
-        for mu, s in _moebius_terms(f):
+        for mu, s in _moebius_terms(n):
             k = bound // s
             if k:
                 c = n * inverse[s % modulus] % modulus

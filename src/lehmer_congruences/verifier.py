@@ -14,16 +14,15 @@ included) runs through _scan_chunk, looked up here at call time.  Given
 a render function, each share renders its own reports, so a child sends
 back rendered rows with their verdicts, not reports.  For an identity
 whose spec has a left function (the half-range and d-sum identities,
-prime forms included) a share first factors each of its values once and
-takes the left sides of all of them from one call to sums.coprime_sums
-on those factorizations; its checks then form only the right sides, and
-read phi(n) from the same factorizations.  So a scanned value is factored
-once, inside the share's cap-and-budget fallback, while verify forms and
-factors both sides of its one value on its own.  The
-counterexample search deliberately relaxes the hypothesis gcd(n, 6) = 1
-but keeps the modular routes of both sides; the right-hand side cancels
-what its numerator shares with its weights' denominator before it
-inverts the rest.
+prime forms included) a share first replaces each of its values by its
+factorization, an arith.FactoredInteger, and takes the left sides of all
+of them from one call to sums.coprime_sums; its checks then form only
+the right sides, reading phi(n) from the value.  So a scanned value is
+factored once, fallback included, while verify factors its one value
+once per side.  The counterexample search deliberately relaxes the
+hypothesis gcd(n, 6) = 1 but keeps the modular routes of both sides; the
+right-hand side cancels what its numerator shares with its weights'
+denominator before it inverts the rest.
 """
 
 from __future__ import annotations
@@ -106,10 +105,10 @@ class IdentitySpec(_Value):
     rationals of both sides given the report's params and modulus (None
     when check already compares exact values).  bernoulli tells whether
     check reads a Bernoulli number, and so whether it takes a cache.  left,
-    when not None, forms the left sides at a list of walked values from
-    their factorizations; a scan share factors its values, calls it before
-    its checks and hands check each value's left side as lhs and its
-    factorization as factored.  check forms what it is not handed itself.
+    when not None, forms the left sides at a list of walked values; a scan
+    share replaces its values by their factorizations, calls it before its
+    checks and hands check each value's left side as lhs.  check forms the
+    left side itself when lhs is None.
     """
 
     __slots__ = (
@@ -123,17 +122,13 @@ class IdentitySpec(_Value):
         admissible: Callable[[int, Params], bool],
         modulus: Callable[[Params], int | None],
         check: Callable[
-            [
-                IdentityId, Params, BernoulliCache | None, Residue | None,
-                FactoredInteger | None,
-            ],
-            CongruenceReport,
+            [IdentityId, Params, BernoulliCache | None, Residue | None], CongruenceReport
         ],
         exact: Callable[[Params, int], tuple[Fraction, Fraction]] | None,
         d: int | None = None,
         defaults: Params | None = None,
         bernoulli: bool = False,
-        left: Callable[[list[int], list[FactoredInteger]], list[Residue]] | None = None,
+        left: Callable[[list[FactoredInteger]], list[Residue]] | None = None,
     ) -> None:
         _Value.__init__(
             self, required, admissible, modulus, check, exact, d,
@@ -157,13 +152,13 @@ def _localized(n: int, q: Params) -> bool:
 def _half(prime: bool) -> IdentitySpec:
     """The half-range harmonic sum at an odd prime, or at any odd n."""
 
-    def check(identity: IdentityId, q: Params, cache, lhs, factored) -> CongruenceReport:
+    def check(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
         n = q["n"]
         if prime and not admissible(n, q):
             raise PreconditionError(f"n = {n} is not an odd prime")
         if lhs is None:
             lhs = half_harmonic(n)
-        return _modular_report(identity, q, lhs, half_rhs(n, factored=factored))
+        return _modular_report(identity, q, lhs, half_rhs(n))
 
     def admissible(n: int, q: Params) -> bool:
         return n >= 3 and n % 2 == 1 and (not prime or is_prime(n))
@@ -173,18 +168,18 @@ def _half(prime: bool) -> IdentitySpec:
         lambda q, m: (
             exact_sum(SumSpec(q["n"], HALF, None, m)), half_rhs_exact(q["n"])
         ),
-        left=lambda ns, factored: coprime_sums(ns, HALF, factored),
+        left=lambda ns: coprime_sums(ns, HALF),
     )
 
 
 def _d_sum(d: int, prime: bool) -> IdentitySpec:
     """The d-sum at a prime p >= 5, or at any n with gcd(n, 6) = 1."""
 
-    def check(identity: IdentityId, q: Params, cache, lhs, factored) -> CongruenceReport:
+    def check(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
         n = q["n"]
         if prime and not admissible(n, q):
             raise PreconditionError(f"n = {n} is not a prime >= 5")
-        rhs = theorem_rhs(n, d, factored=factored)  # enforces gcd(n, 6) = 1 up front
+        rhs = theorem_rhs(n, d)  # enforces gcd(n, 6) = 1 up front
         if lhs is None:
             lhs = lehmer_sum(n, d)
         return _modular_report(identity, q, lhs, rhs)
@@ -198,14 +193,14 @@ def _d_sum(d: int, prime: bool) -> IdentitySpec:
             exact_sum(SumSpec(q["n"], d, None, m)), theorem_rhs_exact(q["n"], d)
         ),
         d=d,
-        left=lambda ns, factored: coprime_sums(ns, d, factored),
+        left=lambda ns: coprime_sums(ns, d),
     )
 
 
 def _lemma2(d: int) -> IdentitySpec:
     """The d-sum localized at p^{2 alpha}, alpha = v_p(n)."""
 
-    def check(identity: IdentityId, q: Params, cache, lhs, factored) -> CongruenceReport:
+    def check(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
         n, p = q["n"], q["p"]
         lhs = lemma2_sum(n, p, d)
         q = {**q, "alpha": p_adic_valuation(n, p)}
@@ -218,7 +213,7 @@ def _lemma2(d: int) -> IdentitySpec:
     return IdentitySpec(("n", "p"), _localized, _local_modulus, check, exact, d=d)
 
 
-def _moebius(identity: IdentityId, q: Params, cache, lhs, factored) -> CongruenceReport:
+def _moebius(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
     n, p = q["n"], q["p"]
     lhs, rhs = moebius_decomposition_sides(n, p, q["d"])
     return _modular_report(identity, {**q, "alpha": p_adic_valuation(n, p)}, lhs, rhs)
@@ -237,7 +232,7 @@ IDENTITIES: dict[IdentityId, IdentitySpec] = {
         ("p",),
         lambda n, q: is_prime(n),
         lambda q: q["p"] ** (2 * q["alpha"]),
-        lambda identity, q, cache, lhs, factored: lemma1_check(q["p"], q["alpha"], cache),
+        lambda identity, q, cache, lhs: lemma1_check(q["p"], q["alpha"], cache),
         None,  # the p-adic comparison is already exact
         defaults={"alpha": 1},
         bernoulli=True,
@@ -249,14 +244,14 @@ IDENTITIES: dict[IdentityId, IdentitySpec] = {
         ("n", "a"),
         lambda n, q: n > 1 and gcd(n, 6 * q["a"]) == 1,
         _square,
-        lambda identity, q, cache, lhs, factored: lemma3_check(q["n"], q["a"]),
+        lambda identity, q, cache, lhs: lemma3_check(q["n"], q["a"]),
         lambda q, m: lemma3_exact_sides(q["n"], q["a"]),
     ),
     IdentityId.LEMMA_4: IdentitySpec(
         ("n", "a", "p"),
         lambda n, q: n > 1 and n % q["p"] == 0 and gcd(q["a"], n) == 1,
         _local_modulus,
-        lambda identity, q, cache, lhs, factored: lemma4_check(q["n"], q["a"], q["p"]),
+        lambda identity, q, cache, lhs: lemma4_check(q["n"], q["a"], q["p"]),
         lambda q, m: lemma4_exact_sides(q["n"], q["a"], q["p"]),
     ),
     IdentityId.MOEBIUS_DECOMP: IdentitySpec(
@@ -321,7 +316,7 @@ def verify(
     disagreement with the modular route raises OracleDivergence.
     """
     params = _params(identity, given, cache)
-    return _checked(identity, params, cache, exact_oracle, None, None)
+    return _checked(identity, params, cache, exact_oracle, None)
 
 
 def _checked(
@@ -330,14 +325,13 @@ def _checked(
     cache: BernoulliCache | None,
     exact_oracle: bool,
     lhs: Residue | None,
-    factored: FactoredInteger | None,
 ) -> CongruenceReport:
     """verify on validated params.
 
-    lhs, the left side, and factored, the factorization of the scanned
-    value, come from a scan share; the check forms each one that is None.
+    lhs, the left side, comes from a scan share; the check forms it when
+    it is None.
     """
-    report = IDENTITIES[identity].check(identity, params, cache, lhs, factored)
+    report = IDENTITIES[identity].check(identity, params, cache, lhs)
     if exact_oracle:
         _exact_recheck(report)
     return report
@@ -383,28 +377,28 @@ def _scan_chunk(
     """The reports of one share of a scan, in the order of its values.
 
     params are validated by scan.  When the identity forms its left sides
-    together, the share factors every value once and takes all the left
-    sides from one call on those factorizations, and each check reuses its
-    value's factorization for the right side.  Should the factoring or
-    that call hit a cap or a budget, every check forms what it lacks
-    itself.  A value whose check hits a cap or a budget still yields a
-    report, with skipped_reason, so every value yields exactly one.
+    together, the share replaces every value by its factorization and
+    takes all the left sides from one call.  Should the factoring or that
+    call hit a cap or a budget, every check forms its left side itself
+    (from the factorizations, when they were made).  A value whose check
+    hits a cap or a budget still yields a report, with skipped_reason, so
+    every value yields exactly one.
     Unless render is None, each report is replaced by (render(report),
     report.holds is True).
     """
     spec = IDENTITIES[identity]
-    lefts = factors = [None] * len(values)  # replaced below, never changed in place
+    lefts = [None] * len(values)
     if spec.left is not None:
         try:
-            factors = [factorize(value) for value in values]
-            lefts = spec.left(values, factors)
+            values = [factorize(value) for value in values]
+            lefts = spec.left(values)
         except _SKIPPED:
             pass
     out: list = []
-    for value, lhs, factored in zip(values, lefts, factors):
+    for value, lhs in zip(values, lefts):
         row = {**params, spec.required[0]: value}
         try:
-            report = _checked(identity, row, cache, exact_oracle, lhs, factored)
+            report = _checked(identity, row, cache, exact_oracle, lhs)
         except _SKIPPED as exc:
             report = _skip_report(identity, row, str(exc))
         out.append(report if render is None else (render(report), report.holds is True))
@@ -577,7 +571,7 @@ def counterexample_search(
         params = {"n": n, "d": d}
         try:
             factored = factorize(n)
-            lhs = modular_sum(SumSpec(n, d, None, nsq), factored)
+            lhs = modular_sum(SumSpec(factored, d, None, nsq))
             rhs = _weighted_rhs(n, d, nsq, euler_phi(factored))
         except (NotCoprimeError, NotInvertibleError) as exc:
             trail.append(_skip_report(identity, params, str(exc)))

@@ -97,7 +97,7 @@ def test_factorize_values():
 def test_factorize_roundtrip_sweep():
     for n in range(1, 3001):
         f = factorize(n)
-        assert f.value == n
+        assert f == n
         product = 1
         previous = 1
         for p, alpha in f.factors:

@@ -248,8 +248,8 @@ def test_exit_code_failure(capsys):
     # a corrupted right side must flip the scan exit code to 1
     real = verifier.theorem_rhs
 
-    def corrupt(n, d, *, factored=None):
-        value = real(n, d, factored=factored)
+    def corrupt(n, d):
+        value = real(n, d)
         if n == 25:
             return Residue((value.rep + 1) % value.modulus, value.modulus)
         return value

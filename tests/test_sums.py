@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lehmer_congruences import sums, sweep
+from lehmer_congruences import arith, sums, sweep
 from lehmer_congruences.bernoulli import rational_mod
 from lehmer_congruences.errors import (
     EvenModulusError,
@@ -21,7 +21,9 @@ from lehmer_congruences.errors import (
     TermCountExceeded,
 )
 from lehmer_congruences.quotients import fermat_quotient_mod
-from lehmer_congruences.arith import Residue, divisors, euler_phi, factorize, is_prime
+from lehmer_congruences.arith import (
+    FactoredInteger, Residue, divisors, euler_phi, factorize, is_prime,
+)
 from lehmer_congruences.sums import (
     HALF,
     SumSpec,
@@ -159,7 +161,7 @@ def admissible_for(d):
 
 
 def swept(ns: list[int], d) -> list[Residue]:
-    return sweep.swept_sums(ns, d, [factorize(n) for n in ns])
+    return sweep.swept_sums([factorize(n) for n in ns], d)
 
 
 def looped(ns: list[int], d) -> list[Residue]:
@@ -218,22 +220,28 @@ def test_coprime_sums_checks_every_value_before_summing():
     assert sums.coprime_sums([5, 7], 6) == [lehmer_sum(5, 6), lehmer_sum(7, 6)]
 
 
-def test_a_given_factorization_is_used_and_must_be_of_n():
-    ns = [35, 37, 41]
+def test_a_factored_integer_is_not_factored_again(monkeypatch):
+    ns = [35, 37, 41, 10007, 10009]  # the first three sweep, the last two loop
     factored = [factorize(n) for n in ns]
-    assert sums.coprime_sums(ns, 4, factored) == sums.coprime_sums(ns, 4)
-    assert modular_sum(SumSpec(35, 6, None, 35**2), factored[0]) == lehmer_sum(35, 6)
-    assert theorem_rhs(35, 6, factored=factored[0]) == theorem_rhs(35, 6)
-    assert half_rhs(35, factored=factored[0]) == half_rhs(35)
-    with pytest.raises(PreconditionError, match="of 37 was given for n = 35"):
-        theorem_rhs(35, 6, factored=factored[1])
-    with pytest.raises(PreconditionError, match="of 37 was given for n = 35"):
-        half_rhs(35, factored=factored[1])
-    with pytest.raises(PreconditionError, match="of 37 was given for n = 35"):
-        modular_sum(SumSpec(35, 6, None, 35**2), factored[1])
-    for wrong in (factored[:2], factored[::-1]):
-        with pytest.raises(PreconditionError, match="factorization of every n"):
-            sums.coprime_sums(ns, 4, wrong)
+    expected = (
+        sums.coprime_sums(ns[:3], 4), sums.coprime_sums(ns[3:], 4),
+        lehmer_sum(35, 6), theorem_rhs(35, 6), half_rhs(35),
+    )
+    real = arith.factorize
+    factored_again: list[int] = []
+
+    def recording(n):
+        if not isinstance(n, FactoredInteger):
+            factored_again.append(n)
+        return real(n)
+
+    monkeypatch.setattr(sums, "factorize", recording)
+    assert (
+        sums.coprime_sums(factored[:3], 4), sums.coprime_sums(factored[3:], 4),
+        modular_sum(SumSpec(factored[0], 6, None, 35**2)),
+        theorem_rhs(factored[0], 6), half_rhs(factored[0]),
+    ) == expected
+    assert factored_again == []
 
 
 def test_modular_sum_names_the_first_non_unit_term():
@@ -351,7 +359,7 @@ def test_modular_sum_term_budget(monkeypatch):
     at_budget = SumSpec(21, HALF, None, 441)  # r runs over 1..10
     assert modular_sum(at_budget) == Residue(brute_sum(at_budget), 441)
 
-    def no_terms(spec, factored=None):
+    def no_terms(spec):
         raise AssertionError("a term was formed")
 
     monkeypatch.setattr(sums, "_kept_terms", no_terms)

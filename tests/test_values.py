@@ -2,15 +2,17 @@
 
 Each case is (an instance, an equal twin, the same type with one field
 changed, its repr, whether it hashes).  The reprs are those the frozen
-dataclasses these types replaced printed.
+dataclasses these types replaced printed.  FactoredInteger is an int, not
+a _Value, and has its own test at the end.
 """
 
+import json
 import pickle
 from math import inf
 
 import pytest
 
-from lehmer_congruences.arith import FactoredInteger, Residue
+from lehmer_congruences.arith import FactoredInteger, Residue, factorize
 from lehmer_congruences.errors import PreconditionError
 from lehmer_congruences.report import CongruenceReport, IdentityId
 from lehmer_congruences.sums import HALF, SumSpec
@@ -31,13 +33,6 @@ def _spec(d: int | None) -> IdentitySpec:
 
 CASES = [
     (Residue(3, 7), Residue(3, 7), Residue(4, 7), "Residue(rep=3, modulus=7)", True),
-    (
-        FactoredInteger(12, ((2, 2), (3, 1))),
-        FactoredInteger(12, ((2, 2), (3, 1))),
-        FactoredInteger(13, ((13, 1),)),
-        "FactoredInteger(value=12, factors=((2, 2), (3, 1)))",
-        True,
-    ),
     (
         SumSpec(35, HALF, None, 1225),
         SumSpec(35, HALF, None, 1225),
@@ -120,4 +115,46 @@ def test_unpickled_residue_is_validated():
             return Residue, (7, 5)
 
     with pytest.raises(PreconditionError, match=r"rep must lie in \[0, 5\), got 7"):
+        pickle.loads(pickle.dumps(Forged()))
+
+
+TWELVE = FactoredInteger(12, ((2, 2), (3, 1)))
+
+
+def test_a_factored_integer_equals_and_hashes_as_its_int():
+    assert TWELVE == 12 and hash(TWELVE) == hash(12) and {TWELVE, 12} == {12}
+    assert TWELVE != FactoredInteger(13, ((13, 1),)) and TWELVE < 13
+    assert type(TWELVE * TWELVE) is int and TWELVE * TWELVE == 144
+
+
+def test_a_factored_integer_prints_as_its_int():
+    assert (str(TWELVE), repr(TWELVE), format(TWELVE, ">4"), f"{TWELVE:x}") == (
+        "12", "12", "  12", "c",
+    )
+    assert json.dumps({"n": TWELVE}) == json.dumps({"n": 12}) == '{"n": 12}'
+
+
+def test_factorize_returns_a_factored_integer_as_it_is():
+    assert factorize(TWELVE) is TWELVE
+    assert factorize(12) == TWELVE and factorize(12).factors == TWELVE.factors
+
+
+def test_a_factored_integer_s_fields_cannot_be_assigned_or_deleted():
+    for name in ("factors", "extra"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(TWELVE, name, ())
+    with pytest.raises(AttributeError, match="cannot delete field 'factors'"):
+        del TWELVE.factors
+    assert TWELVE.factors == ((2, 2), (3, 1))
+
+
+def test_an_unpickled_factored_integer_is_validated():
+    copy = pickle.loads(pickle.dumps(TWELVE))
+    assert type(copy) is FactoredInteger and copy == TWELVE and copy.factors == TWELVE.factors
+
+    class Forged:
+        def __reduce__(self):
+            return FactoredInteger, (12, ((2, 2),))
+
+    with pytest.raises(PreconditionError, match="factors multiply to 4, not 12"):
         pickle.loads(pickle.dumps(Forged()))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lehmer_congruences import arith, quotients, sums, sweep, verifier
-from lehmer_congruences.arith import Residue
+from lehmer_congruences.arith import FactoredInteger, Residue
 from lehmer_congruences.bernoulli import BernoulliCache
 from lehmer_congruences.errors import (
     CongruenceError,
@@ -537,13 +537,13 @@ def record_routes(monkeypatch) -> list[str]:
     routes: list[str] = []
     real_sweep, real_loop = sweep.swept_sums, sums.modular_sum
 
-    def swept(ns, d, factored):
+    def swept(ns, d):
         routes.append("sweep")
-        return real_sweep(ns, d, factored)
+        return real_sweep(ns, d)
 
-    def loop(spec, factored=None):
+    def loop(spec):
         routes.append("loop")
-        return real_loop(spec, factored)
+        return real_loop(spec)
 
     monkeypatch.setattr(sweep, "swept_sums", swept)
     monkeypatch.setattr(sums, "modular_sum", loop)
@@ -585,7 +585,7 @@ def test_swept_scans_pass_the_exact_oracle(monkeypatch, identity, lo, hi):
 def test_scan_falls_back_to_each_check_when_the_shared_left_sides_fail(monkeypatch):
     expected = scan(IdentityId.THM_6, 5, 120)
 
-    def capped(ns, d, factored=None):
+    def capped(ns, d):
         raise FactorizationLimitExceeded("rho iteration budget exhausted")
 
     monkeypatch.setattr(verifier, "coprime_sums", capped)
@@ -599,15 +599,23 @@ def test_a_loop_route_scan_skips_each_value_over_the_term_budget(
     # a narrow window high up takes the loop, and n // 6 > 3338 from n = 20034
     expected = scan(IdentityId.THM_6, 20000, 20060)
     monkeypatch.setattr(sums, "MAX_MODULAR_TERMS", 3338)
-    log = tmp_path / "sums.log"  # a forked share appends to it too
-    real = sums.modular_sum
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    log, factored = tmp_path / "sums.log", tmp_path / "factorize.log"  # forked shares append too
+    real, real_factorize = sums.modular_sum, arith.factorize
 
-    def logged(spec, factored=None):
+    def logged(spec):
         with open(log, "a") as sink:
             sink.write(f"{spec.n}\n")
-        return real(spec, factored)
+        return real(spec)
+
+    def logged_factorize(n):
+        if not isinstance(n, FactoredInteger):  # a FactoredInteger is returned as it is
+            with open(factored, "a") as sink:
+                sink.write(f"{n}\n")
+        return real_factorize(n)
 
     monkeypatch.setattr(sums, "modular_sum", logged)
+    replace_factorize(monkeypatch, logged_factorize)
     reports = scan(IdentityId.THM_6, 20000, 20060, workers=workers)
     assert [r.params for r in reports] == [r.params for r in expected]
     for got, want in zip(reports, expected):
@@ -618,6 +626,8 @@ def test_a_loop_route_scan_skips_each_value_over_the_term_budget(
     # each share checks every budget before its first sum, so no value is summed twice
     summed = sorted(map(int, log.read_text().split()))
     assert summed == [r.params["n"] for r in expected if r.params["n"] < 20034]
+    # the checks that form their own left sides read the share's factorizations
+    assert sorted(map(int, factored.read_text().split())) == [r.params["n"] for r in expected]
     with pytest.raises(TermCountExceeded, match="over the budget of 3338"):
         counterexample_search(IdentityId.THM_6, 5, n_to=20060)
 
@@ -630,16 +640,27 @@ def replace_factorize(monkeypatch, double) -> None:
             monkeypatch.setattr(module, "factorize", double)
 
 
-@pytest.mark.parametrize("identity", [IdentityId.THM_3, IdentityId.THM_6, IdentityId.CAI_HALF])
-def test_a_scan_share_factors_each_value_once(monkeypatch, identity):
+def record_factorizations(monkeypatch) -> list[int]:
+    """Log every n that factorize is called on and has to factor.
+
+    factorize returns a FactoredInteger as it is, with no work done, so
+    such calls are left out.
+    """
     real = arith.factorize
     calls: list[int] = []
 
     def recording(n):
-        calls.append(n)
+        if not isinstance(n, FactoredInteger):
+            calls.append(n)
         return real(n)
 
     replace_factorize(monkeypatch, recording)
+    return calls
+
+
+@pytest.mark.parametrize("identity", [IdentityId.THM_3, IdentityId.THM_6, IdentityId.CAI_HALF])
+def test_a_scan_share_factors_each_value_once(monkeypatch, identity):
+    calls = record_factorizations(monkeypatch)
     reports = scan(identity, 5, 400)
     assert all(r.holds for r in reports)
     assert sorted(calls) == [r.params["n"] for r in reports]
@@ -648,15 +669,16 @@ def test_a_scan_share_factors_each_value_once(monkeypatch, identity):
     assert calls == [35, 35]
 
 
+def test_the_exact_oracle_reads_the_share_s_factorizations(monkeypatch):
+    calls = record_factorizations(monkeypatch)
+    reports = scan(IdentityId.THM_4, 5, 600, exact_oracle=True)
+    assert reports and all(r.holds for r in reports)
+    # one factorization per row: the oracle's q_n(2) reads the share's
+    assert sorted(calls) == [r.params["n"] for r in reports]
+
+
 def test_the_counterexample_search_factors_each_value_once(monkeypatch):
-    real = arith.factorize
-    calls: list[int] = []
-
-    def recording(n):
-        calls.append(n)
-        return real(n)
-
-    replace_factorize(monkeypatch, recording)
+    calls = record_factorizations(monkeypatch)
     with pytest.raises(NoCounterexampleInRange):
         counterexample_search(IdentityId.THM_3, 1, n_to=200)
     assert calls == list(range(7, 201, 6))  # 33 values, each factored once
