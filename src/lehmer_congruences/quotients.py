@@ -4,13 +4,17 @@ q_n(a) denotes (a^phi(n) - 1) / n, an integer whenever gcd(a, n) = 1.  The
 lemma checks relate q at different moduli: lemma1 ties phi(p^alpha) to a
 Bernoulli number p-adically, lemma3 lifts q_n to q_{n^2}, and lemma4
 localizes the combination 2 q_n - n q_n^2 at one prime-power part of n.
+
+fermat_quotient (exact) and fermat_quotient_mod (mod m) are the only routes
+to a quotient; both read phi(n) from arith.factorize, which returns a
+FactoredInteger as it is, so the checks build n^2 and p^alpha factored.
 """
 
 from __future__ import annotations
 
 from math import gcd, log2
 
-from .arith import Residue, euler_phi, factorize, is_prime
+from .arith import FactoredInteger, Residue, euler_phi, factorize, is_prime
 from .bernoulli import BernoulliCache, bernoulli_number, p_adic_valuation, rational_mod
 from .errors import (
     NotCoprimeError,
@@ -53,22 +57,15 @@ def _require_coprime(a: int, n: int) -> None:
 def fermat_quotient(n: int, a: int) -> int:
     """The exact Euler-Fermat quotient (a^phi(n) - 1) / n.
 
-    Integrality is Euler's theorem.  This path materializes a^phi(n) in
-    full, so it is the oracle route; the checks reduce through
-    _quotient_mod and _combination instead.  Raises PowerSizeExceeded,
-    before the power is formed, when a^phi(n) would have more than
-    MAX_POWER_BITS bits.
+    Integrality is Euler's theorem.  phi(n) is read from factorize(n), so
+    a FactoredInteger n is not factored again.  This path materializes
+    a^phi(n) in full, so it is the oracle route; the checks reduce through
+    fermat_quotient_mod instead.  Raises PowerSizeExceeded, before the
+    power is formed, when a^phi(n) would have more than MAX_POWER_BITS bits.
     """
     _require_modulus(n)
     _require_coprime(a, n)
-    return _exact_quotient(n, a, euler_phi(factorize(n)))
-
-
-def _exact_quotient(n: int, a: int, phi: int) -> int:
-    """fermat_quotient's value, given phi = phi(n) and gcd(a, n) = 1.
-
-    For the exact twins of the lemma checks, which hold phi(n) already.
-    """
+    phi = euler_phi(factorize(n))
     bits = phi * log2(abs(a))
     if bits > MAX_POWER_BITS:
         raise PowerSizeExceeded(
@@ -81,36 +78,27 @@ def _exact_quotient(n: int, a: int, phi: int) -> int:
     return quotient
 
 
-def fermat_quotient_mod(n: int, a: int, m: int) -> Residue:
-    """q_n(a) mod m without materializing a^phi(n).
+def fermat_quotient_mod(n: int, a: int, m: int) -> int:
+    """q_n(a) mod m, in [0, m), without materializing a^phi(n).
 
     Computes a^phi(n) mod n*m; subtracting 1 leaves a multiple of n whose
-    quotient is exactly q_n(a) reduced mod m.
+    quotient is exactly q_n(a) reduced mod m.  phi(n) is read from
+    factorize(n), so a FactoredInteger n is not factored again.
     """
     _require_modulus(n)
     if m < 1:
         raise PreconditionError(f"modulus must be >= 1, got {m}")
     _require_coprime(a, n)
-    return Residue(_quotient_mod(n, a, m, euler_phi(factorize(n))), m)
-
-
-def _quotient_mod(n: int, a: int, m: int, phi: int) -> int:
-    """fermat_quotient_mod's value, given phi = phi(n) and gcd(a, n) = 1.
-
-    For callers that already hold phi(n), so that one factorization serves
-    several quotients.
-    """
     nm = n * m
-    return (pow(a, phi, nm) - 1) % nm // n
+    return (pow(a, euler_phi(factorize(n)), nm) - 1) % nm // n
 
 
-def _combination(n: int, a: int, m: int, phi: int) -> int:
-    """L_n(a) = 2 q_n(a) - n q_n(a)^2 mod m, given phi = phi(n) and gcd(a, n) = 1.
+def _combination(n: int, q: int, m: int) -> int:
+    """L_n(a) = 2 q - n q^2 mod m, for q = q_n(a) mod m.
 
     The combination lemma4 localizes; by lemma3 it is 2 q_{n^2}(a) mod n^2,
     and every right-hand side in sums is a weighted sum of it.
     """
-    q = _quotient_mod(n, a, m, phi)
     return (2 * q - n % m * (q * q % m)) % m
 
 
@@ -146,17 +134,22 @@ def lemma1_check(
     )
 
 
-def _lemma3_args(n: int, a: int) -> int:
-    """Validate the lemma3 hypotheses n > 1 and gcd(n, 6a) = 1; returns phi(n)."""
+def _lemma3_args(n: int, a: int) -> tuple[FactoredInteger, FactoredInteger]:
+    """Validate the lemma3 hypotheses n > 1 and gcd(n, 6a) = 1.
+
+    Returns n and n^2 factored, the square from the factors of n: factoring
+    n^2 afresh would make rho split a prime square.
+    """
     _require_modulus(n)
     g = gcd(n, 6 * a)
     if g != 1:
         raise NotCoprimeError(f"gcd({n}, 6*{a}) = {g}; need gcd(n, 6a) = 1")
-    return euler_phi(factorize(n))
+    factored = factorize(n)
+    return factored, FactoredInteger(n * n, tuple((p, 2 * e) for p, e in factored.factors))
 
 
-def _lemma4_args(n: int, a: int, p: int) -> tuple[int, int, int, int]:
-    """Validate the lemma4 hypotheses; returns alpha, q, phi(n) and phi(p^alpha).
+def _lemma4_args(n: int, a: int, p: int) -> tuple[int, int, FactoredInteger, FactoredInteger]:
+    """Validate the lemma4 hypotheses; returns alpha, q, and n and p^alpha factored.
 
     n = p^alpha * q with p not dividing q; all four come from one
     factorization of n.
@@ -169,7 +162,7 @@ def _lemma4_args(n: int, a: int, p: int) -> tuple[int, int, int, int]:
         raise PrimeDivisibilityError(f"{p} does not divide {n}")
     factored = factorize(n)
     alpha = factored.exponent_of(p)
-    return alpha, factored.cofactor(p), euler_phi(factored), p ** (alpha - 1) * (p - 1)
+    return alpha, factored.cofactor(p), factored, FactoredInteger(p**alpha, ((p, alpha),))
 
 
 def lemma3_check(n: int, a: int) -> CongruenceReport:
@@ -177,10 +170,10 @@ def lemma3_check(n: int, a: int) -> CongruenceReport:
 
     Stated for gcd(n, 6a) = 1, so both 2 and the quotients exist mod n^2.
     """
-    phi = _lemma3_args(n, a)
-    nsq = n * n
-    lhs = Residue(_quotient_mod(nsq, a, nsq, n * phi), nsq)  # phi(n^2) = n phi(n)
-    rhs = pow(2, -1, nsq) * _combination(n, a, nsq, phi) % nsq
+    factored, nsq = _lemma3_args(n, a)
+    lhs = Residue(fermat_quotient_mod(nsq, a, nsq), nsq)
+    q = fermat_quotient_mod(factored, a, nsq)
+    rhs = pow(2, -1, nsq) * _combination(n, q, nsq) % nsq
     return _modular_report(IdentityId.LEMMA_3, {"n": n, "a": a}, lhs, Residue(rhs, nsq))
 
 
@@ -191,12 +184,11 @@ def lemma4_check(n: int, a: int, p: int) -> CongruenceReport:
     congruent to (phi(q)/q) * (2 q_{p^alpha}(a) - p^alpha q_{p^alpha}(a)^2)
     mod p^{2 alpha}.  alpha is derived from n and p.
     """
-    alpha, q, phi_n, phi_p = _lemma4_args(n, a, p)
+    alpha, q, factored, prime_power = _lemma4_args(n, a, p)
     modulus = p ** (2 * alpha)
-    lhs = _combination(n, a, modulus, phi_n)
-    prime_power = p**alpha
-    local = _combination(prime_power, a, modulus, phi_p)
-    phi_q = phi_n // phi_p  # phi is multiplicative and gcd(p^alpha, q) = 1
+    lhs = _combination(n, fermat_quotient_mod(factored, a, modulus), modulus)
+    local = _combination(prime_power, fermat_quotient_mod(prime_power, a, modulus), modulus)
+    phi_q = euler_phi(factored) // euler_phi(prime_power)  # gcd(p^alpha, q) = 1
     rhs = phi_q * pow(q, -1, modulus) % modulus * local % modulus
     return _modular_report(
         IdentityId.LEMMA_4,
@@ -210,9 +202,9 @@ def lemma3_exact_sides(n: int, a: int) -> tuple[Fraction, Fraction]:
     """Both sides of lemma3 from fully materialized quotients (oracle route)."""
     from fractions import Fraction  # the exact routes alone load it
 
-    phi = _lemma3_args(n, a)
-    lhs = Fraction(_exact_quotient(n * n, a, n * phi))  # phi(n^2) = n phi(n)
-    q = Fraction(_exact_quotient(n, a, phi))
+    factored, nsq = _lemma3_args(n, a)
+    lhs = Fraction(fermat_quotient(nsq, a))
+    q = Fraction(fermat_quotient(factored, a))
     rhs = q - Fraction(n, 2) * q * q
     return lhs, rhs
 
@@ -221,11 +213,10 @@ def lemma4_exact_sides(n: int, a: int, p: int) -> tuple[Fraction, Fraction]:
     """Both sides of lemma4 from fully materialized quotients (oracle route)."""
     from fractions import Fraction
 
-    alpha, q, phi_n, phi_p = _lemma4_args(n, a, p)
-    qn = Fraction(_exact_quotient(n, a, phi_n))
+    alpha, q, factored, prime_power = _lemma4_args(n, a, p)
+    qn = Fraction(fermat_quotient(factored, a))
     lhs = 2 * qn - n * qn * qn
-    prime_power = p**alpha
-    qp = Fraction(_exact_quotient(prime_power, a, phi_p))
+    qp = Fraction(fermat_quotient(prime_power, a))
     local = 2 * qp - prime_power * qp * qp
-    rhs = Fraction(phi_n // phi_p, q) * local  # phi(q) = phi(n) / phi(p^alpha)
+    rhs = Fraction(euler_phi(factored) // euler_phi(prime_power), q) * local  # phi(q) / q
     return lhs, rhs

@@ -22,13 +22,15 @@ wins on long scans from small n and the loop on narrow windows far out.
 
 The right-hand sides are polynomials in Fermat quotients q_n(2), q_n(3).
 Each modular one is a weighted sum of L_n(a) = 2 q_n(a) - n q_n(a)^2 read
-from _RHS_WEIGHTS; each exact-rational twin is written out as stated.
+from _RHS_WEIGHTS, every q_n(a) from quotients.fermat_quotient_mod; each
+exact-rational twin is written out as stated over fermat_quotient.
 
 Every n is read through arith.factorize: coprime_sums factors each n
 of its list once (for the route estimate, the Moebius terms and the
-loop's sieve primes), and half_rhs and theorem_rhs factor n for phi(n).
+loop's sieve primes), and each right side factors n once and hands the
+FactoredInteger to every quotient it takes, which reads phi(n) from it.
 An n that is already a FactoredInteger, as a scan share passes them, is
-not factored again.
+not factored again; lemma2's right sides build p^{2 alpha} factored.
 
 Only the exact-rational twins form a Fraction, so the fractions module is
 imported where they run.
@@ -40,7 +42,7 @@ from collections.abc import Iterator, Sequence
 from itertools import chain, combinations, compress
 from math import gcd, prod
 
-from .arith import FactoredInteger, Residue, _Value, euler_phi, factorize, is_prime
+from .arith import FactoredInteger, Residue, _Value, factorize, is_prime
 from .bernoulli import p_adic_valuation
 from .errors import (
     EvenModulusError,
@@ -51,9 +53,7 @@ from .errors import (
     PrimeDivisibilityError,
     TermCountExceeded,
 )
-from .quotients import _combination, _require_coprime, _require_modulus, fermat_quotient
-# unused here, but bench/tracer.py wraps sums.fermat_quotient_mod by name
-from .quotients import fermat_quotient_mod  # noqa: F401
+from .quotients import _combination, _require_modulus, fermat_quotient, fermat_quotient_mod
 
 TYPE_CHECKING = False  # typing is not imported for this alone
 if TYPE_CHECKING:
@@ -312,8 +312,8 @@ _RHS_WEIGHTS: dict[int | str, tuple[int, tuple[tuple[int, int], ...]]] = {
 }
 
 
-def _weighted_rhs(n: int, d: int | str, m: int, phi: int) -> Residue:
-    """sum of c_a * L_n(a) / D mod m over the weights of d, given phi = phi(n).
+def _weighted_rhs(n: FactoredInteger, d: int | str, m: int) -> Residue:
+    """sum of c_a * L_n(a) / D mod m over the weights of d.
 
     The numerator is formed mod D m, and the factor it shares with D is
     divided out, so the result is the exact rational reduced mod m.  Raises
@@ -321,12 +321,12 @@ def _weighted_rhs(n: int, d: int | str, m: int, phi: int) -> Residue:
     when what is left of D is not a unit mod m.
     """
     den, weights = _RHS_WEIGHTS[d]
+    dm = den * m
     total = 0
     for a, c in weights:
-        _require_coprime(a, n)
-        total += c * _combination(n, a, den * m, phi)
+        total += c * _combination(n, fermat_quotient_mod(n, a, dm), dm)
     g = gcd(total, den)  # D divides D m, so total mod D m shares g with D too
-    rest, total = den // g, total % (den * m) // g
+    rest, total = den // g, total % dm // g
     if gcd(rest, m) != 1:
         raise NotInvertibleError(f"right-side denominator {rest} is not a unit mod {m}")
     return Residue(total * pow(rest, -1, m) % m, m)
@@ -341,7 +341,7 @@ def half_rhs(n: int) -> Residue:
     _require_modulus(n)
     if n % 2 == 0:
         raise EvenModulusError(f"the half-range identity needs odd n, got {n}")
-    return _weighted_rhs(n, HALF, n * n, euler_phi(factorize(n)))
+    return _weighted_rhs(factorize(n), HALF, n * n)
 
 
 def half_rhs_exact(n: int) -> Fraction:
@@ -369,7 +369,7 @@ def theorem_rhs(n: int, d: int) -> Residue:
     g = gcd(n, 6)
     if g != 1:
         raise NotCoprimeError(f"gcd({n}, 6) = {g}; need gcd(n, 6) = 1")
-    return _weighted_rhs(n, d, n * n, euler_phi(factorize(n)))
+    return _weighted_rhs(factorize(n), d, n * n)
 
 
 def theorem_rhs_exact(n: int, d: int) -> Fraction:
@@ -383,6 +383,7 @@ def theorem_rhs_exact(n: int, d: int) -> Fraction:
 
     _check_d(d)
     _require_modulus(n)
+    n = factorize(n)  # one factorization serves both quotients of d = 6
     if d == 3:
         q3 = Fraction(fermat_quotient(n, 3))
         return q3 / 2 - n * q3 * q3 / 4
@@ -394,14 +395,14 @@ def theorem_rhs_exact(n: int, d: int) -> Fraction:
     return q2 / 3 + q3 / 4 - n * (q2 * q2 / 6 + q3 * q3 / 8)
 
 
-def _lemma2_rhs_args(p: int, alpha: int, d: int) -> int:
-    """Validate the lemma2 right-side arguments; returns p^{2 alpha}."""
+def _lemma2_rhs_args(p: int, alpha: int, d: int) -> FactoredInteger:
+    """Validate the lemma2 right-side arguments; returns p^{2 alpha}, factored."""
     _check_d(d)
     if alpha < 1:
         raise PreconditionError(f"alpha must be >= 1, got {alpha}")
     if p < 5 or not is_prime(p):
         raise PreconditionError(f"p must be a prime >= 5, got {p}")
-    return p ** (2 * alpha)
+    return FactoredInteger(p ** (2 * alpha), ((p, 2 * alpha),))
 
 
 def lemma2_rhs(p: int, alpha: int, d: int) -> Residue:
@@ -411,8 +412,7 @@ def lemma2_rhs(p: int, alpha: int, d: int) -> Residue:
     d=3: q(3)/2;  d=4: 3 q(2)/4;  d=6: q(2)/3 + q(3)/4.
     """
     m = _lemma2_rhs_args(p, alpha, d)
-    # phi(p^{2 alpha}) needs no factorization, and n q^2 vanishes mod m = n
-    return _weighted_rhs(m, d, m, m // p * (p - 1))
+    return _weighted_rhs(m, d, m)  # n q^2 vanishes mod m = n
 
 
 def lemma2_rhs_exact(p: int, alpha: int, d: int) -> Fraction:

@@ -31,9 +31,7 @@ import os
 from collections.abc import Callable
 from math import gcd
 
-from .arith import (
-    FactoredInteger, Residue, _Value, crt_combine, euler_phi, factorize, is_prime,
-)
+from .arith import FactoredInteger, Residue, _Value, crt_combine, factorize, is_prime
 from .bernoulli import BernoulliCache, p_adic_valuation, rational_mod
 from .errors import (
     CongruenceError,
@@ -572,7 +570,7 @@ def counterexample_search(
         try:
             factored = factorize(n)
             lhs = modular_sum(SumSpec(factored, d, None, nsq))
-            rhs = _weighted_rhs(n, d, nsq, euler_phi(factored))
+            rhs = _weighted_rhs(factored, d, nsq)
         except (NotCoprimeError, NotInvertibleError) as exc:
             trail.append(_skip_report(identity, params, str(exc)))
             continue

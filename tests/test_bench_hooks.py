@@ -9,9 +9,11 @@ test failure instead.
 import importlib.util
 from pathlib import Path
 
-from lehmer_congruences import verifier
+import pytest
+
+from lehmer_congruences import IdentityId, verifier
 from lehmer_congruences.bernoulli import BernoulliCache
-from lehmer_congruences.quotients import lemma1_check
+from lehmer_congruences.quotients import lemma1_check, lemma3_check
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -45,3 +47,19 @@ def test_tracer_counts_the_bernoulli_entries_a_check_adds(tmp_path):
         tracer.uninstall()
     counts = [span[5] for span in tracer.SPANS if span[2] == "bernoulli.extend"]
     assert counts and min(counts) >= 1
+
+
+@pytest.mark.parametrize(
+    "check", [lambda: verifier.verify(IdentityId.THM_6, n=35), lambda: lemma3_check(35, 2)]
+)
+def test_tracer_times_every_quotient_a_check_takes(tmp_path, check):
+    # quotients.fermat_quotient_mod.* must not read 0: thm6 takes q_n(2) and
+    # q_n(3), lemma3 takes q_{n^2}(a) and q_n(a)
+    tracer = _load_tracer()
+    tracer.install(tmp_path)
+    try:
+        assert check().holds
+    finally:
+        tracer.uninstall()
+    names = [span[2] for span in tracer.SPANS]
+    assert names.count("quotients.fermat_quotient_mod") == 2

@@ -3,12 +3,13 @@
 import random
 from fractions import Fraction
 from math import gcd
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lehmer_congruences.arith import euler_phi, factorize
+from lehmer_congruences.arith import FactoredInteger, euler_phi, factorize
 from lehmer_congruences.bernoulli import BernoulliCache, bernoulli_number, rational_mod
 from lehmer_congruences.errors import (
     IndexCapExceeded,
@@ -18,7 +19,7 @@ from lehmer_congruences.errors import (
     PreconditionError,
     PrimeDivisibilityError,
 )
-from lehmer_congruences import quotients
+from lehmer_congruences import quotients, sums
 from lehmer_congruences.quotients import (
     fermat_quotient,
     fermat_quotient_mod,
@@ -31,6 +32,8 @@ from lehmer_congruences.quotients import (
 from lehmer_congruences.sums import lemma2_rhs, lemma2_rhs_exact
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+P = 1000000000039  # prime
+SMALL_PRIMES = [5, 7, 11, 13, 101, 997, 1009]
 
 
 def test_fermat_quotient_values():
@@ -82,15 +85,18 @@ def test_fermat_quotient_mod_agrees_with_exact():
             if gcd(a, n) != 1:
                 continue
             exact = fermat_quotient(n, a)
-            for m in (n, n * n, 7):
-                assert fermat_quotient_mod(n, a, m).rep == exact % m, (n, a, m)
+            assert fermat_quotient(factorize(n), a) == exact, (n, a)
+            for m in (n, n * n, n**3, 7):
+                for modulus in (n, factorize(n)):
+                    got = fermat_quotient_mod(modulus, a, m)
+                    assert type(got) is int and got == exact % m, (n, a, m)
 
 
 def test_fermat_quotient_mod_values():
-    assert fermat_quotient_mod(25, 2, 25).rep == 18
-    assert fermat_quotient_mod(25, 3, 25).rep == 1
-    assert fermat_quotient_mod(35, 2, 25).rep == 24
-    assert fermat_quotient_mod(5, 2, 1).rep == 0
+    assert fermat_quotient_mod(25, 2, 25) == 18
+    assert fermat_quotient_mod(25, 3, 25) == 1
+    assert fermat_quotient_mod(35, 2, 25) == 24
+    assert fermat_quotient_mod(5, 2, 1) == 0
     with pytest.raises(PreconditionError):
         fermat_quotient_mod(5, 2, 0)
 
@@ -104,8 +110,8 @@ def test_quotient_log_property():
         b = rng.randrange(2, 50)
         if gcd(a * b, n) != 1:
             continue
-        lhs = fermat_quotient_mod(n, a * b, n).rep
-        rhs = (fermat_quotient_mod(n, a, n).rep + fermat_quotient_mod(n, b, n).rep) % n
+        lhs = fermat_quotient_mod(n, a * b, n)
+        rhs = (fermat_quotient_mod(n, a, n) + fermat_quotient_mod(n, b, n)) % n
         assert lhs == rhs, (n, a, b)
 
 
@@ -191,7 +197,8 @@ def test_lemma_checks_factorize_n_once(monkeypatch):
     calls = []
 
     def counting(n, **kwargs):
-        calls.append(n)
+        if not isinstance(n, FactoredInteger):  # returned as it is, with no work done
+            calls.append(n)
         return factorize(n, **kwargs)
 
     monkeypatch.setattr(quotients, "factorize", counting)
@@ -209,6 +216,44 @@ def test_lemma_checks_factorize_n_once(monkeypatch):
     lhs, rhs = lemma4_exact_sides(5**2 * 7 * 11, 2, 5)
     assert rational_mod(lhs - rhs, 5**4).rep == 0
     assert calls == [1925]
+
+
+def test_a_factored_modulus_is_not_factored_again(monkeypatch):
+    calls = []
+
+    def counting(n):
+        if not isinstance(n, FactoredInteger):  # returned as it is, with no work done
+            calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(quotients, "factorize", counting)
+    n = factorize(5**2 * 7 * 11)
+    for m in (n, n * n, 7):
+        assert fermat_quotient_mod(n, 2, m) == fermat_quotient(n, 2) % m
+    # factoring P^2 afresh would send Brent's rho after a prime square
+    big = FactoredInteger(P * P, ((P, 2),))
+    start = perf_counter()
+    got = fermat_quotient_mod(big, 2, big)
+    assert perf_counter() - start < 1
+    q = fermat_quotient_mod(P, 2, big)
+    assert got == (q - P * q * q * pow(2, -1, big)) % big  # lemma3's lift
+    assert calls == [P]
+
+
+@PROPERTY
+@given(st.integers(2, 10**7), st.sampled_from(SMALL_PRIMES), st.integers(1, 4))
+def test_hand_built_factorizations_match_factorize(n, p, alpha):
+    # FactoredInteger checks only the product, so a wrong prime or exponent
+    # here would pass silently and give a wrong phi
+    if gcd(n, 6) == 1:
+        factored, square = quotients._lemma3_args(n, 1)
+        assert factored.factors == factorize(n).factors
+        assert square.factors == factorize(n * n).factors
+    for q, _ in factorize(n).factors:
+        _, _, factored, prime_power = quotients._lemma4_args(n, 1, q)
+        assert prime_power.factors == factorize(q ** factored.exponent_of(q)).factors
+    m = sums._lemma2_rhs_args(p, alpha, 3)
+    assert m == p ** (2 * alpha) and m.factors == factorize(p ** (2 * alpha)).factors
 
 
 def test_lemma4_pinned():

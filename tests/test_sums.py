@@ -377,7 +377,7 @@ def test_modular_sum_term_budget(monkeypatch):
 def test_lemma2_sum_values():
     assert lemma2_sum(35, 5, 3).rep == 13
     # pinned alignment with the localized right side
-    q25_3 = fermat_quotient_mod(25, 3, 25).rep
+    q25_3 = fermat_quotient_mod(25, 3, 25)
     assert q25_3 == 1
     assert pow(2, -1, 25) * q25_3 % 25 == 13
     assert lemma2_rhs(5, 1, 3).rep == 13
@@ -446,8 +446,7 @@ def test_relaxed_rhs_matches_the_oracle_outside_the_hypothesis():
     outcomes = set()
     for d in (3, 4, 6):
         for n in range(2, 1500):
-            phi = euler_phi(factorize(n))
-            relaxed = rhs_outcome(lambda: sums._weighted_rhs(n, d, n * n, phi))
+            relaxed = rhs_outcome(lambda: sums._weighted_rhs(factorize(n), d, n * n))
             exact = rhs_outcome(lambda: rational_mod(theorem_rhs_exact(n, d), n * n))
             assert relaxed == exact, (n, d)
             outcomes.add(relaxed if isinstance(relaxed, type) else Residue)
@@ -456,9 +455,8 @@ def test_relaxed_rhs_matches_the_oracle_outside_the_hypothesis():
     # denominator is always a unit; smaller moduli reach the other case
     for d in (3, 4, 6):
         for n in range(2, 60):
-            phi = euler_phi(factorize(n))
             for m in range(2, 50):
-                relaxed = rhs_outcome(lambda: sums._weighted_rhs(n, d, m, phi))
+                relaxed = rhs_outcome(lambda: sums._weighted_rhs(factorize(n), d, m))
                 exact = rhs_outcome(lambda: rational_mod(theorem_rhs_exact(n, d), m))
                 assert relaxed == exact, (n, d, m)
                 outcomes.add(relaxed if isinstance(relaxed, type) else Residue)

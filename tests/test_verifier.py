@@ -669,6 +669,13 @@ def test_a_scan_share_factors_each_value_once(monkeypatch, identity):
     assert calls == [35, 35]
 
 
+def test_the_exact_oracle_of_verify_factors_n_once(monkeypatch):
+    calls = record_factorizations(monkeypatch)
+    assert verify(IdentityId.THM_6, n=35, exact_oracle=True).holds
+    # the left side, the right side, and the exact right side for both quotients
+    assert calls == [35, 35, 35]
+
+
 def test_the_exact_oracle_reads_the_share_s_factorizations(monkeypatch):
     calls = record_factorizations(monkeypatch)
     reports = scan(IdentityId.THM_4, 5, 600, exact_oracle=True)
