@@ -264,12 +264,12 @@ def coprime_sums(ns: Sequence[int], d: int | str) -> list[Residue]:
     """The gcd(r, n) = 1 sums mod n^2 at every n of ns, in order.
 
     d = HALF gives half_harmonic(n) and d in {3, 4, 6} gives lehmer_sum(n,
-    d), with the same errors; every n is checked before any sum is formed.
-    One route serves the whole list: modular_sum at each n, or the shared
-    prefix sweep of sweep.swept_sums when sweep.is_cheaper says so.  A
-    single value has nothing to share, so it always takes modular_sum.  The
-    loop route checks every n's term budget before its first term.  Each
-    n is factored once here, unless it already is a FactoredInteger.
+    d), with the same errors; every n is checked before any sum is formed,
+    and the largest n's term budget before any n is factored, for either
+    route.  One route serves the whole list: modular_sum at each n, or the
+    shared prefix sweep of sweep.swept_sums when sweep.is_cheaper says so.
+    A single value has nothing to share, so it always takes modular_sum.
+    Each n is factored once here, unless it already is a FactoredInteger.
     """
     if d != HALF:
         _check_d(d)
@@ -280,16 +280,15 @@ def coprime_sums(ns: Sequence[int], d: int | str) -> list[Residue]:
                 raise EvenModulusError(f"the half-range sum needs odd n, got {n}")
         elif (g := gcd(n, d)) != 1:
             raise NotCoprimeError(f"gcd({n}, {d}) = {g}; the d-sum needs gcd(n, d) = 1")
+    top = max(ns, default=0)  # its sum has the most terms
+    _check_terms(SumSpec(top, d, None, top * top), MAX_MODULAR_TERMS, "a modular")
     ns = [factorize(n) for n in ns]
     if len(ns) > 1:
         from . import sweep  # compiled only by a process that sums a list
 
         if sweep.is_cheaper(ns, d):
             return sweep.swept_sums(ns, d)
-    specs = [SumSpec(n, d, None, n * n) for n in ns]
-    for spec in specs:
-        _check_terms(spec, MAX_MODULAR_TERMS, "a modular")
-    return [modular_sum(spec) for spec in specs]
+    return [modular_sum(SumSpec(n, d, None, n * n)) for n in ns]
 
 
 def lemma2_sum(n: int, p: int, d: int) -> Residue:

@@ -19,7 +19,11 @@ factorization, an arith.FactoredInteger, and takes the left sides of all
 of them from one call to sums.coprime_sums; its checks then form only
 the right sides, reading phi(n) from the value.  So a scanned value is
 factored once, fallback included, while verify factors its one value
-once per side.  The counterexample search deliberately relaxes the
+once per side.  One builder, _sum, makes these eight identities: its
+admissible states their hypothesis once, as scan's filter and as the
+refusal verify meets before either side is formed, and its check forms
+the left side, whose term budget coprime_sums checks before it factors
+n, before the right.  The counterexample search deliberately relaxes the
 hypothesis gcd(n, 6) = 1 but keeps the modular routes of both sides; the
 right-hand side cancels what its numerator shares with its weights'
 denominator before it inverts the rest.
@@ -98,7 +102,8 @@ class IdentitySpec(_Value):
     reported, and a scan walks the first; defaults names the optional ones
     with their values, and d is the denominator the identity embeds (None
     when it takes none, or takes it as a parameter).  admissible is scan's
-    filter for a walked value, modulus gives the modulus a skipped check
+    filter for a walked value, and for the sum identities also the test by
+    which verify refuses n; modulus gives the modulus a skipped check
     reports, check runs the modular route, and exact returns the exact
     rationals of both sides given the report's params and modulus (None
     when check already compares exact values).  bernoulli tells whether
@@ -147,50 +152,34 @@ def _localized(n: int, q: Params) -> bool:
     return n > 1 and n % q["p"] == 0 and gcd(n, 6) == 1
 
 
-def _half(prime: bool) -> IdentitySpec:
-    """The half-range harmonic sum at an odd prime, or at any odd n."""
+def _sum(d: int | str, prime: bool) -> IdentitySpec:
+    """The half-range sum (d = HALF) or the d-sum, at a prime or at any n.
+
+    check refuses an n that admissible rejects, unless a scan share, which
+    holds admissible values only, hands it the left side.
+    """
+    half = d == HALF
+    least, coprime = (3, 2) if half else (5, 6)
+    need = f"an odd prime >= {least}" if prime else f"n > 1 with gcd(n, {coprime}) = 1"
+
+    def admissible(n: int, q: Params) -> bool:
+        return n >= least and is_prime(n) if prime else n > 1 and gcd(n, coprime) == 1
 
     def check(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
         n = q["n"]
-        if prime and not admissible(n, q):
-            raise PreconditionError(f"n = {n} is not an odd prime")
         if lhs is None:
-            lhs = half_harmonic(n)
-        return _modular_report(identity, q, lhs, half_rhs(n))
-
-    def admissible(n: int, q: Params) -> bool:
-        return n >= 3 and n % 2 == 1 and (not prime or is_prime(n))
+            if not admissible(n, q):
+                raise PreconditionError(f"{identity.value} needs {need}, got n = {n}")
+            lhs = half_harmonic(n) if half else lehmer_sum(n, d)
+        return _modular_report(identity, q, lhs, half_rhs(n) if half else theorem_rhs(n, d))
 
     return IdentitySpec(
         ("n",), admissible, _square, check,
         lambda q, m: (
-            exact_sum(SumSpec(q["n"], HALF, None, m)), half_rhs_exact(q["n"])
+            exact_sum(SumSpec(q["n"], d, None, m)),
+            half_rhs_exact(q["n"]) if half else theorem_rhs_exact(q["n"], d),
         ),
-        left=lambda ns: coprime_sums(ns, HALF),
-    )
-
-
-def _d_sum(d: int, prime: bool) -> IdentitySpec:
-    """The d-sum at a prime p >= 5, or at any n with gcd(n, 6) = 1."""
-
-    def check(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
-        n = q["n"]
-        if prime and not admissible(n, q):
-            raise PreconditionError(f"n = {n} is not a prime >= 5")
-        rhs = theorem_rhs(n, d)  # enforces gcd(n, 6) = 1 up front
-        if lhs is None:
-            lhs = lehmer_sum(n, d)
-        return _modular_report(identity, q, lhs, rhs)
-
-    def admissible(n: int, q: Params) -> bool:
-        return n >= 5 and is_prime(n) if prime else n > 1 and gcd(n, 6) == 1
-
-    return IdentitySpec(
-        ("n",), admissible, _square, check,
-        lambda q, m: (
-            exact_sum(SumSpec(q["n"], d, None, m)), theorem_rhs_exact(q["n"], d)
-        ),
-        d=d,
+        d=None if half else d,
         left=lambda ns: coprime_sums(ns, d),
     )
 
@@ -218,14 +207,14 @@ def _moebius(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
 
 
 IDENTITIES: dict[IdentityId, IdentitySpec] = {
-    IdentityId.LEHMER_HALF: _half(prime=True),
-    IdentityId.CAI_HALF: _half(prime=False),
-    IdentityId.LEHMER_P3: _d_sum(3, prime=True),
-    IdentityId.LEHMER_P4: _d_sum(4, prime=True),
-    IdentityId.LEHMER_P6: _d_sum(6, prime=True),
-    IdentityId.THM_3: _d_sum(3, prime=False),
-    IdentityId.THM_4: _d_sum(4, prime=False),
-    IdentityId.THM_6: _d_sum(6, prime=False),
+    IdentityId.LEHMER_HALF: _sum(HALF, prime=True),
+    IdentityId.CAI_HALF: _sum(HALF, prime=False),
+    IdentityId.LEHMER_P3: _sum(3, prime=True),
+    IdentityId.LEHMER_P4: _sum(4, prime=True),
+    IdentityId.LEHMER_P6: _sum(6, prime=True),
+    IdentityId.THM_3: _sum(3, prime=False),
+    IdentityId.THM_4: _sum(4, prime=False),
+    IdentityId.THM_6: _sum(6, prime=False),
     IdentityId.LEMMA_1: IdentitySpec(
         ("p",),
         lambda n, q: is_prime(n),

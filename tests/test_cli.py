@@ -544,16 +544,21 @@ def test_term_count_limit_exit_1(capsys, monkeypatch):
 
 
 def test_a_modular_sum_over_its_budget_exits_1_at_once(capsys):
-    # about 3.3 * 10^11 terms, a day of summing, refused before the first
-    over = (
-        "a modular sum over 333333333346 values of r is over the budget of "
-        f"{sums.MAX_MODULAR_TERMS} terms"
-    )
-    for argv in (["verify", "--identity", "thm3"], ["sum", "--d", "3"]):
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, *argv, "--n", "1000000000039")
-        assert time.perf_counter() - start < 1
-        assert (code, out) == (1, "") and over in err
+    for n, terms in (
+        # about 3.3 * 10^11 terms, a day of summing, refused before the first
+        ("1000000000039", "333333333346"),
+        # (10^19 + 51)(10^19 + 87), a semiprime refused before it is factored
+        ("100000000000000001380000000000000004437", "33333333333333333793333333333333334812"),
+    ):
+        over = (
+            f"a modular sum over {terms} values of r is over the budget of "
+            f"{sums.MAX_MODULAR_TERMS} terms"
+        )
+        for argv in (["verify", "--identity", "thm3"], ["sum", "--d", "3"]):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv, "--n", n)
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (1, "") and over in err
 
 
 def test_power_size_limit_exit_1(capsys, monkeypatch):

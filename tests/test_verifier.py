@@ -69,6 +69,26 @@ def test_verify_preconditions_name_the_predicate():
         verify(IdentityId.MOEBIUS_DECOMP, n=35, p=5)
 
 
+SUM_IDENTITIES = [
+    IdentityId.LEHMER_HALF, IdentityId.CAI_HALF,
+    IdentityId.LEHMER_P3, IdentityId.LEHMER_P4, IdentityId.LEHMER_P6,
+    IdentityId.THM_3, IdentityId.THM_4, IdentityId.THM_6,
+]
+
+
+@pytest.mark.parametrize("identity", SUM_IDENTITIES)
+def test_a_sum_identity_states_its_hypothesis_once(identity):
+    # verify refuses exactly the n that scan's filter drops
+    admissible = [n for n in range(-1, 200) if IDENTITIES[identity].admissible(n, {})]
+    for n in range(-1, 200):
+        if n in admissible:
+            assert verify(identity, n=n).holds
+        else:
+            with pytest.raises(PreconditionError):
+                verify(identity, n=n)
+    assert [r.params["n"] for r in scan(identity, -1, 199)] == admissible
+
+
 # one admissible parameter set per identity
 ADMISSIBLE = {
     IdentityId.LEHMER_HALF: dict(n=5),
@@ -667,6 +687,18 @@ def test_a_scan_share_factors_each_value_once(monkeypatch, identity):
     calls.clear()
     verify(identity, n=35)  # verify factors n for each side, as before
     assert calls == [35, 35]
+
+
+@pytest.mark.parametrize(
+    "identity, n, terms",
+    [(IdentityId.THM_3, 35, 11), (IdentityId.CAI_HALF, 35, 17), (IdentityId.LEHMER_P6, 67, 11)],
+)
+def test_verify_checks_the_term_budget_before_it_factors(monkeypatch, identity, n, terms):
+    monkeypatch.setattr(sums, "MAX_MODULAR_TERMS", 10)
+    calls = record_factorizations(monkeypatch)
+    with pytest.raises(TermCountExceeded, match=f"over {terms} values of r"):
+        verify(identity, n=n)
+    assert calls == []
 
 
 def test_the_exact_oracle_of_verify_factors_n_once(monkeypatch):
