@@ -69,11 +69,8 @@ def test_verify_preconditions_name_the_predicate():
         verify(IdentityId.MOEBIUS_DECOMP, n=35, p=5)
 
 
-SUM_IDENTITIES = [
-    IdentityId.LEHMER_HALF, IdentityId.CAI_HALF,
-    IdentityId.LEHMER_P3, IdentityId.LEHMER_P4, IdentityId.LEHMER_P6,
-    IdentityId.THM_3, IdentityId.THM_4, IdentityId.THM_6,
-]
+# the half-range and d-sum identities, prime forms included
+SUM_IDENTITIES = [identity for identity, spec in IDENTITIES.items() if spec.left is not None]
 
 
 @pytest.mark.parametrize("identity", SUM_IDENTITIES)
