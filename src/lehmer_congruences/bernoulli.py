@@ -19,6 +19,7 @@ from math import comb, factorial, gcd, inf, prod
 
 from .arith import Residue, divisors, factorize, is_prime
 from .errors import (
+    DEFAULT_MAX_INDEX,
     IndexCapExceeded,
     InvalidDenominatorError,
     NotInvertibleError,
@@ -43,8 +44,6 @@ __all__ = [
     "special_value",
     "von_staudt_clausen",
 ]
-
-DEFAULT_MAX_INDEX = 600
 
 
 class BernoulliCache:

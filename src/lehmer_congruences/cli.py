@@ -12,6 +12,14 @@ Exit status: 0 when everything asked for held (or the value was computed),
 1 when a checked congruence failed, a computational limit was hit, a scan
 skipped a row, checked nothing or lost a worker process, or no
 counterexample was found in range, and 2 on usage errors.
+
+Only argparse, io, sys and errors are imported with this module, so a
+process that stops at its arguments (--help, a usage error) compiles no
+layer.  The first dispatch, or the first read of a layer name here
+(cli.verify, say), imports the layers and binds the names dispatch calls
+as attributes of this module; a name already bound is kept, so a wrapper
+set here before (bench/tracer.py wraps verify, scan, fermat_quotient and
+bernoulli_number) is what dispatch calls.
 """
 
 from __future__ import annotations
@@ -21,13 +29,18 @@ import io
 import sys
 from math import inf
 
-from .arith import Residue
-from .bernoulli import DEFAULT_MAX_INDEX, BernoulliCache, bernoulli_number
-from .errors import CongruenceError, OracleDivergence, PreconditionError
-from .quotients import fermat_quotient
-from .report import CongruenceReport, IdentityId
-from .sums import HALF, half_harmonic, lehmer_sum, lemma2_sum
-from .verifier import counterexample_search, scan, verify
+from .errors import (
+    DEFAULT_MAX_INDEX,
+    HALF,
+    CongruenceError,
+    OracleDivergence,
+    PreconditionError,
+)
+
+TYPE_CHECKING = False  # typing is not imported for this alone
+if TYPE_CHECKING:
+    from .bernoulli import BernoulliCache
+    from .report import CongruenceReport, IdentityId
 
 __all__ = [
     "build_parser",
@@ -89,6 +102,9 @@ def report_to_dict(report: CongruenceReport) -> dict:
 def parse_report_json(line: str) -> CongruenceReport:
     """Rebuild a report from one serialized JSON line (the round trip)."""
     import json  # only here and for raw values: report rows are written directly
+
+    from .arith import Residue
+    from .report import CongruenceReport, IdentityId
 
     obj = json.loads(line)
     identity = IdentityId(obj["identity"])
@@ -303,6 +319,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_layers() -> None:
+    """Bind the layer names dispatch calls here, keeping any name already bound."""
+    from .bernoulli import BernoulliCache, bernoulli_number
+    from .quotients import fermat_quotient
+    from .report import IdentityId
+    from .sums import half_harmonic, lehmer_sum, lemma2_sum
+    from .verifier import counterexample_search, scan, verify
+
+    for name, value in dict(locals()).items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    """A layer name, the layers loaded on its first read (PEP 562)."""
+    if not name.startswith("_"):
+        _load_layers()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _make_cache(args: argparse.Namespace) -> BernoulliCache | None:
     if args.bernoulli_cap is None:
         return None  # the shared cache applies
@@ -323,6 +360,7 @@ def _emit_record(record: dict, text: str, fmt: str) -> None:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    _load_layers()
     if args.command in ("verify", "scan"):
         identity = _resolve_identity(args.identity, args.d)
         given = dict(

@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and two constants.
 
 Everything raised on purpose derives from CongruenceError, so callers can
 catch one base class.  Precondition violations additionally derive from
 ValueError and carry a message naming the violated predicate.
+
+HALF (exported by sums) and DEFAULT_MAX_INDEX (exported by bernoulli) are
+defined here because the command line parser shows them: every layer
+imports this module, and it is the one module besides cli that --help
+loads.
 """
 
 __all__ = [
@@ -21,6 +26,11 @@ __all__ = [
     "PrimeDivisibilityError",
     "TermCountExceeded",
 ]
+
+HALF = "half"  # marker selecting the half-range harmonic sum
+
+# the Bernoulli cache's default cap on the index m of B_m
+DEFAULT_MAX_INDEX = 600
 
 
 class CongruenceError(Exception):

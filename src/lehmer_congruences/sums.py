@@ -45,6 +45,7 @@ from math import gcd, prod
 from .arith import FactoredInteger, Residue, _Value, factorize, is_prime
 from .bernoulli import p_adic_valuation
 from .errors import (
+    HALF,
     EvenModulusError,
     InvalidDenominatorError,
     NotCoprimeError,
@@ -78,8 +79,6 @@ __all__ = [
     "theorem_rhs",
     "theorem_rhs_exact",
 ]
-
-HALF = "half"  # marker selecting the half-range harmonic sum
 
 # exact_sum refuses a sum over more values of r than this.  At 30,000 the
 # d = 3 sum (n = 90,001) takes about 0.45 s, the d = 6 sum 0.56 s and the
@@ -280,8 +279,7 @@ def coprime_sums(ns: Sequence[int], d: int | str) -> list[Residue]:
                 raise EvenModulusError(f"the half-range sum needs odd n, got {n}")
         elif (g := gcd(n, d)) != 1:
             raise NotCoprimeError(f"gcd({n}, {d}) = {g}; the d-sum needs gcd(n, d) = 1")
-    top = max(ns, default=0)  # its sum has the most terms
-    _check_terms(SumSpec(top, d, None, top * top), MAX_MODULAR_TERMS, "a modular")
+    _check_coprime_terms(max(ns, default=0), d)  # its sum has the most terms
     ns = [factorize(n) for n in ns]
     if len(ns) > 1:
         from . import sweep  # compiled only by a process that sums a list
@@ -289,6 +287,11 @@ def coprime_sums(ns: Sequence[int], d: int | str) -> list[Residue]:
         if sweep.is_cheaper(ns, d):
             return sweep.swept_sums(ns, d)
     return [modular_sum(SumSpec(n, d, None, n * n)) for n in ns]
+
+
+def _check_coprime_terms(n: int, d: int | str) -> None:
+    """Raise TermCountExceeded when coprime_sums could not sum at n for its budget."""
+    _check_terms(SumSpec(n, d, None, n * n), MAX_MODULAR_TERMS, "a modular")
 
 
 def lemma2_sum(n: int, p: int, d: int) -> Residue:

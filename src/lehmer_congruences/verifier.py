@@ -19,14 +19,15 @@ factorization, an arith.FactoredInteger, and takes the left sides of all
 of them from one call to sums.coprime_sums; its checks then form only
 the right sides, reading phi(n) from the value.  So a scanned value is
 factored once, fallback included, while verify factors its one value
-once per side.  One builder, _sum, makes these eight identities: its
-admissible states their hypothesis once, as scan's filter and as the
-refusal verify meets before either side is formed, and its check forms
-the left side, whose term budget coprime_sums checks before it factors
-n, before the right.  The counterexample search deliberately relaxes the
-hypothesis gcd(n, 6) = 1 but keeps the modular routes of both sides; the
-right-hand side cancels what its numerator shares with its weights'
-denominator before it inverts the rest.
+once per side.  A share whose least value is over the term budget can
+sum none of them, so it factors none.  One builder, _sum, makes these
+eight identities: its admissible states their hypothesis once, as scan's
+filter and as the refusal verify meets before either side is formed, and
+its check forms the left side, whose term budget coprime_sums checks
+before it factors n, before the right.  The counterexample search
+deliberately relaxes the hypothesis gcd(n, 6) = 1 but keeps the modular
+routes of both sides; the right-hand side cancels what its numerator
+shares with its weights' denominator before it inverts the rest.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import os
 from collections.abc import Callable
 from math import gcd
 
-from .arith import FactoredInteger, Residue, _Value, crt_combine, factorize, is_prime
+from .arith import Residue, _Value, crt_combine, factorize, is_prime
 from .bernoulli import BernoulliCache, p_adic_valuation, rational_mod
 from .errors import (
     CongruenceError,
@@ -60,6 +61,7 @@ from .report import CongruenceReport, IdentityId, _modular_report
 from .sums import (
     HALF,
     SumSpec,
+    _check_coprime_terms,
     _check_d,
     _weighted_rhs,
     coprime_sums,
@@ -108,10 +110,12 @@ class IdentitySpec(_Value):
     rationals of both sides given the report's params and modulus (None
     when check already compares exact values).  bernoulli tells whether
     check reads a Bernoulli number, and so whether it takes a cache.  left,
-    when not None, forms the left sides at a list of walked values; a scan
-    share replaces its values by their factorizations, calls it before its
-    checks and hands check each value's left side as lhs.  check forms the
-    left side itself when lhs is None.
+    when not None, takes a scan share's walked values and returns them
+    replaced by their factorizations, with the left sides at all of them;
+    where a cap or a budget stops that, the values (factored if that
+    finished) and None for every side.  The share calls it before its checks
+    and hands check each value's left side as lhs.  check forms the left
+    side itself when lhs is None.
     """
 
     __slots__ = (
@@ -131,7 +135,7 @@ class IdentitySpec(_Value):
         d: int | None = None,
         defaults: Params | None = None,
         bernoulli: bool = False,
-        left: Callable[[list[FactoredInteger]], list[Residue]] | None = None,
+        left: Callable[[list[int]], tuple[list[int], list[Residue | None]]] | None = None,
     ) -> None:
         _Value.__init__(
             self, required, admissible, modulus, check, exact, d,
@@ -156,7 +160,8 @@ def _sum(d: int | str, prime: bool) -> IdentitySpec:
     """The half-range sum (d = HALF) or the d-sum, at a prime or at any n.
 
     check refuses an n that admissible rejects, unless a scan share, which
-    holds admissible values only, hands it the left side.
+    holds admissible values only, hands it the left side.  left factors
+    nothing when even the least value is over coprime_sums's term budget.
     """
     half = d == HALF
     least, coprime = (3, 2) if half else (5, 6)
@@ -164,6 +169,16 @@ def _sum(d: int | str, prime: bool) -> IdentitySpec:
 
     def admissible(n: int, q: Params) -> bool:
         return n >= least and is_prime(n) if prime else n > 1 and gcd(n, coprime) == 1
+
+    def left(ns: list[int]) -> tuple[list[int], list[Residue | None]]:
+        sides: list[Residue | None] = [None] * len(ns)
+        try:
+            _check_coprime_terms(min(ns, default=0), d)  # else no n can be summed
+            ns = [factorize(n) for n in ns]
+            sides = coprime_sums(ns, d)
+        except _SKIPPED:
+            pass  # each check forms its own left side, from the factorizations made
+        return ns, sides
 
     def check(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
         n = q["n"]
@@ -180,7 +195,7 @@ def _sum(d: int | str, prime: bool) -> IdentitySpec:
             half_rhs_exact(q["n"]) if half else theorem_rhs_exact(q["n"], d),
         ),
         d=None if half else d,
-        left=lambda ns: coprime_sums(ns, d),
+        left=left,
     )
 
 
@@ -364,8 +379,8 @@ def _scan_chunk(
     """The reports of one share of a scan, in the order of its values.
 
     params are validated by scan.  When the identity forms its left sides
-    together, the share replaces every value by its factorization and
-    takes all the left sides from one call.  Should the factoring or that
+    together, spec.left replaces every value by its factorization and
+    forms all the left sides in one call.  Should the factoring or that
     call hit a cap or a budget, every check forms its left side itself
     (from the factorizations, when they were made).  A value whose check
     hits a cap or a budget still yields a report, with skipped_reason, so
@@ -376,11 +391,7 @@ def _scan_chunk(
     spec = IDENTITIES[identity]
     lefts = [None] * len(values)
     if spec.left is not None:
-        try:
-            values = [factorize(value) for value in values]
-            lefts = spec.left(values)
-        except _SKIPPED:
-            pass
+        values, lefts = spec.left(values)
     out: list = []
     for value, lhs in zip(values, lefts):
         row = {**params, spec.required[0]: value}

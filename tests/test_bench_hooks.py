@@ -7,6 +7,10 @@ test failure instead.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +67,47 @@ def test_tracer_times_every_quotient_a_check_takes(tmp_path, check):
         tracer.uninstall()
     names = [span[2] for span in tracer.SPANS]
     assert names.count("quotients.fermat_quotient_mod") == 2
+
+
+def test_tracer_wraps_the_cli_sites_before_the_layers_are_loaded(tmp_path):
+    # cli binds its layer names on first use, so the tracer, installed in a
+    # process that has imported cli alone, binds its wrappers first; main
+    # must then call them, and uninstall must leave the originals
+    probe = f"""
+import contextlib, importlib.util, io, json, sys
+from pathlib import Path
+from lehmer_congruences import cli
+fresh = sorted(name for name in sys.modules if name.startswith("lehmer_congruences"))
+spec = importlib.util.spec_from_file_location("bench_tracer", {str(TRACER)!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+tracer.install(Path({str(tmp_path)!r}))
+from lehmer_congruences import bernoulli, quotients, verifier
+homes = dict(verify=verifier, scan=verifier, fermat_quotient=quotients,
+             bernoulli_number=bernoulli)
+originals = {{name: getattr(home, name) for name, home in homes.items()}}
+originals = {{name: getattr(f, "__wrapped__", f) for name, f in originals.items()}}
+wrapped = [name for name, f in originals.items()
+           if getattr(cli, name) is not f and getattr(cli, name).__wrapped__ is f]
+argv = ["scan", "--identity", "thm3", "--from", "5", "--to", "60", "--format", "json"]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(argv)
+spans = sorted({{span[2] for span in tracer.SPANS}})
+tracer.uninstall()
+restored = [name for name, f in originals.items() if getattr(cli, name) is f]
+print(json.dumps([fresh, wrapped, code, len(out.getvalue().splitlines()), spans, restored]))
+"""
+    src = str(TRACER.parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    fresh, wrapped, code, rows, spans, restored = json.loads(done.stdout)
+    assert fresh == [
+        "lehmer_congruences", "lehmer_congruences.cli", "lehmer_congruences.errors"
+    ]
+    sites = ["verify", "scan", "fermat_quotient", "bernoulli_number"]
+    assert wrapped == restored == sites
+    assert (code, rows) == (0, 19)
+    assert "verifier.scan" in spans

@@ -734,12 +734,13 @@ def test_import_loads_no_process_pool():
     assert _probe(probe) == ["False"] * 4
 
 
-def _imported(*args: str) -> set[str]:
-    """The modules a fresh interpreter run with args imports; it must exit 0."""
-    err = _interpreter("-X", "importtime", *args).stderr
+def _imported(*args: str, code: int = 0) -> set[str]:
+    """The modules a fresh interpreter run with args imports; it must exit with code."""
+    done = _interpreter("-X", "importtime", *args, check=False)
+    assert done.returncode == code, done.stderr
     return {
         line.rsplit("|", 1)[1].strip()
-        for line in err.splitlines() if line.startswith("import time:")
+        for line in done.stderr.splitlines() if line.startswith("import time:")
     }
 
 
@@ -776,6 +777,33 @@ def test_only_a_scan_that_sums_a_list_loads_sweep(argv, loads):
     # the package import leaves sweep out, so start-up does not compile it
     loaded = _imported("-m", "lehmer_congruences", *argv)
     assert ("lehmer_congruences.sweep" in loaded) is loads
+
+
+@pytest.mark.parametrize("args, code, loads", [
+    (["-m", "lehmer_congruences", "--help"], 0, {"cli", "errors"}),
+    (["-m", "lehmer_congruences", "scan", "--identity", "thm3"], 2, {"cli", "errors"}),
+    (["-c", "import lehmer_congruences"], 0, set()),
+    (["-c", "from lehmer_congruences import errors"], 0, {"errors"}),
+], ids=["help", "usage-error", "import", "submodule"])
+def test_a_process_that_runs_no_check_loads_no_layer(args, code, loads):
+    # the layers are compiled once a command runs (or an exported name is
+    # read), not to parse arguments; -m runs __main__ without importing it
+    loaded = _imported(*args, code=code)
+    ours = {name for name in loaded if name.startswith("lehmer_congruences")}
+    assert ours - {"lehmer_congruences.__main__"} == {"lehmer_congruences"} | {
+        f"lehmer_congruences.{name}" for name in loads
+    }
+
+
+def test_dispatch_keeps_a_layer_name_bound_before_the_layers_load():
+    # a wrapper set on cli (as bench/tracer.py sets its wrappers) is what runs
+    probe = (
+        "from lehmer_congruences import cli\n"
+        "cli.scan = lambda *args, **kwargs: []\n"
+        "print(cli.main(['scan', '--identity', 'thm3', '--from', '5', '--to', '60',\n"
+        "                '--format', 'json']))"
+    )
+    assert _probe(probe) == ["1"]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

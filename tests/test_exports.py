@@ -3,7 +3,11 @@
 Also the preconditions of public functions that no other test reaches.
 """
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +38,37 @@ def test_package_exports_each_public_name_once_and_uses_it():
         definition = re.compile(rf"^(?:\s*(?:def|class) {name}\b|{name}\b.*=)", re.M)
         uses = sum(len(word.findall(t)) - len(definition.findall(t)) for t in texts)
         assert uses > 0, name
+
+
+@pytest.mark.parametrize("first", [
+    "package.verify",
+    "package.__all__",
+    "dir(package)",
+    "exec('from lehmer_congruences import *', {})",
+], ids=["name", "all", "dir", "star"])
+def test_the_first_use_loads_every_export(first):
+    # the package binds its exports on first use; whichever use comes first,
+    # __all__ is then the modules' lists, a star import binds exactly those
+    # names and dir() lists them
+    probe = (
+        "import json, lehmer_congruences as package\n"
+        f"{first}\n"
+        "names = list(package.__all__)\n"
+        "scope = {}\n"
+        "exec('from lehmer_congruences import *', scope)\n"
+        "del scope['__builtins__']\n"
+        "print(json.dumps([names, sorted(scope), dir(package), list(package.__all__)]))"
+    )
+    src = str(Path(lehmer_congruences.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    names, star, listed, again = json.loads(done.stdout)
+    assert names == again == [name for module in MODULES for name in module.__all__]
+    assert star == sorted(names)
+    assert set(names) <= set(listed)
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lehmer_congruences import arith, quotients, sums, sweep, verifier
 from lehmer_congruences.arith import FactoredInteger, Residue
 from lehmer_congruences.bernoulli import BernoulliCache
+from lehmer_congruences.cli import main
 from lehmer_congruences.errors import (
     CongruenceError,
     FactorizationLimitExceeded,
@@ -695,6 +696,19 @@ def test_verify_checks_the_term_budget_before_it_factors(monkeypatch, identity, 
     calls = record_factorizations(monkeypatch)
     with pytest.raises(TermCountExceeded, match=f"over {terms} values of r"):
         verify(identity, n=n)
+    assert calls == []
+
+
+def test_a_share_with_no_value_under_the_term_budget_factors_none(monkeypatch, capsys):
+    # from 10^38 every sum is over the budget, and rho would take seconds
+    calls = record_factorizations(monkeypatch)
+    low, high = 10**38, 10**38 + 182
+    reports = scan(IdentityId.THM_3, low, high)
+    assert len(reports) == 61
+    assert all(r.holds is None and "over the budget of" in r.skipped_reason for r in reports)
+    argv = ["scan", "--identity", "thm3", "--from", str(low), "--to", str(high)]
+    assert main([*argv, "--format", "json"]) == 1
+    assert len(capsys.readouterr().out.splitlines()) == 61
     assert calls == []
 
 
