@@ -126,16 +126,6 @@ class FactoredInteger(int):
     def __reduce__(self) -> tuple:
         return type(self), (int(self), self.factors)
 
-    def exponent_of(self, p: int) -> int:
-        for q, alpha in self.factors:
-            if q == p:
-                return alpha
-        return 0
-
-    def cofactor(self, p: int) -> int:
-        """The part of the value coprime to p, i.e. n / p^exponent_of(p)."""
-        return self // p ** self.exponent_of(p)
-
 
 # The first 13 primes.  The least strong pseudoprime to all of them is
 # psi_13 = 3317044064679887385961981, so is_prime is exact below it (the

@@ -149,20 +149,16 @@ def _lemma3_args(n: int, a: int) -> tuple[FactoredInteger, FactoredInteger]:
 
 
 def _lemma4_args(n: int, a: int, p: int) -> tuple[int, int, FactoredInteger, FactoredInteger]:
-    """Validate the lemma4 hypotheses; returns alpha, q, and n and p^alpha factored.
-
-    n = p^alpha * q with p not dividing q; all four come from one
-    factorization of n.
-    """
+    """Validate the lemma4 hypotheses; returns alpha, n / p^alpha, n and p^alpha factored."""
     _require_modulus(n)
     _require_coprime(a, n)
     if not is_prime(p):
         raise PreconditionError(f"p must be prime, got {p}")
     if n % p:
         raise PrimeDivisibilityError(f"{p} does not divide {n}")
-    factored = factorize(n)
-    alpha = factored.exponent_of(p)
-    return alpha, factored.cofactor(p), factored, FactoredInteger(p**alpha, ((p, alpha),))
+    alpha = p_adic_valuation(n, p)
+    prime_power = FactoredInteger(p**alpha, ((p, alpha),))
+    return alpha, n // prime_power, factorize(n), prime_power
 
 
 def lemma3_check(n: int, a: int) -> CongruenceReport:

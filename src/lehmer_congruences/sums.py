@@ -38,6 +38,7 @@ imported where they run.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from itertools import chain, combinations, compress
 from math import gcd, prod
@@ -279,7 +280,8 @@ def coprime_sums(ns: Sequence[int], d: int | str) -> list[Residue]:
                 raise EvenModulusError(f"the half-range sum needs odd n, got {n}")
         elif (g := gcd(n, d)) != 1:
             raise NotCoprimeError(f"gcd({n}, {d}) = {g}; the d-sum needs gcd(n, d) = 1")
-    _check_coprime_terms(max(ns, default=0), d)  # its sum has the most terms
+    top = max(ns, default=0)  # its sum has the most terms
+    _check_terms(SumSpec(top, d, None, top * top), MAX_MODULAR_TERMS, "a modular")
     ns = [factorize(n) for n in ns]
     if len(ns) > 1:
         from . import sweep  # compiled only by a process that sums a list
@@ -289,9 +291,18 @@ def coprime_sums(ns: Sequence[int], d: int | str) -> list[Residue]:
     return [modular_sum(SumSpec(n, d, None, n * n)) for n in ns]
 
 
-def _check_coprime_terms(n: int, d: int | str) -> None:
-    """Raise TermCountExceeded when coprime_sums could not sum at n for its budget."""
-    _check_terms(SumSpec(n, d, None, n * n), MAX_MODULAR_TERMS, "a modular")
+def _summable(ns: Sequence[int], d: int | str) -> int:
+    """How many leading values of the ascending ns fit coprime_sums's term budget.
+
+    A sum's count of r never falls as n grows; one test settles a list that fits whole.
+    """
+
+    def bound(n: int) -> int:
+        return SumSpec(n, d, None, n * n).bound()
+
+    if not ns or bound(ns[-1]) <= MAX_MODULAR_TERMS:
+        return len(ns)
+    return bisect_right(ns, MAX_MODULAR_TERMS, key=bound)
 
 
 def lemma2_sum(n: int, p: int, d: int) -> Residue:

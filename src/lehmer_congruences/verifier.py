@@ -14,13 +14,12 @@ included) runs through _scan_chunk, looked up here at call time.  Given
 a render function, each share renders its own reports, so a child sends
 back rendered rows with their verdicts, not reports.  For an identity
 whose spec has a left function (the half-range and d-sum identities,
-prime forms included) a share first replaces each of its values by its
-factorization, an arith.FactoredInteger, and takes the left sides of all
-of them from one call to sums.coprime_sums; its checks then form only
-the right sides, reading phi(n) from the value.  So a scanned value is
-factored once, fallback included, while verify factors its one value
-once per side.  A share whose least value is over the term budget can
-sum none of them, so it factors none.  One builder, _sum, makes these
+prime forms included) a share factors the leading values whose sums fit
+the term budget, as arith.FactoredIntegers, and sums them in one
+sums.coprime_sums call; their checks form only the right sides, reading
+phi(n) from the value, and each later value's check refuses it unfactored.
+So a scanned value is factored once, fallback included, while verify
+factors its one value once per side.  One builder, _sum, makes these
 eight identities: its admissible states their hypothesis once, as scan's
 filter and as the refusal verify meets before either side is formed, and
 its check forms the left side, whose term budget coprime_sums checks
@@ -61,8 +60,8 @@ from .report import CongruenceReport, IdentityId, _modular_report
 from .sums import (
     HALF,
     SumSpec,
-    _check_coprime_terms,
     _check_d,
+    _summable,
     _weighted_rhs,
     coprime_sums,
     exact_sum,
@@ -110,12 +109,12 @@ class IdentitySpec(_Value):
     rationals of both sides given the report's params and modulus (None
     when check already compares exact values).  bernoulli tells whether
     check reads a Bernoulli number, and so whether it takes a cache.  left,
-    when not None, takes a scan share's walked values and returns them
-    replaced by their factorizations, with the left sides at all of them;
-    where a cap or a budget stops that, the values (factored if that
-    finished) and None for every side.  The share calls it before its checks
-    and hands check each value's left side as lhs.  check forms the left
-    side itself when lhs is None.
+    when not None, takes a scan share's ascending walked values and returns
+    them with their left sides: each value whose sum fits the term budget
+    factored and summed, each later one as it is with None for its side,
+    and, where a cap stops that, None for every side.  The share calls it
+    before its checks and hands check each value's left side as lhs.  check
+    forms the left side itself when lhs is None.
     """
 
     __slots__ = (
@@ -160,8 +159,9 @@ def _sum(d: int | str, prime: bool) -> IdentitySpec:
     """The half-range sum (d = HALF) or the d-sum, at a prime or at any n.
 
     check refuses an n that admissible rejects, unless a scan share, which
-    holds admissible values only, hands it the left side.  left factors
-    nothing when even the least value is over coprime_sums's term budget.
+    holds admissible values only, hands it the left side.  left factors and
+    sums, in one coprime_sums call, exactly the leading values that fit the
+    term budget, and leaves each later one unfactored for its check to refuse.
     """
     half = d == HALF
     least, coprime = (3, 2) if half else (5, 6)
@@ -171,11 +171,11 @@ def _sum(d: int | str, prime: bool) -> IdentitySpec:
         return n >= least and is_prime(n) if prime else n > 1 and gcd(n, coprime) == 1
 
     def left(ns: list[int]) -> tuple[list[int], list[Residue | None]]:
+        fit = _summable(ns, d)
         sides: list[Residue | None] = [None] * len(ns)
         try:
-            _check_coprime_terms(min(ns, default=0), d)  # else no n can be summed
-            ns = [factorize(n) for n in ns]
-            sides = coprime_sums(ns, d)
+            ns = [factorize(n) for n in ns[:fit]] + ns[fit:]
+            sides[:fit] = coprime_sums(ns[:fit], d)
         except _SKIPPED:
             pass  # each check forms its own left side, from the factorizations made
         return ns, sides
@@ -379,10 +379,10 @@ def _scan_chunk(
     """The reports of one share of a scan, in the order of its values.
 
     params are validated by scan.  When the identity forms its left sides
-    together, spec.left replaces every value by its factorization and
-    forms all the left sides in one call.  Should the factoring or that
-    call hit a cap or a budget, every check forms its left side itself
-    (from the factorizations, when they were made).  A value whose check
+    together, spec.left factors the values that fit the term budget and
+    forms their left sides in one call.  Should the factoring or that call
+    hit a cap, every check forms its left side itself (from the
+    factorizations, when they were made).  A value whose check
     hits a cap or a budget still yields a report, with skipped_reason, so
     every value yields exactly one.
     Unless render is None, each report is replaced by (render(report),

@@ -249,9 +249,12 @@ def test_hand_built_factorizations_match_factorize(n, p, alpha):
         factored, square = quotients._lemma3_args(n, 1)
         assert factored.factors == factorize(n).factors
         assert square.factors == factorize(n * n).factors
-    for q, _ in factorize(n).factors:
-        _, _, factored, prime_power = quotients._lemma4_args(n, 1, q)
-        assert prime_power.factors == factorize(q ** factored.exponent_of(q)).factors
+    factors = factorize(n).factors
+    for q, e in factors:
+        alpha, cofactor, factored, prime_power = quotients._lemma4_args(n, 1, q)
+        assert alpha == e and factored.factors == factors
+        assert factorize(cofactor).factors == tuple(f for f in factors if f[0] != q)
+        assert prime_power.factors == factorize(q**e).factors
     m = sums._lemma2_rhs_args(p, alpha, 3)
     assert m == p ** (2 * alpha) and m.factors == factorize(p ** (2 * alpha)).factors
 

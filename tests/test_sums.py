@@ -374,6 +374,20 @@ def test_modular_sum_term_budget(monkeypatch):
             call()
 
 
+def test_summable_counts_the_leading_values_under_the_term_budget(monkeypatch):
+    monkeypatch.setattr(sums, "MAX_MODULAR_TERMS", 10)
+    ns = [5, 7, 11, 13, 23, 25, 29, 31, 35, 37]
+    assert sums._summable(ns, 3) == 8  # n // 3 > 10 from n = 33
+    assert sums._summable(ns, HALF) == 4  # (n - 1) // 2 > 10 from n = 23
+    assert sums._summable([35, 37], 3) == 0
+    assert sums._summable([], 3) == 0
+    bounds = []
+    real = SumSpec.bound
+    monkeypatch.setattr(SumSpec, "bound", lambda spec: bounds.append(spec.n) or real(spec))
+    assert sums._summable(ns[:8], 3) == 8
+    assert bounds == [31]  # a list that fits whole takes one test
+
+
 def test_lemma2_sum_values():
     assert lemma2_sum(35, 5, 3).rep == 13
     # pinned alignment with the localized right side

@@ -641,13 +641,49 @@ def test_a_loop_route_scan_skips_each_value_over_the_term_budget(
             assert got == want
         else:
             assert got.holds is None and "over the budget of 3338" in got.skipped_reason
-    # each share checks every budget before its first sum, so no value is summed twice
-    summed = sorted(map(int, log.read_text().split()))
-    assert summed == [r.params["n"] for r in expected if r.params["n"] < 20034]
-    # the checks that form their own left sides read the share's factorizations
-    assert sorted(map(int, factored.read_text().split())) == [r.params["n"] for r in expected]
+    # each share sums its values under the budget once, and factors no value over it
+    fit = [r.params["n"] for r in expected if r.params["n"] < 20034]
+    assert sorted(map(int, log.read_text().split())) == fit
+    assert sorted(map(int, factored.read_text().split())) == fit
     with pytest.raises(TermCountExceeded, match="over the budget of 3338"):
         counterexample_search(IdentityId.THM_6, 5, n_to=20060)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_share_that_straddles_the_term_budget_sweeps_the_values_under_it(
+    monkeypatch, tmp_path, workers
+):
+    # n // 3 > 700 from n = 2103, so each share sweeps its values to 2101
+    expected = scan(IdentityId.THM_3, 5, 2410)
+    monkeypatch.setattr(sums, "MAX_MODULAR_TERMS", 700)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    log = tmp_path / "calls.log"  # forked shares append too
+    real_swept, real_loop, real_factorize = sweep.swept_sums, sums.modular_sum, arith.factorize
+
+    def logged_as(name, real):
+        def logged(arg, *rest):
+            if not isinstance(arg, FactoredInteger):  # factorize returns one as it is
+                with open(log, "a") as sink:
+                    sink.write(f"{name} {os.getpid()} {arg if isinstance(arg, int) else 0}\n")
+            return real(arg, *rest)
+
+        return logged
+
+    monkeypatch.setattr(sweep, "swept_sums", logged_as("sweep", real_swept))
+    monkeypatch.setattr(sums, "modular_sum", logged_as("loop", real_loop))
+    replace_factorize(monkeypatch, logged_as("factorize", real_factorize))
+    reports = scan(IdentityId.THM_3, 5, 2410, workers=workers)
+    assert [r.params for r in reports] == [r.params for r in expected]
+    fit = [r.params["n"] for r in expected if r.params["n"] <= 2101]
+    assert reports[: len(fit)] == expected[: len(fit)]
+    over = reports[len(fit):]
+    assert len(over) == 102
+    assert all(r.holds is None and "over the budget of 700" in r.skipped_reason for r in over)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    sweeps = [pid for name, pid, _ in calls if name == "sweep"]
+    assert len(sweeps) == len(set(sweeps)) == workers  # one sweep per share
+    assert not [call for call in calls if call[0] == "loop"]
+    assert sorted(int(n) for name, _, n in calls if name == "factorize") == fit
 
 
 def replace_factorize(monkeypatch, double) -> None:
