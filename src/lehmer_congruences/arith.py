@@ -8,19 +8,25 @@ a value factored once is passed on as itself and never factored again.
 The factorizer is deterministic: trial division up to 1000, then Brent's
 rho with fixed constants on whatever cofactor is left, with every reported
 prime certified: by trial division below 10^6, by Miller-Rabin below
-_MR_EXACT_BELOW, and a larger cofactor is refused.
+_MR_EXACT_BELOW, and a larger cofactor is refused.  p_adic_valuation,
+padic_congruent and rational_mod read a rational p-adically or mod m.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import gcd
+from math import gcd, inf
 
 from .errors import (
     FactorizationLimitExceeded,
     ModuliNotCoprimeError,
+    NotInvertibleError,
     PreconditionError,
 )
+
+TYPE_CHECKING = False  # typing is not imported for this alone
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "FactoredInteger",
@@ -30,6 +36,9 @@ __all__ = [
     "euler_phi",
     "factorize",
     "is_prime",
+    "p_adic_valuation",
+    "padic_congruent",
+    "rational_mod",
 ]
 
 
@@ -291,3 +300,54 @@ def crt_combine(parts: Sequence[Residue]) -> Residue:
         rep += modulus * (diff * pow(modulus, -1, part.modulus) % part.modulus)
         modulus *= part.modulus
     return Residue(rep % modulus, modulus)
+
+
+def p_adic_valuation(x: Fraction | int, p: int) -> int | float:
+    """The exponent of p in the rational x; +inf for x = 0.
+
+    An int x is read as it is, so the modular routes form no Fraction.
+    """
+    if not is_prime(p):
+        raise PreconditionError(f"p must be prime, got {p}")
+    if isinstance(x, int):
+        num, den = x, 1
+    else:
+        from fractions import Fraction
+
+        value = Fraction(x)
+        num, den = value.numerator, value.denominator
+    if num == 0:
+        return inf
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def padic_congruent(x: Fraction | int, y: Fraction | int, p: int, k: int) -> bool:
+    """Whether x and y agree mod p^k in the p-adic sense: v_p(x - y) >= k."""
+    from fractions import Fraction
+
+    if k < 1:
+        raise PreconditionError(f"k must be >= 1, got {k}")
+    return p_adic_valuation(Fraction(x) - Fraction(y), p) >= k
+
+
+def rational_mod(x: Fraction | int, modulus: int) -> Residue:
+    """Reduce a rational to a residue; its denominator must be a unit."""
+    from fractions import Fraction
+
+    if modulus < 1:
+        raise PreconditionError(f"modulus must be >= 1, got {modulus}")
+    value = Fraction(x)
+    den = value.denominator
+    g = gcd(den, modulus)
+    if g != 1:
+        raise NotInvertibleError(
+            f"denominator {den} shares the factor {g} with modulus {modulus}"
+        )
+    return Residue(value.numerator * pow(den, -1, modulus) % modulus, modulus)

@@ -1,4 +1,4 @@
-"""Exact Bernoulli numbers and polynomials, plus p-adic congruence tests.
+"""Exact Bernoulli numbers and polynomials.
 
 Convention: B_1 = -1/2, i.e. the generating function t/(e^t - 1), so the
 defining recurrence is sum_{k=0}^{m} C(m+1, k) B_k = 0 for m >= 1.  The
@@ -15,14 +15,13 @@ run, so a process that reads no Bernoulli number never loads it.
 from __future__ import annotations
 
 import threading
-from math import comb, factorial, gcd, inf, prod
+from math import comb, factorial, prod
 
-from .arith import Residue, divisors, factorize, is_prime
+from .arith import divisors, factorize, is_prime
 from .errors import (
     DEFAULT_MAX_INDEX,
     IndexCapExceeded,
     InvalidDenominatorError,
-    NotInvertibleError,
     PreconditionError,
 )
 
@@ -37,10 +36,7 @@ __all__ = [
     "DEFAULT_MAX_INDEX",
     "bernoulli_number",
     "bernoulli_poly",
-    "p_adic_valuation",
-    "padic_congruent",
     "power_sum",
-    "rational_mod",
     "special_value",
     "von_staudt_clausen",
 ]
@@ -226,54 +222,3 @@ def von_staudt_clausen(m: int, cache: BernoulliCache | None = None) -> tuple[int
     if total.denominator != 1:  # the theorem guarantees integrality
         raise ArithmeticError(f"decomposition of B_{m} failed to be integral")
     return int(total), primes
-
-
-def p_adic_valuation(x: Rational, p: int) -> int | float:
-    """The exponent of p in the rational x; +inf for x = 0.
-
-    An int x is read as it is, so the modular routes form no Fraction.
-    """
-    if not is_prime(p):
-        raise PreconditionError(f"p must be prime, got {p}")
-    if isinstance(x, int):
-        num, den = x, 1
-    else:
-        from fractions import Fraction
-
-        value = Fraction(x)
-        num, den = value.numerator, value.denominator
-    if num == 0:
-        return inf
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
-def padic_congruent(x: Rational, y: Rational, p: int, k: int) -> bool:
-    """Whether x and y agree mod p^k in the p-adic sense: v_p(x - y) >= k."""
-    from fractions import Fraction
-
-    if k < 1:
-        raise PreconditionError(f"k must be >= 1, got {k}")
-    return p_adic_valuation(Fraction(x) - Fraction(y), p) >= k
-
-
-def rational_mod(x: Rational, modulus: int) -> Residue:
-    """Reduce a rational to a residue; its denominator must be a unit."""
-    from fractions import Fraction
-
-    if modulus < 1:
-        raise PreconditionError(f"modulus must be >= 1, got {modulus}")
-    value = Fraction(x)
-    den = value.denominator
-    g = gcd(den, modulus)
-    if g != 1:
-        raise NotInvertibleError(
-            f"denominator {den} shares the factor {g} with modulus {modulus}"
-        )
-    return Residue(value.numerator * pow(den, -1, modulus) % modulus, modulus)

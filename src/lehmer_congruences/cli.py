@@ -15,11 +15,12 @@ counterexample was found in range, and 2 on usage errors.
 
 Only argparse, io, sys and errors are imported with this module, so a
 process that stops at its arguments (--help, a usage error) compiles no
-layer.  The first dispatch, or the first read of a layer name here
-(cli.verify, say), imports the layers and binds the names dispatch calls
-as attributes of this module; a name already bound is kept, so a wrapper
-set here before (bench/tracer.py wraps verify, scan, fermat_quotient and
-bernoulli_number) is what dispatch calls.
+layer.  A command loads only the layer it calls: verifier for verify, scan
+and counterexample, quotients for fq, sums for sum, and bernoulli for
+bernoulli and --bernoulli-cap.  The layer's names are bound here then, or
+on their first read (cli.verify, say); a name already bound is kept, so a
+wrapper set here before (bench/tracer.py wraps verify, scan,
+fermat_quotient and bernoulli_number) is what runs.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import (
     CongruenceError,
     OracleDivergence,
     PreconditionError,
+    _layers,
 )
 
 TYPE_CHECKING = False  # typing is not imported for this alone
@@ -215,6 +217,7 @@ def serialize_report(report: CongruenceReport, fmt: str = "json") -> str:
 
 def _resolve_identity(code: str, d: int | None) -> IdentityId:
     """The identity a code names; whether it takes d is the table's rule."""
+    _load("report")
     code = code.lower()
     if code == "lemma2":
         if d is None:
@@ -319,30 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_layers() -> None:
-    """Bind the layer names dispatch calls here, keeping any name already bound."""
-    from .bernoulli import BernoulliCache, bernoulli_number
-    from .quotients import fermat_quotient
-    from .report import IdentityId
-    from .sums import half_harmonic, lehmer_sum, lemma2_sum
-    from .verifier import counterexample_search, scan, verify
-
-    for name, value in dict(locals()).items():
-        globals().setdefault(name, value)
-
-
-def __getattr__(name: str):
-    """A layer name, the layers loaded on its first read (PEP 562)."""
-    if not name.startswith("_"):
-        _load_layers()
-        if name in globals():
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+_load, __getattr__ = _layers(globals(), {
+    "bernoulli": ("BernoulliCache", "bernoulli_number"), "quotients": ("fermat_quotient",),
+    "report": ("IdentityId",), "sums": ("half_harmonic", "lehmer_sum", "lemma2_sum"),
+    "verifier": ("counterexample_search", "scan", "verify"),
+})
 
 
 def _make_cache(args: argparse.Namespace) -> BernoulliCache | None:
     if args.bernoulli_cap is None:
         return None  # the shared cache applies
+    _load("bernoulli")
     return BernoulliCache(max_index=args.bernoulli_cap)
 
 
@@ -360,8 +350,8 @@ def _emit_record(record: dict, text: str, fmt: str) -> None:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    _load_layers()
     if args.command in ("verify", "scan"):
+        _load("verifier")
         identity = _resolve_identity(args.identity, args.d)
         given = dict(
             a=args.a, p=args.p, d=args.d, alpha=args.alpha,
@@ -378,19 +368,23 @@ def _dispatch(args: argparse.Namespace) -> int:
         sys.stdout.write(_document([row for row, _ in rows], args.format))
         return 0 if rows and all(held for _, held in rows) else 1
     if args.command == "counterexample":
+        _load("verifier")
         identity = _resolve_identity(args.identity, None)
         trail = counterexample_search(identity, args.residue_class, n_to=args.n_to)
         sys.stdout.write(serialize_reports(trail, args.format))
         return 0
     if args.command == "bernoulli":
+        _load("bernoulli")
         value = str(bernoulli_number(args.m, _make_cache(args)))
         _emit_record({"m": args.m, "value": value}, value, args.format)
         return 0
     if args.command == "fq":
+        _load("quotients")
         value = str(fermat_quotient(args.n, args.a))
         _emit_record({"n": args.n, "a": args.a, "value": value}, value, args.format)
         return 0
     if args.command == "sum":
+        _load("sums")
         if args.d == HALF:
             if args.p is not None:
                 raise PreconditionError("--p localizes a d-sum; --d half takes none")

@@ -1,13 +1,13 @@
-"""Exception types shared across the package, and two constants.
+"""Exception types shared across the package, two constants and a loader.
 
 Everything raised on purpose derives from CongruenceError, so callers can
 catch one base class.  Precondition violations additionally derive from
 ValueError and carry a message naming the violated predicate.
 
 HALF (exported by sums) and DEFAULT_MAX_INDEX (exported by bernoulli) are
-defined here because the command line parser shows them: every layer
-imports this module, and it is the one module besides cli that --help
-loads.
+defined here because the command line parser shows them, and _layers
+because cli binds its layer names with it: every layer imports this
+module, and it is the one module besides cli that --help loads.
 """
 
 __all__ = [
@@ -31,6 +31,34 @@ HALF = "half"  # marker selecting the half-range harmonic sum
 
 # the Bernoulli cache's default cap on the index m of B_m
 DEFAULT_MAX_INDEX = 600
+
+
+def _layers(namespace: dict, layers: dict[str, tuple[str, ...]]):
+    """The (load, __getattr__) pair of a module that imports layers on use.
+
+    namespace is the module's globals; layers maps a sibling module to the
+    names taken from it.  load(layer) imports it once and binds its names
+    with setdefault, so one bound before (a tracer's wrapper) is what runs;
+    a function calls load before it calls those names.  The PEP 562
+    __getattr__ loads a name's layer on its first read from outside.
+    """
+    homes = {name: layer for layer, names in layers.items() for name in names}
+    loaded: set[str] = set()
+
+    def load(layer: str) -> None:
+        if layer not in loaded:
+            module = __import__(layer, namespace, None, (), 1)  # from . import layer
+            for name in layers[layer]:
+                namespace.setdefault(name, getattr(module, name))
+            loaded.add(layer)
+
+    def __getattr__(name: str):
+        if name not in homes:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        load(homes[name])
+        return namespace[name]
+
+    return load, __getattr__
 
 
 class CongruenceError(Exception):

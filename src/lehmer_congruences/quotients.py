@@ -14,19 +14,23 @@ from __future__ import annotations
 
 from math import gcd, log2
 
-from .arith import FactoredInteger, Residue, euler_phi, factorize, is_prime
-from .bernoulli import BernoulliCache, bernoulli_number, p_adic_valuation, rational_mod
+from .arith import (
+    FactoredInteger, Residue, euler_phi, factorize, is_prime, p_adic_valuation, rational_mod,
+)
 from .errors import (
     NotCoprimeError,
     PowerSizeExceeded,
     PreconditionError,
     PrimeDivisibilityError,
+    _layers,
 )
 from .report import CongruenceReport, IdentityId, _modular_report
 
 TYPE_CHECKING = False  # typing is not imported for this alone
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .bernoulli import BernoulliCache
 
 __all__ = [
     "fermat_quotient",
@@ -41,6 +45,9 @@ __all__ = [
 # fermat_quotient refuses to build a^phi(n) beyond this many bits; 3**(2**22),
 # about 6.6 million bits, takes about a second in CPython.
 MAX_POWER_BITS = 1 << 23
+
+
+_load, __getattr__ = _layers(globals(), {"bernoulli": ("bernoulli_number",)})  # lemma1's
 
 
 def _require_modulus(n: int) -> None:
@@ -112,6 +119,7 @@ def lemma1_check(
     modular inversion does not apply.  The report records the valuation of
     the difference and the required lower bound 2*alpha.
     """
+    _load("bernoulli")
     if not is_prime(p):
         raise PreconditionError(f"p must be prime, got {p}")
     if alpha < 1:

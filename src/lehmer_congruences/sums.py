@@ -43,8 +43,7 @@ from collections.abc import Iterator, Sequence
 from itertools import chain, combinations, compress
 from math import gcd, prod
 
-from .arith import FactoredInteger, Residue, _Value, factorize, is_prime
-from .bernoulli import p_adic_valuation
+from .arith import FactoredInteger, Residue, _Value, factorize, is_prime, p_adic_valuation
 from .errors import (
     HALF,
     EvenModulusError,

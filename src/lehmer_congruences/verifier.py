@@ -5,7 +5,8 @@ reads, scan's admissibility filter, the modulus a skip report carries,
 the modular check, the exact-rational sides for the oracle, and the
 embedded d.  verify and scan read the table and branch on no identity;
 its entries look the layer functions up in this module when they run, so a
-wrapper set here (a tracer, a test double) sees every call.  scan keeps the
+wrapper set here (a tracer, a test double) sees every call; those that sum
+load the sums layer first, so a lemma check never loads it.  scan keeps the
 admissible values of the scanned variable and turns a check that hits a
 cap or a budget into a skip report, so the output stays auditable.  With
 several workers it deals those values round-robin to processes forked
@@ -35,9 +36,11 @@ import os
 from collections.abc import Callable
 from math import gcd
 
-from .arith import Residue, _Value, crt_combine, factorize, is_prime
-from .bernoulli import BernoulliCache, p_adic_valuation, rational_mod
+from .arith import (
+    Residue, _Value, crt_combine, factorize, is_prime, p_adic_valuation, rational_mod,
+)
 from .errors import (
+    HALF,
     CongruenceError,
     FactorizationLimitExceeded,
     IndexCapExceeded,
@@ -48,6 +51,7 @@ from .errors import (
     PowerSizeExceeded,
     PreconditionError,
     TermCountExceeded,
+    _layers,
 )
 from .quotients import (
     lemma1_check,
@@ -57,31 +61,12 @@ from .quotients import (
     lemma4_exact_sides,
 )
 from .report import CongruenceReport, IdentityId, _modular_report
-from .sums import (
-    HALF,
-    SumSpec,
-    _check_d,
-    _summable,
-    _weighted_rhs,
-    coprime_sums,
-    exact_sum,
-    half_harmonic,
-    half_rhs,
-    half_rhs_exact,
-    lehmer_sum,
-    lemma2_rhs,
-    lemma2_rhs_exact,
-    lemma2_sum,
-    modular_sum,
-    moebius_decomposition_sides,
-    moebius_decomposition_sides_exact,
-    theorem_rhs,
-    theorem_rhs_exact,
-)
 
 TYPE_CHECKING = False  # typing is not imported for this alone
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .bernoulli import BernoulliCache
 
 __all__ = [
     "IDENTITIES",
@@ -93,6 +78,13 @@ __all__ = [
 ]
 
 Params = dict[str, int]
+
+_load, __getattr__ = _layers(globals(), {"sums": (
+    "SumSpec", "_check_d", "_summable", "_weighted_rhs", "coprime_sums", "exact_sum",
+    "half_harmonic", "half_rhs", "half_rhs_exact", "lehmer_sum", "lemma2_rhs",
+    "lemma2_rhs_exact", "lemma2_sum", "modular_sum", "moebius_decomposition_sides",
+    "moebius_decomposition_sides_exact", "theorem_rhs", "theorem_rhs_exact",
+)})
 
 
 class IdentitySpec(_Value):
@@ -171,6 +163,7 @@ def _sum(d: int | str, prime: bool) -> IdentitySpec:
         return n >= least and is_prime(n) if prime else n > 1 and gcd(n, coprime) == 1
 
     def left(ns: list[int]) -> tuple[list[int], list[Residue | None]]:
+        _load("sums")
         fit = _summable(ns, d)
         sides: list[Residue | None] = [None] * len(ns)
         try:
@@ -181,6 +174,7 @@ def _sum(d: int | str, prime: bool) -> IdentitySpec:
         return ns, sides
 
     def check(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
+        _load("sums")
         n = q["n"]
         if lhs is None:
             if not admissible(n, q):
@@ -188,14 +182,13 @@ def _sum(d: int | str, prime: bool) -> IdentitySpec:
             lhs = half_harmonic(n) if half else lehmer_sum(n, d)
         return _modular_report(identity, q, lhs, half_rhs(n) if half else theorem_rhs(n, d))
 
+    def exact(q: Params, m: int) -> tuple[Fraction, Fraction]:
+        _load("sums")
+        lhs = exact_sum(SumSpec(q["n"], d, None, m))
+        return lhs, half_rhs_exact(q["n"]) if half else theorem_rhs_exact(q["n"], d)
+
     return IdentitySpec(
-        ("n",), admissible, _square, check,
-        lambda q, m: (
-            exact_sum(SumSpec(q["n"], d, None, m)),
-            half_rhs_exact(q["n"]) if half else theorem_rhs_exact(q["n"], d),
-        ),
-        d=None if half else d,
-        left=left,
+        ("n",), admissible, _square, check, exact, d=None if half else d, left=left
     )
 
 
@@ -203,12 +196,14 @@ def _lemma2(d: int) -> IdentitySpec:
     """The d-sum localized at p^{2 alpha}, alpha = v_p(n)."""
 
     def check(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
+        _load("sums")
         n, p = q["n"], q["p"]
         lhs = lemma2_sum(n, p, d)
         q = {**q, "alpha": p_adic_valuation(n, p)}
         return _modular_report(identity, q, lhs, lemma2_rhs(p, q["alpha"], d))
 
     def exact(q: Params, m: int) -> tuple[Fraction, Fraction]:
+        _load("sums")
         n, p = q["n"], q["p"]
         return exact_sum(SumSpec(n, d, p, m)), lemma2_rhs_exact(p, q["alpha"], d)
 
@@ -216,9 +211,15 @@ def _lemma2(d: int) -> IdentitySpec:
 
 
 def _moebius(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
+    _load("sums")
     n, p = q["n"], q["p"]
     lhs, rhs = moebius_decomposition_sides(n, p, q["d"])
     return _modular_report(identity, {**q, "alpha": p_adic_valuation(n, p)}, lhs, rhs)
+
+
+def _moebius_exact(q: Params, m: int) -> tuple[Fraction, Fraction]:
+    _load("sums")
+    return moebius_decomposition_sides_exact(q["n"], q["p"], q["d"])
 
 
 IDENTITIES: dict[IdentityId, IdentitySpec] = {
@@ -261,7 +262,7 @@ IDENTITIES: dict[IdentityId, IdentitySpec] = {
         _localized,
         _local_modulus,
         _moebius,
-        lambda q, m: moebius_decomposition_sides_exact(q["n"], q["p"], q["d"]),
+        _moebius_exact,
     ),
 }
 
@@ -428,8 +429,6 @@ def _fan_out(
     pipe and kills and reaps every child not yet reaped, so no worker
     outlives it, and gives the caller its CPU affinity back.
     """
-    import pickle
-
     # Left to the scheduler, a forked child stayed on its parent's CPU for
     # a whole 0.15 s scan on a 2-vCPU Linux VM, so the shares ran one after
     # the other; pinning each share to a CPU of its own makes them overlap.
@@ -453,6 +452,8 @@ def _fan_out(
                 if pid == 0:
                     status = 1
                     try:
+                        import pickle  # in the child; the caller's waits for share 0
+
                         try:
                             payload = pickle.dumps((True, share(k)))
                         except Exception as exc:
@@ -465,6 +466,8 @@ def _fan_out(
                 pids.append(pid)
         out: list = [None] * len(values)
         out[0::workers] = share(0)
+        import pickle  # only now, so share 0 does not wait for it
+
         for k, pipe in enumerate(pipes, start=1):
             payload = pipe.read()  # all of it first: a child blocks on a full pipe
             code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
@@ -562,6 +565,7 @@ def counterexample_search(
         raise PreconditionError(
             "counterexample search covers thm3, thm4 and thm6 only"
         )
+    _load("sums")
     d = IDENTITIES[identity].d
     trail: list[CongruenceReport] = []
     for n in range(2 + (residue - 2) % 6, n_to + 1, 6):
@@ -591,6 +595,7 @@ def crt_reassembly_check(n: int, d: int) -> bool:
     combination must vanish mod n^2 exactly when the direct comparison
     holds.  For prime n this degenerates to the single congruence.
     """
+    _load("sums")
     _check_d(d)
     report = verify(IdentityId(f"thm{d}"), n=n)
     diff = (report.lhs.rep - report.rhs.rep) % report.modulus

@@ -12,14 +12,17 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from lehmer_congruences.arith import factorize, is_prime
+from lehmer_congruences.arith import (
+    factorize,
+    is_prime,
+    p_adic_valuation,
+    padic_congruent,
+    rational_mod,
+)
 from lehmer_congruences.bernoulli import (
     bernoulli_number,
     bernoulli_poly,
-    p_adic_valuation,
-    padic_congruent,
     power_sum,
-    rational_mod,
     special_value,
     von_staudt_clausen,
 )

@@ -111,3 +111,38 @@ print(json.dumps([fresh, wrapped, code, len(out.getvalue().splitlines()), spans,
     assert wrapped == restored == sites
     assert (code, rows) == (0, 19)
     assert "verifier.scan" in spans
+
+
+def test_tracer_times_the_lazily_loaded_layers_in_a_fresh_process(tmp_path):
+    # verifier loads sums and quotients loads bernoulli on first use, so in
+    # a process that imported cli alone the tracer's lookups load them; the
+    # checks must then run through its wrappers, and uninstall must put
+    # back every original
+    probe = f"""
+import contextlib, importlib.util, io, json
+from pathlib import Path
+from lehmer_congruences import cli
+spec = importlib.util.spec_from_file_location("bench_tracer", {str(TRACER)!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+tracer.install(Path({str(tmp_path)!r}))
+originals = list(tracer._originals)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["scan", "--identity", "lemma4", "--a", "2", "--p", "5",
+                       "--from", "5", "--to", "60", "--format", "json"]),
+             cli.main(["verify", "--identity", "thm6", "--n", "35"])]
+spans = sorted({{span[2] for span in tracer.SPANS}})
+tracer.uninstall()
+kept = [getattr(owner, attr) is original for owner, attr, original in originals]
+print(json.dumps([codes, spans, len(kept), all(kept)]))
+"""
+    src = str(TRACER.parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    codes, spans, sites, restored = json.loads(done.stdout)
+    assert codes == [0, 0]
+    assert {"quotients.check", "sums.rhs", "quotients.fermat_quotient_mod"} <= set(spans)
+    assert sites > 0 and restored

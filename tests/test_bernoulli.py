@@ -13,16 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lehmer_congruences import bernoulli
-from lehmer_congruences.arith import is_prime
+from lehmer_congruences.arith import is_prime, p_adic_valuation, padic_congruent, rational_mod
 from lehmer_congruences.bernoulli import (
     BernoulliCache,
     DEFAULT_MAX_INDEX,
     bernoulli_number,
     bernoulli_poly,
-    p_adic_valuation,
-    padic_congruent,
     power_sum,
-    rational_mod,
     special_value,
     von_staudt_clausen,
 )

@@ -734,6 +734,27 @@ def test_import_loads_no_process_pool():
     assert _probe(probe) == ["False"] * 4
 
 
+def test_a_forked_scan_imports_pickle_only_after_the_callers_first_share():
+    # pickle is off the path to the first share: each child imports it to
+    # send its rows, the caller to read them, unless the interpreter had it
+    probe = (
+        "import os, sys\n"
+        "bare = 'pickle' in sys.modules\n"
+        "from lehmer_congruences import verifier\n"
+        "caller, seen, real = os.getpid(), [], verifier._scan_chunk\n"
+        "def chunk(*args):\n"
+        "    if os.getpid() == caller:\n"
+        "        seen.append('pickle' in sys.modules)\n"
+        "    return real(*args)\n"
+        "verifier._scan_chunk = chunk\n"
+        "verifier._usable_cpus = lambda: 2\n"
+        "rows = verifier.scan(verifier.IdentityId.THM_3, 5, 60, workers=2)\n"
+        "print(bare, len(rows), 'pickle' in sys.modules, *seen)"
+    )
+    bare, rows, after, *seen = _probe(probe)
+    assert (rows, after, seen) == ("19", "True", [bare])
+
+
 def _imported(*args: str, code: int = 0) -> set[str]:
     """The modules a fresh interpreter run with args imports; it must exit with code."""
     done = _interpreter("-X", "importtime", *args, check=False)
@@ -767,16 +788,36 @@ def test_modular_scans_load_no_fractions_decimal_or_json(argv):
     assert "fractions" in exact | baseline
 
 
+_CHECKS = {"arith", "cli", "errors", "quotients", "report", "verifier"}
+
+
 @pytest.mark.parametrize("argv, loads", [
-    (["--help"], False),
-    (["verify", "--identity", "thm3", "--n", "35"], False),
-    (["scan", "--identity", "lemma3", "--a", "2", "--from", "5", "--to", "60"], False),
-    (["scan", "--identity", "thm3", "--from", "5", "--to", "60"], True),
-], ids=["help", "verify", "lemma-scan", "sum-scan"])
-def test_only_a_scan_that_sums_a_list_loads_sweep(argv, loads):
-    # the package import leaves sweep out, so start-up does not compile it
+    (["--help"], {"cli", "errors"}),
+    (["verify", "--identity", "thm3", "--n", "35"], _CHECKS | {"sums"}),
+    (["scan", "--identity", "lemma3", "--a", "2", "--from", "5", "--to", "60"], _CHECKS),
+    (["scan", "--identity", "thm3", "--from", "5", "--to", "60"], _CHECKS | {"sums", "sweep"}),
+    (["verify", "--identity", "lemma3", "--a", "2", "--n", "35"], _CHECKS),
+    (["scan", "--identity", "lemma4", "--a", "2", "--p", "5", "--from", "5", "--to", "60"],
+     _CHECKS),
+    (["scan", "--identity", "lemma1", "--from", "3", "--to", "11"], _CHECKS | {"bernoulli"}),
+    (["verify", "--identity", "lemma1", "--p", "5", "--bernoulli-cap", "30"],
+     _CHECKS | {"bernoulli"}),
+    (["counterexample", "--identity", "thm3", "--class", "4"],
+     _CHECKS | {"sums"}),
+    (["fq", "--n", "7", "--a", "2"], {"arith", "cli", "errors", "quotients", "report"}),
+    (["bernoulli", "--m", "12"], {"arith", "bernoulli", "cli", "errors"}),
+    (["sum", "--n", "35", "--d", "3"], {"arith", "cli", "errors", "quotients", "report", "sums"}),
+], ids=[
+    "help", "verify", "lemma-scan", "sum-scan", "lemma3-verify", "lemma4-scan", "lemma1-scan",
+    "lemma1-cap", "counterexample", "fq", "bernoulli", "sum",
+])
+def test_each_command_loads_only_the_layers_it_calls(argv, loads):
+    # a command compiles the layers its routes call and no other: the lemma
+    # checks take no sum and no Bernoulli number, only a scan that sums a
+    # list loads sweep, and the raw-value commands load no verifier
     loaded = _imported("-m", "lehmer_congruences", *argv)
-    assert ("lehmer_congruences.sweep" in loaded) is loads
+    ours = {name for name in loaded if name.startswith("lehmer_congruences.")}
+    assert ours - {"lehmer_congruences.__main__"} == {f"lehmer_congruences.{name}" for name in loads}
 
 
 @pytest.mark.parametrize("args, code, loads", [
@@ -804,6 +845,18 @@ def test_dispatch_keeps_a_layer_name_bound_before_the_layers_load():
         "                '--format', 'json']))"
     )
     assert _probe(probe) == ["1"]
+
+
+def test_a_sum_name_bound_on_verifier_before_sums_loads_is_what_runs():
+    # verifier binds the sums names on the first check that sums; one set
+    # there before (a test double) is kept and called
+    probe = (
+        "from lehmer_congruences import verifier\n"
+        "seen = []\n"
+        "verifier.lehmer_sum = lambda n, d: seen.append(n) or verifier.theorem_rhs(n, d)\n"
+        "print(verifier.verify(verifier.IdentityId.THM_3, n=49).holds, *seen)"
+    )
+    assert _probe(probe) == ["True", "49"]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lehmer_congruences.arith import FactoredInteger, euler_phi, factorize
-from lehmer_congruences.bernoulli import BernoulliCache, bernoulli_number, rational_mod
+from lehmer_congruences.arith import FactoredInteger, euler_phi, factorize, rational_mod
+from lehmer_congruences.bernoulli import BernoulliCache, bernoulli_number
 from lehmer_congruences.errors import (
     IndexCapExceeded,
     InvalidDenominatorError,

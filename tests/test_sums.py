@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lehmer_congruences import arith, sums, sweep
-from lehmer_congruences.bernoulli import rational_mod
+from lehmer_congruences.arith import rational_mod
 from lehmer_congruences.errors import (
     EvenModulusError,
     InvalidDenominatorError,
