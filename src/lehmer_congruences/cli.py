@@ -10,23 +10,29 @@ a row back, and for the raw-value records.
 
 Exit status: 0 when everything asked for held (or the value was computed),
 1 when a checked congruence failed, a computational limit was hit, a scan
-skipped a row, checked nothing or lost a worker process, or no
-counterexample was found in range, and 2 on usage errors.
+skipped a row, checked nothing or lost a worker process, no counterexample
+was found in range, or standard output was closed before all of it was
+written, and 2 on usage errors.
 
-Only argparse, io, sys and errors are imported with this module, so a
-process that stops at its arguments (--help, a usage error) compiles no
-layer.  A command loads only the layer it calls: verifier for verify, scan
-and counterexample, quotients for fq, sums for sum, and bernoulli for
-bernoulli and --bernoulli-cap.  The layer's names are bound here then, or
-on their first read (cli.verify, say); a name already bound is kept, so a
-wrapper set here before (bench/tracer.py wraps verify, scan,
-fermat_quotient and bernoulli_number) is what runs.
+A process runs main through run, which ends it without the interpreter's
+teardown; main itself returns its exit status to any caller.
+
+Only argparse, atexit, io, os, sys and errors are imported with this
+module, so a process that stops at its arguments (--help, a usage error)
+compiles no layer.  A command loads only the layer it calls: verifier for
+verify, scan and counterexample, quotients for fq, sums for sum, and
+bernoulli for bernoulli and --bernoulli-cap.  The layer's names are bound
+here then, or on their first read (cli.verify, say); a name already bound
+is kept, so a wrapper set here before (bench/tracer.py wraps verify,
+scan, fermat_quotient and bernoulli_number) is what runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import io
+import os
 import sys
 from math import inf
 
@@ -41,6 +47,8 @@ from .errors import (
 
 TYPE_CHECKING = False  # typing is not imported for this alone
 if TYPE_CHECKING:
+    from typing import NoReturn
+
     from .bernoulli import BernoulliCache
     from .report import CongruenceReport, IdentityId
 
@@ -49,6 +57,7 @@ __all__ = [
     "main",
     "parse_report_json",
     "report_to_dict",
+    "run",
     "serialize_report",
     "serialize_reports",
 ]
@@ -424,5 +433,35 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def run() -> NoReturn:
+    """The process entry: main() on sys.argv, then the end of the process.
+
+    Once the atexit handlers have run (once, as at a normal exit) and the
+    output is flushed, os._exit ends the process: the final collection and
+    the clearing of every module are skipped, and the OS takes the memory
+    back at once.  A normal exit remains where something watches or owns the
+    end: an exception from main (its traceback and status are unchanged),
+    a trace or profile function (a profiler, tracer or debugger), or a
+    standard stream that is None.  A reader that has gone before the
+    output was written gives one error line and status 1; what stdout
+    still holds is dropped.
+    """
+    try:
+        code = main()
+        watched = sys.gettrace() is not None or sys.getprofile() is not None
+        if watched or sys.stdout is None or sys.stderr is None:
+            sys.exit(code)
+        atexit._run_exitfuncs()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: output not written: {exc}", file=sys.stderr)
+        sys.exit(1)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -608,13 +608,18 @@ def test_serialize_reports_batch():
         serialize_reports(reports, "xml")
 
 
-def _interpreter(*args: str, check: bool = True) -> subprocess.CompletedProcess:
-    """A fresh interpreter on this package, run with args."""
+def _env() -> dict[str, str]:
+    """This process's environment, with this package first on the path."""
     src = str(Path(lehmer_congruences.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _interpreter(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this package, run with args."""
     return subprocess.run(
         [sys.executable, *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env=_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -629,6 +634,89 @@ def _probe(code: str) -> list[str]:
 
 def _cli(*argv: str) -> subprocess.CompletedProcess:
     return _interpreter("-m", "lehmer_congruences", *argv, check=False)
+
+
+def test_a_process_writes_what_main_returns(capsys):
+    # 802 rows, 86,586 bytes: more than a pipe holds, all written before
+    # the process ends without its teardown
+    argv = ["scan", "--identity", "thm3", "--from", "5", "--to", "2410", "--format", "json"]
+    done = _cli(*argv)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (len(done.stdout.splitlines()), len(done.stdout.encode())) == (802, 86586)
+    assert run_cli(capsys, *argv) == (0, done.stdout, "")
+
+
+@pytest.mark.parametrize("argv, code, last", [
+    (["verify", "--identity", "lemma1", "--p", "13", "--bernoulli-cap", "100"], 1,
+     "error: B_156 requested, but the cache is capped at index 100"),
+    (["scan", "--identity", "thm3"], 2,
+     "lehmer-congruences scan: error: the following arguments are required: --from, --to"),
+], ids=["capped", "usage-error"])
+def test_a_process_exits_with_what_main_returns(capsys, argv, code, last):
+    done = _cli(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, *argv)
+    assert done.returncode == code and done.stderr.splitlines()[-1] == last
+
+
+_ENTRY_PROBE = """\
+import atexit, os, sys
+class Mark:  # tells whether the interpreter tore down the modules
+    def __del__(self, write=os.write):
+        write(1, b'teardown\\n')
+mark = Mark()
+atexit.register(print, 'handler')
+{trace}
+sys.argv = ['lehmer-congruences', 'fq', '--n', '7', '--a', '2']
+from lehmer_congruences.cli import run
+run()
+"""
+
+
+@pytest.mark.parametrize("trace, words", [
+    ("", ["9", "handler"]),
+    ("sys.settrace(lambda *args: None)", ["9", "handler", "teardown"]),
+], ids=["plain", "traced"])
+def test_the_entry_runs_each_atexit_handler_once_and_skips_teardown(trace, words):
+    # a handler registered before the entry (a coverage tool's, say) runs
+    # once; the modules are torn down only when a trace function watches
+    assert _probe(_ENTRY_PROBE.format(trace=trace)) == words
+
+
+def test_a_profiled_process_ends_normally():
+    done = _interpreter("-m", "cProfile", "-m", "lehmer_congruences", "--help")
+    assert done.stdout.startswith("usage: lehmer-congruences")
+    assert "function calls" in done.stdout and "Ordered by" in done.stdout
+
+
+def _to_closed_pipe(*argv: str, unbuffered: bool) -> tuple[int, str]:
+    """Exit status and stderr of the CLI writing to a pipe nobody reads."""
+    read, write = os.pipe()
+    os.close(read)
+    env = {key: value for key, value in _env().items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "lehmer_congruences", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_1_with_one_error_line(unbuffered):
+    lost = "error: output not written: [Errno 32] Broken pipe\n"
+    for argv in (
+        ["scan", "--identity", "thm3", "--from", "5", "--to", "2410", "--format", "json"],
+        ["verify", "--identity", "thm3", "--n", "35"],
+    ):
+        assert _to_closed_pipe(*argv, unbuffered=unbuffered) == (1, lost), argv
+    # argparse drops a help text it cannot write; one left in the buffer is
+    # lost at the final flush
+    help_lost = (0, "") if unbuffered else (1, lost)
+    assert _to_closed_pipe("--help", unbuffered=unbuffered) == help_lost
 
 
 def test_integers_past_the_decimal_conversion_limit():
