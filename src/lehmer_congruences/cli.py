@@ -433,6 +433,31 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def _watched() -> bool:
+    """Whether a tracer, profiler or debugger watches this process."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    # from Python 3.12 cProfile (and pdb's monitoring backend) hook in
+    # through sys.monitoring, not through a profile or trace function
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None
+        for tool in (monitoring.DEBUGGER_ID, monitoring.PROFILER_ID)
+    )
+
+
+def _drop_if_broken(stream) -> None:
+    """Point stream at os.devnull if its reader has gone, dropping what it holds."""
+    if stream is None:
+        return
+    try:
+        stream.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 def run() -> NoReturn:
     """The process entry: main() on sys.argv, then the end of the process.
 
@@ -441,27 +466,29 @@ def run() -> NoReturn:
     the clearing of every module are skipped, and the OS takes the memory
     back at once.  A normal exit remains where something watches or owns the
     end: an exception from main (its traceback and status are unchanged),
-    a trace or profile function (a profiler, tracer or debugger), or a
-    standard stream that is None.  A reader that has gone before the
-    output was written gives one error line and status 1; what stdout
-    still holds is dropped.
+    a tracer, profiler or debugger (a trace or profile function, or a
+    sys.monitoring tool), or a standard stream that is None.  A reader of
+    stdout or stderr that has gone gives status 1 and, where stderr can
+    still be written, one error line; only the stream that broke loses
+    what it still holds.
     """
     try:
         code = main()
-        watched = sys.gettrace() is not None or sys.getprofile() is not None
-        if watched or sys.stdout is None or sys.stderr is None:
+        if _watched() or sys.stdout is None or sys.stderr is None:
             sys.exit(code)
         atexit._run_exitfuncs()
         sys.stdout.flush()
         sys.stderr.flush()
     except BrokenPipeError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: output not written: {exc}", file=sys.stderr)
+        if sys.stderr is not None:
+            try:
+                print(f"error: output not written: {exc}", file=sys.stderr)
+            except OSError:
+                pass
+        _drop_if_broken(sys.stdout)
+        _drop_if_broken(sys.stderr)
         sys.exit(1)
     os._exit(code)
-
 
 if __name__ == "__main__":
     run()

@@ -23,6 +23,7 @@ from lehmer_congruences.cli import (
     _CSV_COLUMNS,
     _csv_row,
     _json_line,
+    _watched,
     main,
     parse_report_json,
     report_to_dict,
@@ -675,11 +676,42 @@ run()
 @pytest.mark.parametrize("trace, words", [
     ("", ["9", "handler"]),
     ("sys.settrace(lambda *args: None)", ["9", "handler", "teardown"]),
-], ids=["plain", "traced"])
+    pytest.param(
+        "sys.monitoring.use_tool_id(sys.monitoring.PROFILER_ID, 'probe')",
+        ["9", "handler", "teardown"],
+        marks=pytest.mark.skipif(sys.version_info < (3, 12), reason="no sys.monitoring"),
+    ),
+], ids=["plain", "traced", "monitored"])
 def test_the_entry_runs_each_atexit_handler_once_and_skips_teardown(trace, words):
     # a handler registered before the entry (a coverage tool's, say) runs
-    # once; the modules are torn down only when a trace function watches
+    # once; the modules are torn down only when a tracer or profiler watches
     assert _probe(_ENTRY_PROBE.format(trace=trace)) == words
+
+
+class _Monitoring:
+    """A stand-in for the sys.monitoring of Python 3.12 and later."""
+
+    DEBUGGER_ID, COVERAGE_ID, PROFILER_ID = 0, 1, 2
+
+    def __init__(self, tools: dict[int, str]):
+        self.tools = tools
+
+    def get_tool(self, tool: int) -> str | None:
+        return self.tools.get(tool)
+
+
+@pytest.mark.parametrize("tools, watched", [
+    ({}, False),
+    ({2: "cProfile"}, True),
+    ({0: "pdb"}, True),
+    ({1: "coverage"}, False),  # it saves its data in an atexit handler, which runs
+], ids=["none", "profiler", "debugger", "coverage"])
+def test_a_sys_monitoring_profiler_or_debugger_watches_the_process(monkeypatch, tools, watched):
+    # from Python 3.12 cProfile sets no profile function, only this tool
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    monkeypatch.setattr(sys, "monitoring", _Monitoring(tools), raising=False)
+    assert _watched() is watched
 
 
 def test_a_profiled_process_ends_normally():
@@ -688,21 +720,23 @@ def test_a_profiled_process_ends_normally():
     assert "function calls" in done.stdout and "Ordered by" in done.stdout
 
 
-def _to_closed_pipe(*argv: str, unbuffered: bool) -> tuple[int, str]:
-    """Exit status and stderr of the CLI writing to a pipe nobody reads."""
+def _to_closed_pipe(*args: str, stream: str, unbuffered: bool) -> tuple[int, str]:
+    """Exit status of an interpreter run with args whose stdout or stderr
+    (stream) is a pipe nobody reads, and what it wrote to the other one."""
     read, write = os.pipe()
     os.close(read)
     env = {key: value for key, value in _env().items() if key != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    other = "stderr" if stream == "stdout" else "stdout"
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "lehmer_congruences", *argv],
-            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            [sys.executable, *args], **{stream: write, other: subprocess.PIPE},
+            env=env, text=True, timeout=60,
         )
     finally:
         os.close(write)
-    return done.returncode, done.stderr
+    return done.returncode, getattr(done, other)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -711,12 +745,38 @@ def test_a_closed_stdout_exits_1_with_one_error_line(unbuffered):
     for argv in (
         ["scan", "--identity", "thm3", "--from", "5", "--to", "2410", "--format", "json"],
         ["verify", "--identity", "thm3", "--n", "35"],
+        ["--help"],
     ):
-        assert _to_closed_pipe(*argv, unbuffered=unbuffered) == (1, lost), argv
-    # argparse drops a help text it cannot write; one left in the buffer is
-    # lost at the final flush
-    help_lost = (0, "") if unbuffered else (1, lost)
-    assert _to_closed_pipe("--help", unbuffered=unbuffered) == help_lost
+        done = _to_closed_pipe(
+            "-m", "lehmer_congruences", *argv, stream="stdout", unbuffered=unbuffered
+        )
+        # argparse drops a help text it cannot write; one left in the
+        # buffer is lost at the final flush
+        assert done == ((0, "") if argv == ["--help"] and unbuffered else (1, lost)), argv
+
+
+_KEPT_PROBE = """\
+import sys
+print('kept')
+sys.argv = ['lehmer-congruences', *{argv!r}]
+from lehmer_congruences.cli import run
+run()
+"""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "lemma1", "--p", "13", "--bernoulli-cap", "100"],
+    ["verify", "--identity", "thm3", "--n", "35"],
+], ids=["capped", "holds"])
+def test_a_closed_stderr_keeps_what_stdout_holds(capsys, unbuffered, argv):
+    # the capped check's error line goes to the closed stderr; what stdout
+    # holds (a line printed before the entry, and the report) still gets out
+    code, out, _ = run_cli(capsys, *argv)
+    probe = _KEPT_PROBE.format(argv=argv)
+    assert _to_closed_pipe("-c", probe, stream="stderr", unbuffered=unbuffered) == (
+        code, "kept\n" + out
+    )
 
 
 def test_integers_past_the_decimal_conversion_limit():
