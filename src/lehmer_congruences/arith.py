@@ -14,8 +14,9 @@ padic_congruent and rational_mod read a rational p-adically or mod m.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from math import gcd, inf
+from collections.abc import Iterator, Sequence
+from itertools import combinations
+from math import gcd, inf, prod
 
 from .errors import (
     FactorizationLimitExceeded,
@@ -278,6 +279,14 @@ def divisors(n: FactoredInteger) -> list[int]:
         powers = [p**e for e in range(1, alpha + 1)]
         divs += [d * q for d in divs for q in powers]
     return sorted(divs)
+
+
+def _moebius_terms(n: FactoredInteger) -> Iterator[tuple[int, int]]:
+    """(mu(s), s) for every squarefree divisor s of n."""
+    primes = [p for p, _ in n.factors]
+    for size in range(len(primes) + 1):
+        for combo in combinations(primes, size):
+            yield (-1) ** size, prod(combo)
 
 
 def crt_combine(parts: Sequence[Residue]) -> Residue:

@@ -76,7 +76,7 @@ _CSV_COLUMNS = ("identity",) + _PARAM_COLUMNS + (
 _IDENTITY_HELP = """\
 identity codes:
   lehmer-half   half-range harmonic sum mod p^2 (odd primes, includes p = 3)
-  cai           the same congruence at odd composite n
+  cai           the same congruence at every odd n >= 3, prime or not
   lehmer-p3/p4/p6   the d-sums at prime modulus p^2 (p >= 5)
   thm3/thm4/thm6    the d-sums at any n with gcd(n, 6) = 1
   lemma1        phi(p^alpha) vs p^alpha B_{phi(p^{2 alpha})}, p-adically

@@ -40,10 +40,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from itertools import chain, combinations, compress
-from math import gcd, prod
+from itertools import chain, compress
+from math import gcd
 
-from .arith import FactoredInteger, Residue, _Value, factorize, is_prime, p_adic_valuation
+from .arith import (
+    FactoredInteger, Residue, _Value, _moebius_terms, factorize, is_prime, p_adic_valuation,
+)
 from .errors import (
     HALF,
     EvenModulusError,
@@ -238,8 +240,7 @@ def _lemma2_args(n: int, p: int, d: int) -> int:
         raise PreconditionError(f"p must be a prime >= 5, got {p}")
     if n % p:
         raise PrimeDivisibilityError(f"{p} does not divide {n}")
-    g = gcd(n, 6)
-    if g != 1:
+    if (g := gcd(n, 6)) != 1:
         raise NotCoprimeError(f"gcd({n}, 6) = {g}; need gcd(n, 6) = 1")
     return p_adic_valuation(n, p)
 
@@ -293,15 +294,9 @@ def coprime_sums(ns: Sequence[int], d: int | str) -> list[Residue]:
 def _summable(ns: Sequence[int], d: int | str) -> int:
     """How many leading values of the ascending ns fit coprime_sums's term budget.
 
-    A sum's count of r never falls as n grows; one test settles a list that fits whole.
+    A sum's count of r never falls as n grows, so the values that fit lead.
     """
-
-    def bound(n: int) -> int:
-        return SumSpec(n, d, None, n * n).bound()
-
-    if not ns or bound(ns[-1]) <= MAX_MODULAR_TERMS:
-        return len(ns)
-    return bisect_right(ns, MAX_MODULAR_TERMS, key=bound)
+    return bisect_right(ns, MAX_MODULAR_TERMS, key=lambda n: SumSpec(n, d, None, n * n).bound())
 
 
 def lemma2_sum(n: int, p: int, d: int) -> Residue:
@@ -378,8 +373,7 @@ def theorem_rhs(n: int, d: int) -> Residue:
     """
     _check_d(d)
     _require_modulus(n)
-    g = gcd(n, 6)
-    if g != 1:
+    if (g := gcd(n, 6)) != 1:
         raise NotCoprimeError(f"gcd({n}, 6) = {g}; need gcd(n, 6) = 1")
     return _weighted_rhs(factorize(n), d, n * n)
 
@@ -437,14 +431,6 @@ def lemma2_rhs_exact(p: int, alpha: int, d: int) -> Fraction:
     if d == 4:
         return Fraction(3 * fermat_quotient(m, 2), 4)
     return Fraction(fermat_quotient(m, 2), 3) + Fraction(fermat_quotient(m, 3), 4)
-
-
-def _moebius_terms(q: FactoredInteger) -> Iterator[tuple[int, int]]:
-    """(mu(s), s) for every squarefree divisor s of q."""
-    primes = [f for f, _ in q.factors]
-    for size in range(len(primes) + 1):
-        for combo in combinations(primes, size):
-            yield (-1) ** size, prod(combo)
 
 
 def moebius_decomposition_sides(n: int, p: int, d: int) -> tuple[Residue, Residue]:

@@ -10,6 +10,7 @@ the product of _top_powers(top), and each n reads its part of L from
 that same map.  Both take every n as an arith.FactoredInteger and read
 its primes from n.factors.  The sweep's result is certified: a quotient
 that does not divide out exactly raises instead of returning a value.
+It imports arith and errors alone, never sums.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from collections.abc import Sequence
 from itertools import compress
 from math import gcd, isqrt, prod
 
-from .arith import FactoredInteger, Residue, euler_phi
-from .sums import HALF, _moebius_terms
+from .arith import FactoredInteger, Residue, _moebius_terms, euler_phi
+from .errors import HALF
 
 # Costs in ns, fitted on CPython 3.11.7 (one vCPU of a 2-vCPU virtual
 # machine) to lists of the admissible n in [5, 8000], [3000, 3100],

@@ -2,29 +2,30 @@
 
 IDENTITIES holds one IdentitySpec per IdentityId: the parameters its check
 reads, scan's admissibility filter, the modulus a skip report carries,
-the modular check, the exact-rational sides for the oracle, and the
-embedded d.  verify and scan read the table and branch on no identity;
-its entries look the layer functions up in this module when they run, so a
-wrapper set here (a tracer, a test double) sees every call; those that sum
-load the sums layer first, so a lemma check never loads it.  scan keeps the
-admissible values of the scanned variable and turns a check that hits a
-cap or a budget into a skip report, so the output stays auditable.  With
-several workers it deals those values round-robin to processes forked
-from the caller, one pipe each, and every share (the caller's own
-included) runs through _scan_chunk, looked up here at call time.  Given
-a render function, each share renders its own reports, so a child sends
-back rendered rows with their verdicts, not reports.  For an identity
-whose spec has a left function (the half-range and d-sum identities,
-prime forms included) a share factors the leading values whose sums fit
-the term budget, as arith.FactoredIntegers, and sums them in one
-sums.coprime_sums call; their checks form only the right sides, reading
-phi(n) from the value, and each later value's check refuses it unfactored.
-So a scanned value is factored once, fallback included, while verify
-factors its one value once per side.  One builder, _sum, makes these
-eight identities: its admissible states their hypothesis once, as scan's
-filter and as the refusal verify meets before either side is formed, and
-its check forms the left side, whose term budget coprime_sums checks
-before it factors n, before the right.  The counterexample search
+the modular check, the exact-rational sides of a report's params for the
+oracle, and the embedded d.  verify and scan read the table and branch on
+no identity; its entries look the layer functions up in this module when
+they run, so a wrapper set here (a tracer, a test double) sees every
+call; those that sum load the sums layer first, so a lemma check never
+loads it.  scan keeps the admissible values of the scanned variable and
+turns a check that hits a cap or a budget into a skip report, so the
+output stays auditable.  With several workers it deals those values
+round-robin to processes forked from the caller (which loads the sums
+layer first when they sum), one pipe each, and every share (the caller's
+own included) runs through _scan_chunk, looked up here at call
+time.  Given a render function, each share renders its own reports, so a
+child sends back rendered rows with their verdicts, not reports.  For an
+identity whose spec has a left function (the half-range and d-sum
+identities, prime forms included) a share factors the leading values
+whose sums fit the term budget, as arith.FactoredIntegers, and sums them
+in one sums.coprime_sums call; their checks form only the right sides,
+reading phi(n) from the value, and each later value's check refuses it
+unfactored.  So a scanned value is factored once, fallback included, while
+verify factors its one value once per side.  One builder, _sum, makes
+these eight identities: its admissible states their hypothesis once, as
+scan's filter and as the refusal verify meets before either side is
+formed, and its check forms the left side, whose term budget coprime_sums
+checks before it factors n, before the right.  The counterexample search
 deliberately relaxes the hypothesis gcd(n, 6) = 1 but keeps the modular
 routes of both sides; the right-hand side cancels what its numerator
 shares with its weights' denominator before it inverts the rest.
@@ -98,8 +99,8 @@ class IdentitySpec(_Value):
     filter for a walked value, and for the sum identities also the test by
     which verify refuses n; modulus gives the modulus a skipped check
     reports, check runs the modular route, and exact returns the exact
-    rationals of both sides given the report's params and modulus (None
-    when check already compares exact values).  bernoulli tells whether
+    rationals of both sides given the report's params alone (None when
+    check already compares exact values).  bernoulli tells whether
     check reads a Bernoulli number, and so whether it takes a cache.  left,
     when not None, takes a scan share's ascending walked values and returns
     them with their left sides: each value whose sum fits the term budget
@@ -122,7 +123,7 @@ class IdentitySpec(_Value):
         check: Callable[
             [IdentityId, Params, BernoulliCache | None, Residue | None], CongruenceReport
         ],
-        exact: Callable[[Params, int], tuple[Fraction, Fraction]] | None,
+        exact: Callable[[Params], tuple[Fraction, Fraction]] | None,
         d: int | None = None,
         defaults: Params | None = None,
         bernoulli: bool = False,
@@ -182,9 +183,9 @@ def _sum(d: int | str, prime: bool) -> IdentitySpec:
             lhs = half_harmonic(n) if half else lehmer_sum(n, d)
         return _modular_report(identity, q, lhs, half_rhs(n) if half else theorem_rhs(n, d))
 
-    def exact(q: Params, m: int) -> tuple[Fraction, Fraction]:
+    def exact(q: Params) -> tuple[Fraction, Fraction]:
         _load("sums")
-        lhs = exact_sum(SumSpec(q["n"], d, None, m))
+        lhs = exact_sum(SumSpec(q["n"], d, None, _square(q)))
         return lhs, half_rhs_exact(q["n"]) if half else theorem_rhs_exact(q["n"], d)
 
     return IdentitySpec(
@@ -202,10 +203,10 @@ def _lemma2(d: int) -> IdentitySpec:
         q = {**q, "alpha": p_adic_valuation(n, p)}
         return _modular_report(identity, q, lhs, lemma2_rhs(p, q["alpha"], d))
 
-    def exact(q: Params, m: int) -> tuple[Fraction, Fraction]:
+    def exact(q: Params) -> tuple[Fraction, Fraction]:
         _load("sums")
-        n, p = q["n"], q["p"]
-        return exact_sum(SumSpec(n, d, p, m)), lemma2_rhs_exact(p, q["alpha"], d)
+        n, p, alpha = q["n"], q["p"], q["alpha"]
+        return exact_sum(SumSpec(n, d, p, p ** (2 * alpha))), lemma2_rhs_exact(p, alpha, d)
 
     return IdentitySpec(("n", "p"), _localized, _local_modulus, check, exact, d=d)
 
@@ -217,7 +218,7 @@ def _moebius(identity: IdentityId, q: Params, cache, lhs) -> CongruenceReport:
     return _modular_report(identity, {**q, "alpha": p_adic_valuation(n, p)}, lhs, rhs)
 
 
-def _moebius_exact(q: Params, m: int) -> tuple[Fraction, Fraction]:
+def _moebius_exact(q: Params) -> tuple[Fraction, Fraction]:
     _load("sums")
     return moebius_decomposition_sides_exact(q["n"], q["p"], q["d"])
 
@@ -248,14 +249,14 @@ IDENTITIES: dict[IdentityId, IdentitySpec] = {
         lambda n, q: n > 1 and gcd(n, 6 * q["a"]) == 1,
         _square,
         lambda identity, q, cache, lhs: lemma3_check(q["n"], q["a"]),
-        lambda q, m: lemma3_exact_sides(q["n"], q["a"]),
+        lambda q: lemma3_exact_sides(q["n"], q["a"]),
     ),
     IdentityId.LEMMA_4: IdentitySpec(
         ("n", "a", "p"),
         lambda n, q: n > 1 and n % q["p"] == 0 and gcd(q["a"], n) == 1,
         _local_modulus,
         lambda identity, q, cache, lhs: lemma4_check(q["n"], q["a"], q["p"]),
-        lambda q, m: lemma4_exact_sides(q["n"], q["a"], q["p"]),
+        lambda q: lemma4_exact_sides(q["n"], q["a"], q["p"]),
     ),
     IdentityId.MOEBIUS_DECOMP: IdentitySpec(
         ("n", "p", "d"),
@@ -346,7 +347,7 @@ def _exact_recheck(report: CongruenceReport) -> None:
     if exact is None:
         return
     m = report.modulus
-    lhs, rhs = (rational_mod(side, m) for side in exact(report.params, m))
+    lhs, rhs = (rational_mod(side, m) for side in exact(report.params))
     if lhs.rep != report.lhs.rep or rhs.rep != report.rhs.rep:
         raise OracleDivergence(
             f"{report.identity.value} at {report.params}: modular route gave "
@@ -541,6 +542,8 @@ def scan(
     values = [v for v in range(n_from, n_to + 1) if spec.admissible(v, params)]
     workers = min(workers, len(values), _usable_cpus())
     if workers > 1 and hasattr(os, "fork"):
+        if spec.left is not None:  # every share sums: load the layer once, before the fork
+            _load("sums")
         return _fan_out(workers, identity, values, params, cache, exact_oracle, render)
     return _scan_chunk(identity, values, params, cache, exact_oracle, render)
 

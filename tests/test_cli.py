@@ -1,5 +1,6 @@
 """The command line surface: parsing, serialization, exit codes."""
 
+import ast
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import time
+from graphlib import TopologicalSorter
 from math import inf
 from pathlib import Path
 
@@ -901,6 +903,40 @@ def test_a_forked_scan_imports_pickle_only_after_the_callers_first_share():
     )
     bare, rows, after, *seen = _probe(probe)
     assert (rows, after, seen) == ("19", "True", [bare])
+
+
+def test_a_forked_sum_scan_imports_the_sums_layer_once():
+    # the caller loads sums before it forks, so no share compiles it again;
+    # the children inherit stderr, so their imports are listed too
+    probe = (
+        "from lehmer_congruences import verifier\n"
+        "verifier._usable_cpus = lambda: 2\n"
+        "print(len(verifier.scan(verifier.IdentityId.THM_3, 5, 60, workers=2)))"
+    )
+    done = _interpreter("-X", "importtime", "-c", probe)
+    assert done.stdout.split() == ["19"]
+    imports = [line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+               if line.startswith("import time:")]
+    assert imports.count("lehmer_congruences.sums") == 1
+
+
+def test_the_package_imports_form_no_cycle():
+    # every relative import, wherever it stands (a function, a TYPE_CHECKING
+    # block), and every layer a module loads on use through errors._layers
+    package = Path(lehmer_congruences.__file__).parent
+    graph = {}
+    for path in package.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        edges = graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                edges |= {node.module} if node.module else {a.name for a in node.names}
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_layers":
+                edges |= {key.value for key in node.args[1].keys}
+    assert {"arith", "cli", "errors", "sums", "sweep", "verifier"} <= graph.keys()
+    assert "sums" in graph["verifier"] and "sums" not in graph["sweep"]
+    TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
 
 
 def _imported(*args: str, code: int = 0) -> set[str]:

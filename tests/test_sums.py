@@ -381,11 +381,18 @@ def test_summable_counts_the_leading_values_under_the_term_budget(monkeypatch):
     assert sums._summable(ns, HALF) == 4  # (n - 1) // 2 > 10 from n = 23
     assert sums._summable([35, 37], 3) == 0
     assert sums._summable([], 3) == 0
-    bounds = []
-    real = SumSpec.bound
-    monkeypatch.setattr(SumSpec, "bound", lambda spec: bounds.append(spec.n) or real(spec))
-    assert sums._summable(ns[:8], 3) == 8
-    assert bounds == [31]  # a list that fits whole takes one test
+
+
+@pytest.mark.parametrize("d", [3, 4, 6, HALF])
+def test_summable_is_the_linear_count_of_leading_values_in_budget(monkeypatch, d):
+    monkeypatch.setattr(sums, "MAX_MODULAR_TERMS", 40)
+    rng = random.Random(f"summable/{d}")
+    for _ in range(200):
+        ns = sorted(rng.sample(range(1, 400), rng.randrange(0, 12)))
+        fit = 0  # the count of r passes 40 from n = 83 (HALF), 123, 164 or 246 (d = 6)
+        while fit < len(ns) and ((ns[fit] - 1) // 2 if d == HALF else ns[fit] // d) <= 40:
+            fit += 1
+        assert sums._summable(ns, d) == fit, ns
 
 
 def test_lemma2_sum_values():
