@@ -14,9 +14,8 @@ padic_congruent and rational_mod read a rational p-adically or mod m.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from itertools import combinations
-from math import gcd, inf, prod
+from collections.abc import Sequence
+from math import gcd, inf
 
 from .errors import (
     FactorizationLimitExceeded,
@@ -50,15 +49,20 @@ class _Value:
     the hash is that of the field tuple, the repr is Name(field=value, ...),
     and assignment or deletion raises AttributeError, as for a frozen
     dataclass.  A subclass's __init__ validates its arguments, then passes
-    every field, in slot order, to _Value.__init__.  Pickling re-calls the
-    constructor, so an unpickled value is validated like a new one.
+    every field, in slot order, to _Value.__init__, which calls the slot
+    setters (each slot descriptor's __set__) that __init_subclass__ collects
+    once per class.  Pickling re-calls the constructor, so an unpickled
+    value is validated like a new one.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -281,12 +285,13 @@ def divisors(n: FactoredInteger) -> list[int]:
     return sorted(divs)
 
 
-def _moebius_terms(n: FactoredInteger) -> Iterator[tuple[int, int]]:
-    """(mu(s), s) for every squarefree divisor s of n."""
-    primes = [p for p, _ in n.factors]
-    for size in range(len(primes) + 1):
-        for combo in combinations(primes, size):
-            yield (-1) ** size, prod(combo)
+def _moebius_terms(n: FactoredInteger) -> list[tuple[int, int]]:
+    """(mu(s), s) for every squarefree divisor s of n; each prime p doubles the list."""
+    terms = [(1, 1)]
+    for p, _ in n.factors:
+        for mu, s in terms.copy():
+            terms.append((-mu, s * p))
+    return terms
 
 
 def crt_combine(parts: Sequence[Residue]) -> Residue:

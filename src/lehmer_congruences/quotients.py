@@ -92,10 +92,11 @@ def fermat_quotient_mod(n: int, a: int, m: int) -> int:
     quotient is exactly q_n(a) reduced mod m.  phi(n) is read from
     factorize(n), so a FactoredInteger n is not factored again.
     """
-    _require_modulus(n)
-    if m < 1:
-        raise PreconditionError(f"modulus must be >= 1, got {m}")
-    _require_coprime(a, n)
+    if n < 2 or m < 1 or gcd(a, n) != 1:  # only then say which test failed
+        _require_modulus(n)
+        if m < 1:
+            raise PreconditionError(f"modulus must be >= 1, got {m}")
+        _require_coprime(a, n)
     nm = n * m
     return (pow(a, euler_phi(factorize(n)), nm) - 1) % nm // n
 
@@ -160,11 +161,9 @@ def _lemma4_args(n: int, a: int, p: int) -> tuple[int, int, FactoredInteger, Fac
     """Validate the lemma4 hypotheses; returns alpha, n / p^alpha, n and p^alpha factored."""
     _require_modulus(n)
     _require_coprime(a, n)
-    if not is_prime(p):
-        raise PreconditionError(f"p must be prime, got {p}")
-    if n % p:
+    alpha = p_adic_valuation(n, p)  # refuses a p that is not prime
+    if not alpha:
         raise PrimeDivisibilityError(f"{p} does not divide {n}")
-    alpha = p_adic_valuation(n, p)
     prime_power = FactoredInteger(p**alpha, ((p, alpha),))
     return alpha, n // prime_power, factorize(n), prime_power
 
@@ -193,13 +192,9 @@ def lemma4_check(n: int, a: int, p: int) -> CongruenceReport:
     lhs = _combination(n, fermat_quotient_mod(factored, a, modulus), modulus)
     local = _combination(prime_power, fermat_quotient_mod(prime_power, a, modulus), modulus)
     phi_q = euler_phi(factored) // euler_phi(prime_power)  # gcd(p^alpha, q) = 1
-    rhs = phi_q * pow(q, -1, modulus) % modulus * local % modulus
-    return _modular_report(
-        IdentityId.LEMMA_4,
-        {"n": n, "a": a, "p": p, "alpha": alpha},
-        Residue(lhs, modulus),
-        Residue(rhs, modulus),
-    )
+    rhs = Residue(phi_q * pow(q, -1, modulus) % modulus * local % modulus, modulus)
+    params = {"n": n, "a": a, "p": p, "alpha": alpha}
+    return _modular_report(IdentityId.LEMMA_4, params, Residue(lhs, modulus), rhs)
 
 
 def lemma3_exact_sides(n: int, a: int) -> tuple[Fraction, Fraction]:

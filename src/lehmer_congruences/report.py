@@ -74,11 +74,4 @@ def _modular_report(
     """The report of a check whose two sides are residues mod one modulus."""
     if lhs.modulus != rhs.modulus:
         raise ArithmeticError("left and right sides use different moduli")
-    return CongruenceReport(
-        identity=identity,
-        params=params,
-        modulus=lhs.modulus,
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs.rep == rhs.rep,
-    )
+    return CongruenceReport(identity, params, lhs.modulus, lhs, rhs, lhs.rep == rhs.rep)

@@ -345,8 +345,8 @@ def half_rhs(n: int) -> Residue:
     Integer coefficients only, so this side needs no inverses and exists
     for every odd n, prime or not.
     """
-    _require_modulus(n)
-    if n % 2 == 0:
+    if n < 2 or n % 2 == 0:  # only then say which test failed
+        _require_modulus(n)
         raise EvenModulusError(f"the half-range identity needs odd n, got {n}")
     return _weighted_rhs(factorize(n), HALF, n * n)
 
@@ -371,9 +371,9 @@ def theorem_rhs(n: int, d: int) -> Residue:
 
     The constant denominators are inverted mod n^2, hence gcd(n, 6) = 1.
     """
-    _check_d(d)
-    _require_modulus(n)
-    if (g := gcd(n, 6)) != 1:
+    if d not in (3, 4, 6) or n < 2 or (g := gcd(n, 6)) != 1:  # only then say which test failed
+        _check_d(d)
+        _require_modulus(n)
         raise NotCoprimeError(f"gcd({n}, 6) = {g}; need gcd(n, 6) = 1")
     return _weighted_rhs(factorize(n), d, n * n)
 

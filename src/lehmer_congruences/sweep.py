@@ -3,9 +3,9 @@
 sums.coprime_sums imports this module when it is given more than one n,
 so a process that only verifies single values never compiles it.
 is_cheaper weighs the sweep against sums.modular_sum at every n, and
-swept_sums is the sweep: one ascending pass over j adds the exact
-integers L // j, L = lcm(1..top), to one prefix sum per unit class mod
-D, and every n reads those prefix sums at its Moebius cut points.  L is
+swept_sums is the sweep: one ascending pass over the j of each unit
+class mod D adds the exact integers L // j, L = lcm(1..top), to that
+class's prefix sum, and every n reads it at its Moebius cut points.  L is
 the product of _top_powers(top), and each n reads its part of L from
 that same map.  Both take every n as an arith.FactoredInteger and read
 its primes from n.factors.  The sweep's result is certified: a quotient
@@ -42,13 +42,16 @@ def is_cheaper(ns: Sequence[FactoredInteger], d: int | str) -> bool:
     Chebyshev function psi(top) ~ top).
     """
     modulus, bounds = _shape(ns, d)
-    kept = sum(k * euler_phi(n) / (modulus * n) for n, k in zip(ns, bounds))
     top = max(bounds)
     steps = top * sum(gcd(c, modulus) == 1 for c in range(modulus)) // modulus
     requests = sum(1 << len(n.factors) for n in ns)
-    digits = top // 21 + 1
-    sweep = (steps * _SWEEP_STEP_NS + requests * _SWEEP_REQUEST_NS) * digits
-    return sweep < kept * _LOOP_NS
+    sweep = (steps * _SWEEP_STEP_NS + requests * _SWEEP_REQUEST_NS) * (top // 21 + 1)
+    kept = 0.0
+    for n, k in zip(ns, bounds):  # kept only grows: the first n that tips it decides
+        kept += k * euler_phi(n) / (modulus * n)
+        if sweep < kept * _LOOP_NS:
+            return True
+    return False
 
 
 def _shape(ns: Sequence[int], d: int | str) -> tuple[int, list[int]]:
@@ -85,50 +88,59 @@ def swept_sums(ns: Sequence[FactoredInteger], d: int | str) -> list[Residue]:
     (see _shape).  Moebius over the squarefree s | R = rad(n) makes
     it sum mu(s)/s P_{n/s mod D}(K // s), where P_c(k) is the sum of 1/j
     over j <= k, j = c mod D.  With L = lcm(1..top) and top the largest K,
-    I_c(k) = L P_c(k) is an integer, and one sweep over j adds L // j to
-    I_{j mod D}, reducing it mod n^2 G at every k that n requests; G is
-    the product over the primes p of n of p^(1 + v_p(L)), the p-part of
-    R L.  So Y = sum mu(s) (R/s) I is R L times the sum exactly, G divides
-    Y, and the sum is Y/G over R L/G, a unit mod n^2.  A G that does not
-    divide Y raises ArithmeticError.
+    I_c(k) = L P_c(k) is an integer.  One pass over the j of each unit
+    class c adds L // j to I_c, and at the last j <= k of class c reduces
+    I_c mod n^2 G for every (k, c) that an n requests; G is the product
+    over the primes p of n of p^(1 + v_p(L)), the p-part of R L.  So
+    Y = sum mu(s) (R/s) I is R L times the sum exactly, G divides Y, and
+    the sum is Y/G over R L/G, a unit mod n^2.  A G that does not divide Y
+    raises ArithmeticError.  The requests at one j, and the reductions of
+    L for 16 values of n, share one remainder of the full-size integer by
+    the product of their moduli.
     """
     modulus, bounds = _shape(ns, d)
     top = max(bounds, default=0)
     powers = _top_powers(top)
     lcm = prod(powers.values())
-    units = [gcd(c, modulus) == 1 for c in range(modulus)]
-    # the inverse of every unit class mod D; s | n is a unit, as gcd(n, D) = 1
-    inverse = [pow(c, -1, modulus) if unit else 0 for c, unit in enumerate(units)]
-    # k -> the requests at k: (index of n, class c, mu(s) R/s, n^2 G)
-    wanted: dict[int, list[tuple[int, int, int, int]]] = {}
-    scales = []  # (G, the p-part of L) at every n
-    for i, (n, bound) in enumerate(zip(ns, bounds)):
-        primes = [p for p, _ in n.factors]
-        rad = prod(primes)
-        local = prod(powers.get(p, 1) for p in primes)  # a p above top is not in L
-        g = rad * local
-        scales.append((g, local))
-        ng = n * n * g
+    wanted = [[] for _ in range(top + 1)]  # j -> (the terms of Y at n, mu(s) R/s, n^2 G)
+    moduli = [1] * (top + 1)  # j -> the product of the n^2 G requested at j
+    scales = []  # (n, n^2, G, the p-part of L, the terms of Y) at every n
+    for n, bound in zip(ns, bounds):
+        rad = local = 1
+        for p, _ in n.factors:
+            rad *= p
+            local *= powers.get(p, 1)  # a p above top is not in L
+        nsq = n * n
+        ng = nsq * rad * local
+        terms: list[int] = []
+        scales.append((n, nsq, rad * local, local, terms))
         for mu, s in _moebius_terms(n):
             k = bound // s
-            if k:
-                c = n * inverse[s % modulus] % modulus
-                wanted.setdefault(k, []).append((i, c, mu * (rad // s), ng))
-    partial = [0] * modulus
-    totals = [0] * len(ns)
-    for j in range(1, top + 1):
-        c = j % modulus
-        if units[c]:
-            partial[c] += lcm // j
-        for i, cls, weight, m in wanted.get(j, ()):
-            totals[i] += weight * (partial[cls] % m)
+            # every unit mod D | 24 is its own inverse, so n s is the class
+            # n/s mod D, and j the last of that class <= k, if any
+            j = k - (k - n * s) % modulus
+            if j > 0:
+                wanted[j].append((terms, mu * (rad // s), ng))
+                moduli[j] *= ng
+    for c in range(modulus):
+        if gcd(c, modulus) == 1:
+            partial = 0
+            for j in range(c or modulus, top + 1, modulus):
+                partial += lcm // j
+                if requests := wanted[j]:
+                    rest = partial % moduli[j]
+                    for terms, weight, m in requests:
+                        terms.append(weight * (rest % m))
     out = []
-    for n, total, (g, local) in zip(ns, totals, scales):
-        nsq = n * n
-        total %= nsq * g
-        if total % g:
-            raise ArithmeticError(f"the swept sum at n = {n} is not divisible by {g}")
-        # (L / local) mod n^2, without forming the full-size quotient L / local
-        unit = lcm % (nsq * local) // local
-        out.append(Residue(total // g * pow(unit, -1, nsq) % nsq, nsq))
+    # 16 moduli of 30-60 bits made the remainders of L fastest for the thm3 scan to 2410
+    for lo in range(0, len(ns), 16):
+        block = scales[lo : lo + 16]
+        rest = lcm % prod(nsq * local for _, nsq, _, local, _ in block)
+        for n, nsq, g, local, terms in block:
+            quotient, remainder = divmod(sum(terms) % (nsq * g), g)
+            if remainder:
+                raise ArithmeticError(f"the swept sum at n = {n} is not divisible by {g}")
+            # (L / local) mod n^2, without forming the full-size quotient L / local
+            unit = rest % (nsq * local) // local
+            out.append(Residue(quotient * pow(unit, -1, nsq) % nsq, nsq))
     return out

@@ -11,11 +11,11 @@ loads it.  scan keeps the admissible values of the scanned variable and
 turns a check that hits a cap or a budget into a skip report, so the
 output stays auditable.  With several workers it deals those values
 round-robin to processes forked from the caller (which loads the sums
-layer first when they sum), one pipe each, and every share (the caller's
-own included) runs through _scan_chunk, looked up here at call
-time.  Given a render function, each share renders its own reports, so a
-child sends back rendered rows with their verdicts, not reports.  For an
-identity whose spec has a left function (the half-range and d-sum
+and sweep layers first when they sum), one pipe each, and every share
+(the caller's own included) runs through _scan_chunk, looked up here at
+call time.  Given a render function, each share renders its own reports,
+so a child sends back rendered rows with their verdicts, not reports.
+For an identity whose spec has a left function (the half-range and d-sum
 identities, prime forms included) a share factors the leading values
 whose sums fit the term budget, as arith.FactoredIntegers, and sums them
 in one sums.coprime_sums call; their checks form only the right sides,
@@ -85,7 +85,7 @@ _load, __getattr__ = _layers(globals(), {"sums": (
     "half_harmonic", "half_rhs", "half_rhs_exact", "lehmer_sum", "lemma2_rhs",
     "lemma2_rhs_exact", "lemma2_sum", "modular_sum", "moebius_decomposition_sides",
     "moebius_decomposition_sides_exact", "theorem_rhs", "theorem_rhs_exact",
-)})
+), "sweep": ()})
 
 
 class IdentitySpec(_Value):
@@ -357,15 +357,8 @@ def _exact_recheck(report: CongruenceReport) -> None:
 
 
 def _skip_report(identity: IdentityId, params: Params, reason: str) -> CongruenceReport:
-    return CongruenceReport(
-        identity=identity,
-        params=params,
-        modulus=IDENTITIES[identity].modulus(params),
-        lhs=None,
-        rhs=None,
-        holds=None,
-        skipped_reason=reason,
-    )
+    modulus = IDENTITIES[identity].modulus(params)
+    return CongruenceReport(identity, params, modulus, None, None, None, reason)
 
 
 # a check that raises one of these yields a skip report in a scan
@@ -542,8 +535,9 @@ def scan(
     values = [v for v in range(n_from, n_to + 1) if spec.admissible(v, params)]
     workers = min(workers, len(values), _usable_cpus())
     if workers > 1 and hasattr(os, "fork"):
-        if spec.left is not None:  # every share sums: load the layer once, before the fork
+        if spec.left is not None:  # every share sums: load its layers once, before the fork
             _load("sums")
+            _load("sweep")
         return _fan_out(workers, identity, values, params, cache, exact_oracle, render)
     return _scan_chunk(identity, values, params, cache, exact_oracle, render)
 

@@ -906,8 +906,8 @@ def test_a_forked_scan_imports_pickle_only_after_the_callers_first_share():
 
 
 def test_a_forked_sum_scan_imports_the_sums_layer_once():
-    # the caller loads sums before it forks, so no share compiles it again;
-    # the children inherit stderr, so their imports are listed too
+    # the caller loads sums and sweep before it forks, so no share compiles
+    # them again; the children inherit stderr, so their imports are listed too
     probe = (
         "from lehmer_congruences import verifier\n"
         "verifier._usable_cpus = lambda: 2\n"
@@ -918,6 +918,7 @@ def test_a_forked_sum_scan_imports_the_sums_layer_once():
     imports = [line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
                if line.startswith("import time:")]
     assert imports.count("lehmer_congruences.sums") == 1
+    assert imports.count("lehmer_congruences.sweep") == 1
 
 
 def test_the_package_imports_form_no_cycle():

@@ -199,6 +199,22 @@ def test_sweep_edge_lists(d):
     assert swept(ns, d) == looped(ns, d)
 
 
+@pytest.mark.parametrize("d", [HALF, 3, 4, 6])
+def test_sweep_matches_the_loop_at_four_primes_and_high_prime_powers(d):
+    # from three primes on, arith._moebius_terms lists the s | rad(n) in
+    # doubling order, not by their number of primes; 1155 = 3 5 7 11 is
+    # admissible for HALF and d = 4, 5005 = 5 7 11 13 for every d
+    assert [s for _, s in arith._moebius_terms(factorize(5005))][:9] == [
+        1, 5, 7, 35, 11, 55, 77, 385, 13,
+    ]
+    ns = [n for n in (105, 385, 1001, 1155, 2401, 3125, 5005) if admissible_for(d)(n)]
+    assert 5005 in ns and (1155 in ns) == (d in (HALF, 4))
+    assert swept(ns, d) == looped(ns, d), ns
+    for n in (1155, 2401, 3125, 5005):  # 7^4 and 5^5 alone, where top is n's own K
+        if admissible_for(d)(n):
+            assert swept([n], d) == looped([n], d), n
+
+
 def test_sweep_refuses_a_quotient_it_cannot_certify(monkeypatch):
     # with 5 taken out of L, L // j floors at j = 5 and 25, and the sums at
     # the multiples of 5 are no longer divisible by their G
