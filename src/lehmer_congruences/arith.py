@@ -43,29 +43,29 @@ __all__ = [
 
 
 class _Value:
-    """Base of the immutable value types: fields are the subclass's __slots__.
+    """Base of the immutable value types: fields are the slots of the class chain.
 
     Equality holds between instances of the same type with equal fields,
     the hash is that of the field tuple, the repr is Name(field=value, ...),
     and assignment or deletion raises AttributeError, as for a frozen
-    dataclass.  A subclass's __init__ validates its arguments, then passes
-    every field, in slot order, to _Value.__init__, which calls the slot
-    setters (each slot descriptor's __set__) that __init_subclass__ collects
-    once per class.  Pickling re-calls the constructor, so an unpickled
-    value is validated like a new one.
+    dataclass.  __init_subclass__ records, once per class, the field names
+    over the class chain and the slot setters of the class's own fields, so
+    a subclass that adds no slots keeps its base's fields.  A subclass's
+    __init__ validates its arguments, then calls each of its own setters.
+    Pickling re-calls the constructor, so an unpickled value is validated
+    like a new one.
     """
 
     __slots__ = ()
+    _names: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-    def __init__(self, *values) -> None:
-        for setter, value in zip(self._setters, values):
-            setter(self, value)
+        own = cls.__dict__.get("__slots__", ())
+        cls._names += tuple(own)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in own)
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._names)
 
     def __eq__(self, other: object):
         if type(other) is not type(self):
@@ -77,7 +77,7 @@ class _Value:
 
     def __repr__(self) -> str:
         fields = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
+            f"{name}={value!r}" for name, value in zip(self._names, self._fields())
         )
         return f"{type(self).__qualname__}({fields})"
 
@@ -101,7 +101,9 @@ class Residue(_Value):
             raise PreconditionError(f"modulus must be >= 1, got {modulus}")
         if not 0 <= rep < modulus:
             raise PreconditionError(f"rep must lie in [0, {modulus}), got {rep}")
-        _Value.__init__(self, rep, modulus)
+        set_rep, set_modulus = Residue._setters
+        set_rep(self, rep)
+        set_modulus(self, modulus)
 
     def __str__(self) -> str:
         return f"{self.rep} (mod {self.modulus})"
@@ -130,15 +132,20 @@ class FactoredInteger(int):
             previous = p
         if product != value:
             raise PreconditionError(f"factors multiply to {product}, not {value}")
-        self = int.__new__(cls, value)
-        object.__setattr__(self, "factors", factors)
-        return self
+        return _factored(value, factors, cls)
 
     __setattr__ = _Value.__setattr__
     __delattr__ = _Value.__delattr__
 
     def __reduce__(self) -> tuple:
         return type(self), (int(self), self.factors)
+
+
+def _factored(value: int, factors: tuple, cls: type = FactoredInteger) -> FactoredInteger:
+    """FactoredInteger(value, factors) unchecked, for factors known to be right."""
+    self = int.__new__(cls, value)
+    self.__dict__["factors"] = factors
+    return self
 
 
 # The first 13 primes.  The least strong pseudoprime to all of them is
@@ -172,11 +179,15 @@ def is_prime(n: int) -> bool:
 
 
 # Trial division to 1000 alone factors every n below 10^6 (the loop ends
-# once f*f > n).  Beyond it Brent's rho, which finds a prime factor f in
+# once p*p > n).  Beyond it Brent's rho, which finds a prime factor f in
 # about sqrt(f) steps against f/3 divisions, is the cheaper route: on 1,031
 # integers near 10^11 a bound of 10^6 made factorize 15 times slower.
 _TRIAL_BOUND = 1000
 _RHO_BUDGET = 2_000_000  # rho steps one factorize call may take
+
+
+# 2, 3 and every 6k +- 1 below _TRIAL_BOUND: the divisors factorize tries
+_TRIAL_DIVISORS = (2, 3, *[f for f in range(5, _TRIAL_BOUND, 2) if f % 3])
 
 
 def factorize(n: int) -> FactoredInteger:
@@ -194,25 +205,24 @@ def factorize(n: int) -> FactoredInteger:
     if n < 1:
         raise PreconditionError(f"cannot factor {n}; need n >= 1")
     value = n
-    counts: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
+    factors = []
+    for p in _TRIAL_DIVISORS:
+        if p * p > n:
+            break
+        if n % p == 0:
             n //= p
-    f = 5
-    step = 2
-    while f <= _TRIAL_BOUND and f * f <= n:
-        while n % f == 0:
-            counts[f] = counts.get(f, 0) + 1
-            n //= f
-        f += step
-        step = 6 - step
+            alpha = 1
+            while n % p == 0:
+                n //= p
+                alpha += 1
+            factors.append((p, alpha))
+    if n >= _TRIAL_BOUND**2:  # no divisor was left untried: n has no factor below 1000
+        counts: dict[int, int] = {}
+        _rho_factor(n, counts, _RHO_BUDGET)
+        return _factored(value, (*factors, *sorted(counts.items())))
     if n > 1:
-        if f * f > n:
-            counts[n] = counts.get(n, 0) + 1
-        else:
-            _rho_factor(n, counts, _RHO_BUDGET)
-    return FactoredInteger(value, tuple(sorted(counts.items())))
+        factors.append((n, 1))
+    return _factored(value, tuple(factors))
 
 
 def _rho_factor(m: int, counts: dict[int, int], budget: int) -> None:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from math import gcd, log2
 
 from .arith import (
-    FactoredInteger, Residue, euler_phi, factorize, is_prime, p_adic_valuation, rational_mod,
+    FactoredInteger, Residue, _factored, euler_phi, factorize, is_prime, p_adic_valuation,
+    rational_mod,
 )
 from .errors import (
     NotCoprimeError,
@@ -98,7 +99,7 @@ def fermat_quotient_mod(n: int, a: int, m: int) -> int:
             raise PreconditionError(f"modulus must be >= 1, got {m}")
         _require_coprime(a, n)
     nm = n * m
-    return (pow(a, euler_phi(factorize(n)), nm) - 1) % nm // n
+    return (pow(a, euler_phi(factorize(n)), nm) - 1) // n  # the pow is 1 mod n, so not 0
 
 
 def _combination(n: int, q: int, m: int) -> int:
@@ -154,7 +155,7 @@ def _lemma3_args(n: int, a: int) -> tuple[FactoredInteger, FactoredInteger]:
     if g != 1:
         raise NotCoprimeError(f"gcd({n}, 6*{a}) = {g}; need gcd(n, 6a) = 1")
     factored = factorize(n)
-    return factored, FactoredInteger(n * n, tuple((p, 2 * e) for p, e in factored.factors))
+    return factored, _factored(n * n, tuple((p, 2 * e) for p, e in factored.factors))
 
 
 def _lemma4_args(n: int, a: int, p: int) -> tuple[int, int, FactoredInteger, FactoredInteger]:
@@ -164,7 +165,7 @@ def _lemma4_args(n: int, a: int, p: int) -> tuple[int, int, FactoredInteger, Fac
     alpha = p_adic_valuation(n, p)  # refuses a p that is not prime
     if not alpha:
         raise PrimeDivisibilityError(f"{p} does not divide {n}")
-    prime_power = FactoredInteger(p**alpha, ((p, alpha),))
+    prime_power = _factored(p**alpha, ((p, alpha),))
     return alpha, n // prime_power, factorize(n), prime_power
 
 

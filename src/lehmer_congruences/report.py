@@ -62,10 +62,19 @@ class CongruenceReport(_Value):
         valuation: int | float | None = None,
         required: int | None = None,
     ) -> None:
-        _Value.__init__(
-            self, identity, params, modulus, lhs, rhs, holds,
-            skipped_reason, valuation, required,
-        )
+        (
+            set_identity, set_params, set_modulus, set_lhs, set_rhs, set_holds,
+            set_skipped_reason, set_valuation, set_required,
+        ) = CongruenceReport._setters
+        set_identity(self, identity)
+        set_params(self, params)
+        set_modulus(self, modulus)
+        set_lhs(self, lhs)
+        set_rhs(self, rhs)
+        set_holds(self, holds)
+        set_skipped_reason(self, skipped_reason)
+        set_valuation(self, valuation)
+        set_required(self, required)
 
 
 def _modular_report(

@@ -44,7 +44,8 @@ from itertools import chain, compress
 from math import gcd
 
 from .arith import (
-    FactoredInteger, Residue, _Value, _moebius_terms, factorize, is_prime, p_adic_valuation,
+    FactoredInteger, Residue, _factored, _Value, _moebius_terms, factorize, is_prime,
+    p_adic_valuation,
 )
 from .errors import (
     HALF,
@@ -110,7 +111,11 @@ class SumSpec(_Value):
     def __init__(
         self, n: int, d: int | str, exclude_prime: int | None, modulus: int
     ) -> None:
-        _Value.__init__(self, n, d, exclude_prime, modulus)
+        set_n, set_d, set_exclude_prime, set_modulus = SumSpec._setters
+        set_n(self, n)
+        set_d(self, d)
+        set_exclude_prime(self, exclude_prime)
+        set_modulus(self, modulus)
 
     def bound(self) -> int:
         if self.d == HALF:
@@ -274,12 +279,11 @@ def coprime_sums(ns: Sequence[int], d: int | str) -> list[Residue]:
     if d != HALF:
         _check_d(d)
     for n in ns:
-        _require_modulus(n)
-        if d == HALF:
-            if n % 2 == 0:
+        if n < 2 or (n % 2 == 0 if d == HALF else gcd(n, d) != 1):  # only then say which failed
+            _require_modulus(n)
+            if d == HALF:
                 raise EvenModulusError(f"the half-range sum needs odd n, got {n}")
-        elif (g := gcd(n, d)) != 1:
-            raise NotCoprimeError(f"gcd({n}, {d}) = {g}; the d-sum needs gcd(n, d) = 1")
+            raise NotCoprimeError(f"gcd({n}, {d}) = {gcd(n, d)}; the d-sum needs gcd(n, d) = 1")
     top = max(ns, default=0)  # its sum has the most terms
     _check_terms(SumSpec(top, d, None, top * top), MAX_MODULAR_TERMS, "a modular")
     ns = [factorize(n) for n in ns]
@@ -336,7 +340,9 @@ def _weighted_rhs(n: FactoredInteger, d: int | str, m: int) -> Residue:
     rest, total = den // g, total % dm // g
     if gcd(rest, m) != 1:
         raise NotInvertibleError(f"right-side denominator {rest} is not a unit mod {m}")
-    return Residue(total * pow(rest, -1, m) % m, m)
+    # rest divides 24, so the unit m is its own inverse mod rest: adding
+    # m (-total m mod rest) makes total divisible by rest
+    return Residue((total + m * (-total * m % rest)) // rest % m, m)
 
 
 def half_rhs(n: int) -> Residue:
@@ -408,7 +414,7 @@ def _lemma2_rhs_args(p: int, alpha: int, d: int) -> FactoredInteger:
         raise PreconditionError(f"alpha must be >= 1, got {alpha}")
     if p < 5 or not is_prime(p):
         raise PreconditionError(f"p must be a prime >= 5, got {p}")
-    return FactoredInteger(p ** (2 * alpha), ((p, 2 * alpha),))
+    return _factored(p ** (2 * alpha), ((p, 2 * alpha),))
 
 
 def lemma2_rhs(p: int, alpha: int, d: int) -> Residue:

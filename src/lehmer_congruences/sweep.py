@@ -4,8 +4,8 @@ sums.coprime_sums imports this module when it is given more than one n,
 so a process that only verifies single values never compiles it.
 is_cheaper weighs the sweep against sums.modular_sum at every n, and
 swept_sums is the sweep: one ascending pass over the j of each unit
-class mod D adds the exact integers L // j, L = lcm(1..top), to that
-class's prefix sum, and every n reads it at its Moebius cut points.  L is
+class mod D adds the exact sums L/j, L = lcm(1..top), to that class's
+prefix sum, and every n reads it at its Moebius cut points.  L is
 the product of _top_powers(top), and each n reads its part of L from
 that same map.  Both take every n as an arith.FactoredInteger and read
 its primes from n.factors.  The sweep's result is certified: a quotient
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 from .arith import FactoredInteger, Residue, _moebius_terms, euler_phi
 from .errors import HALF
@@ -31,6 +31,12 @@ from .errors import HALF
 _LOOP_NS = 250
 _SWEEP_STEP_NS = 11
 _SWEEP_REQUEST_NS = 40
+
+# swept_sums reads a request at k <= _TABLE_BOUND from an exact table
+# (lcm(1..22) = 232792560 is the largest lcm(1..b) below 2^30, one CPython
+# digit), and adds _WINDOW steps of a class per division of L (16 was the
+# fastest of 4 to 32 for the four scans to 2410 and for n to 40000).
+_TABLE_BOUND, _WINDOW = 22, 16
 
 
 def is_cheaper(ns: Sequence[FactoredInteger], d: int | str) -> bool:
@@ -87,24 +93,31 @@ def swept_sums(ns: Sequence[FactoredInteger], d: int | str) -> list[Residue]:
     The sum at n is that of 1/t over 0 < t <= K, t = n mod D, gcd(t, n) = 1
     (see _shape).  Moebius over the squarefree s | R = rad(n) makes
     it sum mu(s)/s P_{n/s mod D}(K // s), where P_c(k) is the sum of 1/j
-    over j <= k, j = c mod D.  With L = lcm(1..top) and top the largest K,
-    I_c(k) = L P_c(k) is an integer.  One pass over the j of each unit
-    class c adds L // j to I_c, and at the last j <= k of class c reduces
-    I_c mod n^2 G for every (k, c) that an n requests; G is the product
-    over the primes p of n of p^(1 + v_p(L)), the p-part of R L.  So
-    Y = sum mu(s) (R/s) I is R L times the sum exactly, G divides Y, and
-    the sum is Y/G over R L/G, a unit mod n^2.  A G that does not divide Y
-    raises ArithmeticError.  The requests at one j, and the reductions of
-    L for 16 values of n, share one remainder of the full-size integer by
-    the product of their moduli.
+    over j <= k, j = c mod D.  With L = lcm(1..top), top the largest K but
+    at least _TABLE_BOUND, I_c(k) = L P_c(k) is an integer.  One pass over
+    the j of each unit class c adds to I_c, per window of _WINDOW steps,
+    the exact L/B times B's sum over the window, B the window's lcm, and
+    at the last j <= k of class c reduces I_c mod n^2 G for every (k, c)
+    that an n requests, from two remainders the window's requests share.
+    At k <= _TABLE_BOUND it reads I_c(k) as L/T times the exact table
+    entry T P_c(k) instead, T = lcm(1..22).  G is the product over the
+    primes p of n of p^(1 + v_p(L)).  So Y = sum mu(s) (R/s) I is R L
+    times the sum exactly, G divides Y, and the sum is Y/G over R L/G, a
+    unit mod n^2.  A G that does not divide Y raises ArithmeticError.  The
+    reductions of L/T mod n^2 G for 16 values of n share one remainder by
+    the product of their moduli; T times one is L mod T n^2 G.
     """
     modulus, bounds = _shape(ns, d)
-    top = max(bounds, default=0)
+    top = max([_TABLE_BOUND, *bounds])  # so that T divides L
     powers = _top_powers(top)
-    lcm = prod(powers.values())
+    full = prod(powers.values())
+    base = lcm(*range(1, _TABLE_BOUND + 1))
+    table = [0] * (_TABLE_BOUND + 1)  # j -> T P_{j mod D}(j), exact
+    for j in range(1, _TABLE_BOUND + 1):
+        table[j] = base // j + table[max(j - modulus, 0)]
     wanted = [[] for _ in range(top + 1)]  # j -> (the terms of Y at n, mu(s) R/s, n^2 G)
     moduli = [1] * (top + 1)  # j -> the product of the n^2 G requested at j
-    scales = []  # (n, n^2, G, the p-part of L, the terms of Y) at every n
+    scales = []  # (n^2 G, n, n^2, G, the p-part of L, the terms of Y, the table's term)
     for n, bound in zip(ns, bounds):
         rad = local = 1
         for p, _ in n.factors:
@@ -113,34 +126,47 @@ def swept_sums(ns: Sequence[FactoredInteger], d: int | str) -> list[Residue]:
         nsq = n * n
         ng = nsq * rad * local
         terms: list[int] = []
-        scales.append((n, nsq, rad * local, local, terms))
+        near = 0  # Y's terms at j <= _TABLE_BOUND over L/T, exact
         for mu, s in _moebius_terms(n):
             k = bound // s
             # every unit mod D | 24 is its own inverse, so n s is the class
             # n/s mod D, and j the last of that class <= k, if any
             j = k - (k - n * s) % modulus
-            if j > 0:
+            if j > _TABLE_BOUND:
                 wanted[j].append((terms, mu * (rad // s), ng))
                 moduli[j] *= ng
+            elif j > 0:
+                near += mu * (rad // s) * table[j]
+        scales.append((ng, n, nsq, rad * local, local, terms, near))
     for c in range(modulus):
         if gcd(c, modulus) == 1:
-            partial = 0
-            for j in range(c or modulus, top + 1, modulus):
-                partial += lcm // j
-                if requests := wanted[j]:
-                    rest = partial % moduli[j]
-                    for terms, weight, m in requests:
-                        terms.append(weight * (rest % m))
+            partial = 0  # I_c at the last j before the window
+            steps = range(c or modulus, top + 1, modulus)
+            for lo in range(0, len(steps), _WINDOW):
+                window = steps[lo : lo + _WINDOW]
+                b = lcm(*window)
+                step = full // b
+                shared = prod(moduli[j] for j in window)
+                partial_rest, step_rest = partial % shared, step % shared
+                a = 0  # b times the sum of 1/j over the window up to j
+                for j in window:
+                    a += b // j
+                    if requests := wanted[j]:
+                        rest = (partial_rest + step_rest * a) % moduli[j]
+                        for terms, weight, m in requests:
+                            terms.append(weight * (rest % m))
+                partial += step * a
     out = []
-    # 16 moduli of 30-60 bits made the remainders of L fastest for the thm3 scan to 2410
+    cofactor = full // base  # L/T
+    # 16 moduli of 45-75 bits made these remainders fastest for the thm3 scan to 2410
     for lo in range(0, len(ns), 16):
         block = scales[lo : lo + 16]
-        rest = lcm % prod(nsq * local for _, nsq, _, local, _ in block)
-        for n, nsq, g, local, terms in block:
-            quotient, remainder = divmod(sum(terms) % (nsq * g), g)
+        rest = cofactor % prod(entry[0] for entry in block)
+        for ng, n, nsq, g, local, terms, near in block:
+            scale = rest % ng  # L/T mod n^2 G
+            quotient, remainder = divmod(sum(terms) + scale * near, g)
             if remainder:
                 raise ArithmeticError(f"the swept sum at n = {n} is not divisible by {g}")
-            # (L / local) mod n^2, without forming the full-size quotient L / local
-            unit = rest % (nsq * local) // local
-            out.append(Residue(quotient * pow(unit, -1, nsq) % nsq, nsq))
+            # T scale is L mod T n^2 G, so T scale // local is L/local mod n^2
+            out.append(Residue(quotient * pow(base * scale // local, -1, nsq) % nsq, nsq))
     return out

@@ -129,10 +129,19 @@ class IdentitySpec(_Value):
         bernoulli: bool = False,
         left: Callable[[list[int]], tuple[list[int], list[Residue | None]]] | None = None,
     ) -> None:
-        _Value.__init__(
-            self, required, admissible, modulus, check, exact, d,
-            {} if defaults is None else defaults, bernoulli, left,
-        )
+        (
+            set_required, set_admissible, set_modulus, set_check, set_exact, set_d,
+            set_defaults, set_bernoulli, set_left,
+        ) = IdentitySpec._setters
+        set_required(self, required)
+        set_admissible(self, admissible)
+        set_modulus(self, modulus)
+        set_check(self, check)
+        set_exact(self, exact)
+        set_d(self, d)
+        set_defaults(self, {} if defaults is None else defaults)
+        set_bernoulli(self, bernoulli)
+        set_left(self, left)
 
 
 def _square(q: Params) -> int:
@@ -320,22 +329,23 @@ def verify(
     disagreement with the modular route raises OracleDivergence.
     """
     params = _params(identity, given, cache)
-    return _checked(identity, params, cache, exact_oracle, None)
+    return _checked(IDENTITIES[identity], identity, params, cache, exact_oracle, None)
 
 
 def _checked(
+    spec: IdentitySpec,
     identity: IdentityId,
     params: Params,
     cache: BernoulliCache | None,
     exact_oracle: bool,
     lhs: Residue | None,
 ) -> CongruenceReport:
-    """verify on validated params.
+    """verify on validated params; spec is the identity's entry in IDENTITIES.
 
     lhs, the left side, comes from a scan share; the check forms it when
     it is None.
     """
-    report = IDENTITIES[identity].check(identity, params, cache, lhs)
+    report = spec.check(identity, params, cache, lhs)
     if exact_oracle:
         _exact_recheck(report)
     return report
@@ -384,14 +394,15 @@ def _scan_chunk(
     report.holds is True).
     """
     spec = IDENTITIES[identity]
+    var = spec.required[0]
     lefts = [None] * len(values)
     if spec.left is not None:
         values, lefts = spec.left(values)
     out: list = []
     for value, lhs in zip(values, lefts):
-        row = {**params, spec.required[0]: value}
+        row = {**params, var: value}
         try:
-            report = _checked(identity, row, cache, exact_oracle, lhs)
+            report = _checked(spec, identity, row, cache, exact_oracle, lhs)
         except _SKIPPED as exc:
             report = _skip_report(identity, row, str(exc))
         out.append(report if render is None else (render(report), report.holds is True))

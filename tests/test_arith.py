@@ -46,6 +46,31 @@ def test_factored_integer_validates():
         FactoredInteger(12, ((2, 0), (3, 1)))  # zero exponent
 
 
+@pytest.mark.parametrize("value, factors, message", [
+    (0, (), "value must be >= 1, got 0"),
+    (-12, ((2, 2), (3, 1)), "value must be >= 1, got -12"),
+    (12, ((3, 1), (2, 2)), "primes must be strictly increasing"),
+    (12, ((2, 2), (2, 0), (3, 1)), "primes must be strictly increasing"),
+    (12, ((1, 1), (2, 2), (3, 1)), "primes must be strictly increasing"),
+    (12, ((2, 0), (3, 1)), "exponent of 2 must be >= 1, got 0"),
+    (12, ((2, 2),), "factors multiply to 4, not 12"),
+    (1, ((2, 1),), "factors multiply to 2, not 1"),
+])
+def test_the_public_factored_integer_constructor_still_validates(value, factors, message):
+    # factorize and the lemma arguments take an unchecked route; this one checks
+    with pytest.raises(PreconditionError) as caught:
+        FactoredInteger(value, factors)
+    assert str(caught.value) == message
+
+
+def test_factorize_builds_what_the_validated_constructor_builds():
+    for n in range(1, 20_000):
+        factored = factorize(n)
+        validated = FactoredInteger(n, factored.factors)
+        assert type(factored) is FactoredInteger and factored == validated == n
+        assert factored.factors == validated.factors == reference_factors(n), n
+
+
 def test_is_prime_small_and_carmichael():
     sieve = [True] * 2000
     sieve[0] = sieve[1] = False

@@ -335,3 +335,23 @@ def test_exact_twin_refuses_as_its_modular_route(modular, exact, args, error):
     with pytest.raises(error) as twin:
         exact(*args)
     assert (type(twin.value), str(twin.value)) == (type(refused.value), str(refused.value))
+
+
+@pytest.mark.parametrize("n", [5, 25, 35, 49, 1001, 3125, 5005, 2 * 17**3 + 1, 10**6 + 3])
+def test_the_lemma_arguments_build_their_powers_as_the_validated_constructor(n):
+    # _lemma3_args, _lemma4_args and _lemma2_rhs_args build n^2, p^alpha and
+    # p^{2 alpha} from known factors, without the constructor's checks
+    a = next(a for a in (5, 7, 11, 13, 17) if gcd(a, n) == 1)
+    factored, square = quotients._lemma3_args(n, a)
+    assert type(square) is FactoredInteger
+    assert square == FactoredInteger(n * n, square.factors) == n * n
+    assert square.factors == factorize(n * n).factors
+    for p, alpha in factored.factors:
+        *_, prime_power = quotients._lemma4_args(n, 2, p)
+        assert type(prime_power) is FactoredInteger
+        assert prime_power == FactoredInteger(p**alpha, prime_power.factors) == p**alpha
+        assert prime_power.factors == factorize(p**alpha).factors
+        if p >= 5:
+            local = sums._lemma2_rhs_args(p, alpha, 3)
+            assert local.factors == factorize(p ** (2 * alpha)).factors
+            assert local == FactoredInteger(p ** (2 * alpha), local.factors)

@@ -215,6 +215,47 @@ def test_sweep_matches_the_loop_at_four_primes_and_high_prime_powers(d):
             assert swept([n], d) == looped([n], d), n
 
 
+def table_requests(ns: list[int], d) -> int:
+    """How many Moebius requests of swept_sums(ns, d) have 0 < k <= the table bound."""
+    _, bounds = sweep._shape(ns, d)
+    return sum(
+        0 < bound // s <= sweep._TABLE_BOUND
+        for n, bound in zip(ns, bounds) for _, s in arith._moebius_terms(factorize(n))
+    )
+
+
+@pytest.mark.parametrize("d, first", [(3, 5), (HALF, 3)], ids=["thm3", "cai"])
+def test_sweep_matches_the_loop_on_samples_of_long_scan_lists(d, first):
+    # the thm3 (gcd(n, 6) = 1) and cai (odd n) scan lists to 6000: without
+    # the small-k table, hundreds of these requests would share j = 1 or 2
+    ns = [n for n in range(first, 6001) if gcd(n, 6 if d == 3 else 2) == 1]
+    sample = sorted(random.Random(6000).sample(ns, 400))
+    assert table_requests(sample, d) > 200
+    assert swept(sample, d) == looped(sample, d)
+
+
+@pytest.mark.parametrize("d", [HALF, 3, 4, 6])
+def test_sweep_below_the_table_bound_reads_every_request_from_the_table(d):
+    # every K < the bound, so no request reaches the sweep's windows
+    ns = [n for n in range(3, 60) if admissible_for(d)(n)]
+    ns = [n for n, bound in zip(ns, sweep._shape(ns, d)[1]) if bound < sweep._TABLE_BOUND]
+    assert len(ns) >= 5 and table_requests(ns, d) > 0
+    assert swept(ns, d) == looped(ns, d), ns
+    for n in ns:
+        assert swept([n], d) == looped([n], d), n
+
+
+@pytest.mark.parametrize("d", [HALF, 3, 4, 6])
+def test_sweep_matches_the_loop_at_four_and_five_distinct_primes(d):
+    # 5005 = 5 7 11 13 and 17017 = 7 11 13 17 are admissible for every d,
+    # 15015 = 3 5 7 11 13 for HALF and d = 4
+    ns = [n for n in (5005, 15015, 17017) if admissible_for(d)(n)]
+    assert len(ns) == (3 if d in (HALF, 4) else 2)
+    assert swept(ns, d) == looped(ns, d), ns
+    for n in ns:
+        assert swept([n], d) == looped([n], d), n
+
+
 def test_sweep_refuses_a_quotient_it_cannot_certify(monkeypatch):
     # with 5 taken out of L, L // j floors at j = 5 and 25, and the sums at
     # the multiples of 5 are no longer divisible by their G

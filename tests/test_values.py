@@ -31,6 +31,28 @@ def _spec(d: int | None) -> IdentitySpec:
     return IdentitySpec(("n",), max, len, print, None, d=d)
 
 
+# subclasses that add no slots, defined here so that pickle finds them by name
+class SubResidue(Residue):
+    __slots__ = ()
+
+
+class SubSumSpec(SumSpec):
+    __slots__ = ()
+
+
+class SubCongruenceReport(CongruenceReport):
+    __slots__ = ()
+
+
+class SubIdentitySpec(IdentitySpec):
+    __slots__ = ()
+
+
+SUBCLASSES = {
+    Residue: SubResidue, SumSpec: SubSumSpec,
+    CongruenceReport: SubCongruenceReport, IdentitySpec: SubIdentitySpec,
+}
+
 CASES = [
     (Residue(3, 7), Residue(3, 7), Residue(4, 7), "Residue(rep=3, modulus=7)", True),
     (
@@ -83,14 +105,33 @@ def test_equal_and_hashed_by_type_and_fields(value, twin, changed, text, hashabl
             hash(value)
 
 
+def _fields(value, cls: type | None = None) -> tuple:
+    """value's fields, named by the __slots__ of cls (default: value's type)."""
+    return tuple(getattr(value, name) for name in (cls or type(value)).__slots__)
+
+
 @pytest.mark.parametrize("value, twin, changed, text, hashable", CASES, ids=IDS)
 def test_other_types_never_equal(value, twin, changed, text, hashable):
-    fields = tuple(getattr(value, name) for name in type(value).__slots__)
-    subclass = type("Sub", (type(value),), {"__slots__": ()})
+    fields = _fields(value)
+    subclass = SUBCLASSES[type(value)]
     assert value != fields and value != subclass(*fields)
     for other, *_ in CASES:
         if type(other) is not type(value):
             assert value != other
+
+
+@pytest.mark.parametrize("value, twin, changed, text, hashable", CASES, ids=IDS)
+def test_a_subclass_that_adds_no_slots_keeps_its_fields(value, twin, changed, text, hashable):
+    # the field names are collected over the class chain, not from the
+    # subclass's own empty __slots__
+    subclass = SUBCLASSES[type(value)]
+    copy, other = subclass(*_fields(value)), subclass(*_fields(changed))
+    assert _fields(copy, type(value)) == _fields(value) and copy != other
+    assert repr(copy) == text.replace(type(value).__qualname__, subclass.__qualname__, 1)
+    unpickled = pickle.loads(pickle.dumps(copy))
+    assert type(unpickled) is subclass and unpickled == copy and unpickled != other
+    if hashable:
+        assert hash(copy) == hash(value)
 
 
 @pytest.mark.parametrize("value, twin, changed, text, hashable", CASES, ids=IDS)
