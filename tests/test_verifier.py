@@ -541,6 +541,59 @@ def test_scan_interrupted_while_reaping_leaves_no_worker_behind(monkeypatch):
     assert AFFINITY(0) == START_CPUS
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_fan_out_returns_the_parts_in_share_order(workers):
+    # toy shares, no identity: share 0 runs in the caller, the others forked
+    parent = os.getpid()
+    parts = verifier._fan_out(workers, lambda k: [k, os.getpid() == parent])
+    assert parts == [[0, True]] + [[k, False] for k in range(1, workers)]
+    assert AFFINITY(0) == START_CPUS
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fan_out_raises_a_child_s_failure_in_the_caller():
+    parent = os.getpid()
+
+    def share(k):
+        if k == 2:
+            raise LookupError(f"share {k} failed in a child: {os.getpid() != parent}")
+        return [k]
+
+    with pytest.raises(LookupError, match=r"^share 2 failed in a child: True$"):
+        verifier._fan_out(3, share)
+    assert os.getpid() == parent
+    assert AFFINITY(0) == START_CPUS
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _no_filter_call(*args):
+    # the thm3 filter reads gcd(n, 6); failing at once keeps a scan that
+    # would filter a wide range from running for minutes
+    raise AssertionError(f"the range was filtered: gcd{args}")
+
+
+def test_scan_refuses_a_range_too_wide_before_it_filters_one_integer(monkeypatch):
+    monkeypatch.setattr(verifier, "gcd", _no_filter_call)
+    with pytest.raises(TermCountExceeded, match="at most 10000000 integers"):
+        scan(IdentityId.THM_3, 5, 10**9)
+    # the cap counts the integers of [n_from, n_to], both ends included
+    monkeypatch.undo()
+    monkeypatch.setattr(verifier, "_MAX_SCAN_RANGE", 100)
+    assert len(scan(IdentityId.THM_3, 5, 104)) == 34
+    with pytest.raises(TermCountExceeded, match=r"\[5, 105\] holds 101$"):
+        scan(IdentityId.THM_3, 5, 105)
+
+
+def test_cli_scan_over_a_range_too_wide_exits_1_at_once(monkeypatch, capsys):
+    monkeypatch.setattr(verifier, "gcd", _no_filter_call)
+    code = main(["scan", "--identity", "thm3", "--from", "5", "--to", str(10**12)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a scan takes at most") and err.count("\n") == 1
+
+
 def test_scan_turns_an_oversized_exact_power_into_a_skip(monkeypatch):
     # 3^phi(n) passes a 20-bit budget up to n = 13 (phi = 12, 19.02 bits)
     monkeypatch.setattr(quotients, "MAX_POWER_BITS", 20)
