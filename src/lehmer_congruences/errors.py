@@ -106,7 +106,7 @@ class PowerSizeExceeded(CongruenceError):
 
 
 class TermCountExceeded(CongruenceError):
-    """A sum would run over more terms, or a scan over more integers, than its budget."""
+    """A sum, a list of sums or a scan would run over its budget of terms, time or integers."""
 
 
 class NoCounterexampleInRange(CongruenceError):

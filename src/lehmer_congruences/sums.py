@@ -12,13 +12,10 @@ two can audit each other.  Each refuses a sum over more values of r than
 its budget, MAX_MODULAR_TERMS or MAX_EXACT_TERMS, before its first term.
 
 coprime_sums forms the gcd(r, n) = 1 sums mod n^2 at a whole list of n
-(half_harmonic and lehmer_sum are its one-value case).  It takes
-modular_sum at each n, or, when an operation-count estimate says it is
-cheaper, the sweep module: one ascending sweep of exact prefix sums L/j,
-L = lcm(1..top), that every n of the list reads at its Moebius cut
-points.  The loop costs about n/d steps per n, the sweep about top steps
-and 2^omega(n) requests per n, each times the size of L, so the sweep
-wins on long scans from small n and the loop on narrow windows far out.
+(half_harmonic and lehmer_sum are its one-value case): modular_sum at
+each n or, when _sweeps prices it cheaper from the values alone, the
+sweep module's one ascending sweep of exact prefix sums L/j,
+L = lcm(1..top), read by every n at its Moebius cut points.
 
 The right-hand sides are polynomials in Fermat quotients q_n(2), q_n(3).
 Each modular one is a weighted sum of L_n(a) = 2 q_n(a) - n q_n(a)^2 read
@@ -26,9 +23,9 @@ from _RHS_WEIGHTS, every q_n(a) from quotients.fermat_quotient_mod; each
 exact-rational twin is written out as stated over fermat_quotient.
 
 Every n is read through arith.factorize: coprime_sums factors each n
-of its list once (for the route estimate, the Moebius terms and the
-loop's sieve primes), and each right side factors n once and hands the
-FactoredInteger to every quotient it takes, which reads phi(n) from it.
+of its list once, after it has priced the route, and each right side
+factors n once and hands the FactoredInteger to every quotient it takes,
+which reads phi(n) from it.
 An n that is already a FactoredInteger, as a scan share passes them, is
 not factored again; lemma2's right sides build p^{2 alpha} factored.
 
@@ -94,6 +91,12 @@ MAX_EXACT_TERMS = 30_000
 # the 240-275 ns per value of r that the d = 3 sum at n = 7 * 1000003 takes
 # in CPython 3.11 on one vCPU of a 2-vCPU virtual machine.
 MAX_MODULAR_TERMS = 10**8
+
+# coprime_sums refuses a list of two or more values priced over MAX_LIST_NS
+# at its cheaper route: ten minutes, a thm3 scan from 5 to about 860,000.
+# The loop costs _LOOP_NS per r up to SumSpec.bound() (fitted with the
+# sweep's prices, see sweep._STEP_NS).
+MAX_LIST_NS, _LOOP_NS = 600 * 10**9, 158
 
 
 class SumSpec(_Value):
@@ -270,11 +273,10 @@ def coprime_sums(ns: Sequence[int], d: int | str) -> list[Residue]:
 
     d = HALF gives half_harmonic(n) and d in {3, 4, 6} gives lehmer_sum(n,
     d), with the same errors; every n is checked before any sum is formed,
-    and the largest n's term budget before any n is factored, for either
-    route.  One route serves the whole list: modular_sum at each n, or the
-    shared prefix sweep of sweep.swept_sums when sweep.is_cheaper says so.
-    A single value has nothing to share, so it always takes modular_sum.
-    Each n is factored once here, unless it already is a FactoredInteger.
+    and the largest n's term budget and the list's price (see _sweeps)
+    before any n is factored.  The cheaper route serves the whole list:
+    modular_sum at each n, or sweep.swept_sums.  Each n is factored once
+    here, unless it already is a FactoredInteger.
     """
     if d != HALF:
         _check_d(d)
@@ -286,21 +288,39 @@ def coprime_sums(ns: Sequence[int], d: int | str) -> list[Residue]:
             raise NotCoprimeError(f"gcd({n}, {d}) = {gcd(n, d)}; the d-sum needs gcd(n, d) = 1")
     top = max(ns, default=0)  # its sum has the most terms
     _check_terms(SumSpec(top, d, None, top * top), MAX_MODULAR_TERMS, "a modular")
+    swept = _sweeps(ns, d)
     ns = [factorize(n) for n in ns]
-    if len(ns) > 1:
-        from . import sweep  # compiled only by a process that sums a list
-
-        if sweep.is_cheaper(ns, d):
-            return sweep.swept_sums(ns, d)
+    if swept:
+        from . import sweep  # _sweeps has compiled it
+        return sweep.swept_sums(ns, d)
     return [modular_sum(SumSpec(n, d, None, n * n)) for n in ns]
+
+
+def _sweeps(ns: Sequence[int], d: int | str) -> bool:
+    """Whether the sweep is priced below the loop for ns, from the values alone.
+
+    A single value takes the loop unpriced.  Raises TermCountExceeded when
+    a list's cheaper route is priced over MAX_LIST_NS.
+    """
+    if len(ns) < 2:
+        return False
+    from . import sweep  # compiled only by a process that sums a list
+    loop = _LOOP_NS * sum(SumSpec(n, d, None, n).bound() for n in ns)
+    if (cheaper := min(loop, sweep.price(ns, d))) > MAX_LIST_NS:
+        raise TermCountExceeded(f"{len(ns)} sums priced at {cheaper / 1e9:.4g} s are over "
+                                f"the budget of {MAX_LIST_NS / 1e9:g} s for a list")
+    return cheaper < loop
 
 
 def _summable(ns: Sequence[int], d: int | str) -> int:
     """How many leading values of the ascending ns fit coprime_sums's term budget.
 
     A sum's count of r never falls as n grows, so the values that fit lead.
+    Raises TermCountExceeded when their list is priced over MAX_LIST_NS.
     """
-    return bisect_right(ns, MAX_MODULAR_TERMS, key=lambda n: SumSpec(n, d, None, n * n).bound())
+    fit = bisect_right(ns, MAX_MODULAR_TERMS, key=lambda n: SumSpec(n, d, None, n * n).bound())
+    _sweeps(ns[:fit], d)
+    return fit
 
 
 def lemma2_sum(n: int, p: int, d: int) -> Residue:

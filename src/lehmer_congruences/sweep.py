@@ -1,16 +1,14 @@
 """The shared prefix sweep: coprime sums mod n^2 at a whole list of n.
 
-sums.coprime_sums imports this module when it is given more than one n,
-so a process that only verifies single values never compiles it.
-is_cheaper weighs the sweep against sums.modular_sum at every n, and
-swept_sums is the sweep: one ascending pass over the j of each unit
-class mod D adds the exact sums L/j, L = lcm(1..top), to that class's
-prefix sum, and every n reads it at its Moebius cut points.  L is
-the product of _top_powers(top), and each n reads its part of L from
-that same map.  Both take every n as an arith.FactoredInteger and read
-its primes from n.factors.  The sweep's result is certified: a quotient
-that does not divide out exactly raises instead of returning a value.
-It imports arith and errors alone, never sums.
+sums._sweeps imports this module to price a list of two or more n
+against the loop, so a process that verifies single values alone never
+compiles it.  swept_sums is the sweep: one ascending pass over the j of
+each unit class mod D adds the exact sums L/j, L = lcm(1..top), to that
+class's prefix sum, and every n reads it at its Moebius cut points.  L
+is the product of _top_powers(top), and each n, an arith.FactoredInteger,
+reads its part of L from that same map and its primes from n.factors.
+The result is certified: a quotient that does not divide out exactly
+raises instead of returning a value.  It imports arith and errors alone.
 """
 
 from __future__ import annotations
@@ -19,19 +17,14 @@ from collections.abc import Sequence
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
 
-from .arith import FactoredInteger, Residue, _moebius_terms, euler_phi
+from .arith import FactoredInteger, Residue, _moebius_terms
 from .errors import HALF
 
-# Costs in ns, fitted on CPython 3.11.7 (one vCPU of a 2-vCPU virtual
-# machine) to the admissible n in [5, 8000], [3000, 3100], [8000, 8060] and
-# [20000, 20030] for every d: a kept term of sums.modular_sum (250-330 ns),
-# and per CPython digit of L a sweep step and a Moebius request of the first
-# sweep, where each step divided L (10.6-11.8 ns) and each request took its
-# own remainder (38-48 ns).  The windows and the small-k table below make
-# both cheaper, so these prices overstate the sweep until they are re-fitted.
-_LOOP_NS = 250
-_SWEEP_STEP_NS = 11
-_SWEEP_REQUEST_NS = 40
+# swept_sums's cost in ns per 30-bit digit of L: a step, and a value (its
+# requests and finish).  Fitted with sums._LOOP_NS on CPython 3.11.7 (2 vCPUs)
+# to the thm3, cai and lehmer-p3 values in [a, a + w], a in {5, 2000, 10000,
+# 40000}, w in {30, 300, 3000, 30000}, a + w <= 45000, by relative least squares.
+_STEP_NS, _VALUE_NS = 3.8, 43
 
 # swept_sums reads a request at k <= _TABLE_BOUND from an exact table
 # (lcm(1..22) = 232792560 is the largest lcm(1..b) below 2^30, one CPython
@@ -40,25 +33,11 @@ _SWEEP_REQUEST_NS = 40
 _TABLE_BOUND, _WINDOW = 22, 16
 
 
-def is_cheaper(ns: Sequence[FactoredInteger], d: int | str) -> bool:
-    """Whether swept_sums(ns, d) should cost less than sums.modular_sum at each n.
-
-    The loop costs _LOOP_NS per kept term, about K phi(n) / (D n) at n;
-    the sweep costs its steps and its Moebius requests times the CPython
-    digits of L = lcm(1..top), which has about 1.44 top bits (the
-    Chebyshev function psi(top) ~ top).
-    """
-    modulus, bounds = _shape(ns, d)
-    top = max(bounds)
+def price(ns: Sequence[int], d: int | str) -> float:
+    """swept_sums(ns, d)'s cost in ns: steps and values times L's digits, about top / 21."""
+    modulus, (top,) = _shape([max(ns)], d)  # K grows with n
     steps = top * sum(gcd(c, modulus) == 1 for c in range(modulus)) // modulus
-    requests = sum(1 << len(n.factors) for n in ns)
-    sweep = (steps * _SWEEP_STEP_NS + requests * _SWEEP_REQUEST_NS) * (top // 21 + 1)
-    kept = 0.0
-    for n, k in zip(ns, bounds):  # kept only grows: the first n that tips it decides
-        kept += k * euler_phi(n) / (modulus * n)
-        if sweep < kept * _LOOP_NS:
-            return True
-    return False
+    return (steps * _STEP_NS + len(ns) * _VALUE_NS) * (top // 21 + 1)
 
 
 def _shape(ns: Sequence[int], d: int | str) -> tuple[int, list[int]]:

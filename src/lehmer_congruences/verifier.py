@@ -9,7 +9,7 @@ they run, so a wrapper set here (a tracer, a test double) sees every
 call; those that sum load the sums layer first, so a lemma check never
 loads it.  scan keeps the admissible values of the scanned variable and
 turns a check that hits a cap or a budget into a skip report, so the
-output stays auditable; it refuses a range too wide to filter.  Its
+output stays auditable; it refuses a range too wide to filter or sum.  Its
 workers' shares take the values round-robin, each through _scan_chunk
 (looked up here at call time), and _fan_out runs them in processes
 forked from the caller, which loads the sums and sweep layers first
@@ -514,7 +514,8 @@ def scan(
     fixed p that is not prime, or a fixed alpha or workers below 1 raises
     PreconditionError before any check runs, and a range of more than
     _MAX_SCAN_RANGE integers raises TermCountExceeded before any is
-    filtered.  A value is retained when the identity's admissibility
+    filtered, as does a share priced over sums.MAX_LIST_NS before any is
+    factored.  A value is retained when the identity's admissibility
     filter accepts it; one whose check hits a cap or a budget, a tight
     Bernoulli cap say, yields a report with skipped_reason.  With workers
     > 1, share k of min(workers, retained values, usable CPUs) shares is

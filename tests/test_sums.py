@@ -277,6 +277,26 @@ def test_coprime_sums_checks_every_value_before_summing():
     assert sums.coprime_sums([5, 7], 6) == [lehmer_sum(5, 6), lehmer_sum(7, 6)]
 
 
+def test_coprime_sums_refuses_a_list_over_its_budget_before_it_factors(monkeypatch):
+    lists = ([10007, 10009], 3), ([35, 37, 41], 4), (list(range(3, 2411, 2)), HALF)
+    expected = [sums.coprime_sums(ns, d) for ns, d in lists]  # loop, sweep, sweep
+    monkeypatch.setattr(sums, "MAX_LIST_NS", 1)
+    assert lehmer_sum(10007, 3) == expected[0][0]  # a single value is not priced
+
+    def refused(*args):
+        raise AssertionError(f"called with {args}")
+
+    monkeypatch.setattr(sums, "factorize", refused)
+    monkeypatch.setattr(sums, "modular_sum", refused)
+    monkeypatch.setattr(sweep, "swept_sums", refused)
+    for ns, d in lists:
+        with pytest.raises(
+            TermCountExceeded, match=rf"^{len(ns)} sums priced at .+ s are over the "
+            r"budget of 1e-09 s for a list$"
+        ):
+            sums.coprime_sums(ns, d)
+
+
 def test_a_factored_integer_is_not_factored_again(monkeypatch):
     ns = [35, 37, 41, 10007, 10009]  # the first three sweep, the last two loop
     factored = [factorize(n) for n in ns]

@@ -594,6 +594,44 @@ def test_cli_scan_over_a_range_too_wide_exits_1_at_once(monkeypatch, capsys):
     assert err.startswith("error: a scan takes at most") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_scan_priced_over_the_list_budget_is_refused_before_it_factors(
+    monkeypatch, tmp_path, workers
+):
+    # the sweep is the cheaper route, priced at about 5 ms (3 ms a share)
+    monkeypatch.setattr(sums, "MAX_LIST_NS", 10**6)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    log = tmp_path / "calls.log"  # forked shares append too
+    real_swept, real_factorize = sweep.swept_sums, arith.factorize
+
+    def logged_as(name, real):
+        def logged(arg, *rest):
+            if not isinstance(arg, FactoredInteger):  # factorize returns one as it is
+                with open(log, "a") as sink:
+                    sink.write(f"{name} {arg if isinstance(arg, int) else 0}\n")
+            return real(arg, *rest)
+
+        return logged
+
+    monkeypatch.setattr(sweep, "swept_sums", logged_as("sweep", real_swept))
+    replace_factorize(monkeypatch, logged_as("factorize", real_factorize))
+    with pytest.raises(TermCountExceeded, match=r" sums priced at .+ s are over the budget "
+                       r"of 0.001 s for a list$"):
+        scan(IdentityId.THM_3, 5, 2410, workers=workers)
+    assert not log.exists()
+    assert AFFINITY(0) == START_CPUS
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_scan_priced_over_the_list_budget_exits_1_at_once(monkeypatch, capsys):
+    monkeypatch.setattr(sums, "MAX_LIST_NS", 10**6)
+    code = main(["scan", "--identity", "thm3", "--from", "5", "--to", "2410"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 802 sums priced at") and err.count("\n") == 1
+
+
 def test_scan_turns_an_oversized_exact_power_into_a_skip(monkeypatch):
     # 3^phi(n) passes a 20-bit budget up to n = 13 (phi = 12, 19.02 bits)
     monkeypatch.setattr(quotients, "MAX_POWER_BITS", 20)
